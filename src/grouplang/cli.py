@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import random_linear_grammar, random_nfa
 from .errors import BackendMismatch, BoundExceeded, GrouplangError, InputError
-from .groups import load_group, word_to_tokens
+from .groups import load_group, read_json, word_to_tokens
 from .linear import check_linear_inclusion, grammar_to_dict, parse_grammar
 from .oracle import (
     EnumerationBound,
@@ -38,12 +38,7 @@ _LITERAL_WARNING = (
 
 def _load_language(path: str):
     """Return ("automaton", Nfa) or ("linear_grammar", LinearGrammar)."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: language description must be a JSON object")
     kind = obj.get("kind")
@@ -78,7 +73,6 @@ def cmd_check(args) -> int:
         set_cap=args.set_cap,
         early_fail=not args.no_early_fail,
         literal_omega10=args.literal_omega10,
-        output_format="json" if args.json else "text",
     )
     counters = OpCounters()
     started = time.perf_counter()
@@ -127,12 +121,8 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     backend = load_group(args.group_file)
     kind, language = _load_language(args.language_file)
-    config = RunConfig(
-        oracle_bound_override=args.max_len,
-        output_format="json" if args.json else "text",
-    )
-    if config.oracle_bound_override is not None:
-        bound_len = config.oracle_bound_override
+    if args.max_len is not None:
+        bound_len = args.max_len
     elif kind == "automaton":
         bound_len = counterexample_bound_regular(language)
     else:

@@ -15,7 +15,7 @@ class CayleyTableError(InputError):
     """A multiplication table does not describe a group."""
 
 
-class LetterOutOfRange(GrouplangError):
+class LetterOutOfRange(InputError):
     """A word contains a letter outside the alphabet's signed index range."""
 
 

@@ -25,12 +25,6 @@ from .errors import BackendMismatch, CayleyTableError, InputError, LetterOutOfRa
 
 Word = tuple[int, ...]
 
-EPSILON: Word = ()
-
-
-def inverse_letter(letter: int) -> int:
-    return -letter
-
 
 def inverse_word(word: Word) -> Word:
     """Reverse the word and invert every letter: (uv)^-1 = v^-1 u^-1."""
@@ -321,13 +315,17 @@ _GROUP_FIELDS = {
 _PRESENTATION_KEYS = ("relators", "relations", "presentation")
 
 
+def require_int(v, what: str, minimum: int) -> int:
+    """``v`` itself, if it is an integer (not a bool) of at least ``minimum``."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise InputError(f"{what} must be an integer >= {minimum}, got {v!r}")
+    return v
+
+
 def _require_int(obj: dict, key: str, minimum: int) -> int:
     if key not in obj:
         raise InputError(f"missing field {key!r}")
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise InputError(f"field {key!r} must be an integer >= {minimum}, got {v!r}")
-    return v
+    return require_int(obj[key], f"field {key!r}", minimum)
 
 
 def parse_group(obj: dict) -> Backend:
@@ -342,7 +340,7 @@ def parse_group(obj: dict) -> Backend:
                 "cyclic, or cayley"
             )
     kind = obj.get("kind")
-    if kind not in _GROUP_FIELDS:
+    if not isinstance(kind, str) or kind not in _GROUP_FIELDS:
         raise InputError(
             f"field 'kind' must be one of {sorted(_GROUP_FIELDS)}, got {kind!r}"
         )
@@ -371,14 +369,18 @@ def parse_group(obj: dict) -> Backend:
     )
 
 
-def load_group(path: str | Path) -> Backend:
-    """Load a group-specification JSON file."""
+def read_json(path: str | Path):
+    """Parse a JSON file; unreadable files and bad JSON raise :class:`InputError`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    return parse_group(obj)
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+
+
+def load_group(path: str | Path) -> Backend:
+    """Load a group-specification JSON file."""
+    return parse_group(read_json(path))

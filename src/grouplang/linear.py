@@ -13,14 +13,23 @@ around the tails that leave it.
 
 from __future__ import annotations
 
-import heapq
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BackendMismatch, CapExceeded, InputError
-from .groups import Backend, Word, validate_word
-from .regular import LabelMatrix, Nfa, first_failing_word
+from .errors import CapExceeded, InputError
+from .groups import Backend, Word, read_json, require_int, validate_word
+from .regular import (
+    LabelMatrix,
+    Nfa,
+    build_matrix,
+    check_fields,
+    first_failing_word,
+    pivot_closure,
+    require_rank,
+    shortest_walk,
+    successors,
+    useful_vertices,
+)
 from .semiring import (
     PairSet,
     diamond,
@@ -89,8 +98,10 @@ class LinearGrammar:
         """Interval parse; independent of the closure machinery.
 
         Nonterminals reachable through productions that add no letters
-        are folded into an epsilon-reachability relation first, so the
-        remaining recursion always shrinks the interval.
+        are folded into an epsilon-reachability relation first, so every
+        other step shrinks the interval: the parse is a search over
+        (nonterminal, lo, hi) states with an explicit stack, which no
+        word length can overflow.
         """
         word = tuple(word)
         eps_reach: dict[int, set[int]] = {i: {i} for i in range(1, self.nonterminals + 1)}
@@ -104,13 +115,10 @@ class LinearGrammar:
                     if p.lhs in seen and p.rhs not in seen:
                         seen.add(p.rhs)
                         changed = True
-        memo: dict[tuple[int, int, int], bool] = {}
-
-        def derives(nt: int, lo: int, hi: int) -> bool:
-            key = (nt, lo, hi)
-            if key in memo:
-                return memo[key]
-            result = False
+        todo = [(self.start, 0, len(word))]
+        seen_states = set(todo)
+        while todo:
+            nt, lo, hi = todo.pop()
             for source in eps_reach[nt]:
                 for p in self.productions:
                     if p.lhs != source:
@@ -118,19 +126,14 @@ class LinearGrammar:
                     la, lb = len(p.alpha), len(p.beta)
                     if p.rhs is None:
                         if hi - lo == la and word[lo:hi] == p.alpha:
-                            result = True
+                            return True
                     elif la + lb > 0 and hi - lo >= la + lb:
                         if word[lo:lo + la] == p.alpha and word[hi - lb:hi] == p.beta:
-                            if derives(p.rhs, lo + la, hi - lb):
-                                result = True
-                    if result:
-                        break
-                if result:
-                    break
-            memo[key] = result
-            return result
-
-        return derives(self.start, 0, len(word))
+                            state = (p.rhs, lo + la, hi - lb)
+                            if state not in seen_states:
+                                seen_states.add(state)
+                                todo.append(state)
+        return False
 
 
 _GRAMMAR_FIELDS = {"kind", "nonterminals", "alphabet_rank", "productions", "start"}
@@ -143,16 +146,7 @@ def _parse_word(raw, where: str) -> Word:
 
 
 def parse_grammar(obj: dict) -> LinearGrammar:
-    if not isinstance(obj, dict):
-        raise InputError("grammar description must be a JSON object")
-    if obj.get("kind", "linear_grammar") != "linear_grammar":
-        raise InputError(f"field 'kind' must be 'linear_grammar', got {obj.get('kind')!r}")
-    unknown = set(obj) - _GRAMMAR_FIELDS
-    if unknown:
-        raise InputError(f"unknown grammar fields: {sorted(unknown)}")
-    for key in ("nonterminals", "alphabet_rank", "productions", "start"):
-        if key not in obj:
-            raise InputError(f"missing grammar field {key!r}")
+    check_fields(obj, "linear_grammar", _GRAMMAR_FIELDS)
     raw = obj["productions"]
     if not isinstance(raw, list):
         raise InputError("field 'productions' must be a list")
@@ -164,23 +158,28 @@ def parse_grammar(obj: dict) -> LinearGrammar:
         if keys == {"lhs", "alpha", "rhs", "beta"}:
             prods.append(
                 Production(
-                    lhs=p["lhs"],
+                    lhs=require_int(p["lhs"], "production lhs", 1),
                     alpha=_parse_word(p["alpha"], "production alpha"),
-                    rhs=p["rhs"],
+                    rhs=require_int(p["rhs"], "production rhs", 1),
                     beta=_parse_word(p["beta"], "production beta"),
                 )
             )
         elif keys == {"lhs", "alpha"}:
-            prods.append(Production(lhs=p["lhs"], alpha=_parse_word(p["alpha"], "production alpha")))
+            prods.append(
+                Production(
+                    lhs=require_int(p["lhs"], "production lhs", 1),
+                    alpha=_parse_word(p["alpha"], "production alpha"),
+                )
+            )
         else:
             raise InputError(
                 f"production must have fields lhs/alpha/rhs/beta or lhs/alpha, got {sorted(keys)}"
             )
     return LinearGrammar(
-        nonterminals=obj["nonterminals"],
-        rank=obj["alphabet_rank"],
+        nonterminals=require_int(obj["nonterminals"], "field 'nonterminals'", 1),
+        rank=require_int(obj["alphabet_rank"], "field 'alphabet_rank'", 1),
         productions=tuple(prods),
-        start=obj["start"],
+        start=require_int(obj["start"], "field 'start'", 1),
     )
 
 
@@ -203,13 +202,7 @@ def grammar_to_dict(g: LinearGrammar) -> dict:
 
 
 def load_grammar(path: str | Path) -> LinearGrammar:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    return parse_grammar(obj)
+    return parse_grammar(read_json(path))
 
 
 def diagram_arcs(g: LinearGrammar) -> list[tuple[int, int, Word, Word]]:
@@ -226,25 +219,7 @@ def diagram_arcs(g: LinearGrammar) -> list[tuple[int, int, Word, Word]]:
 
 def useful_nonterminals(g: LinearGrammar) -> frozenset[int]:
     """Nonterminals reachable from the start and able to reach the sink."""
-    fwd: dict[int, set[int]] = {}
-    bwd: dict[int, set[int]] = {}
-    for src, dst, _l, _r in diagram_arcs(g):
-        fwd.setdefault(src, set()).add(dst)
-        bwd.setdefault(dst, set()).add(src)
-
-    def reach(seeds: set[int], edges: dict[int, set[int]]) -> set[int]:
-        seen = set(seeds)
-        todo = list(seeds)
-        while todo:
-            for nxt in edges.get(todo.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return seen
-
-    reachable = reach({g.start}, fwd)
-    to_sink = reach({g.sink}, bwd)
-    return frozenset((reachable & to_sink) - {g.sink})
+    return useful_vertices(diagram_arcs(g), g.start, {g.sink}) - {g.sink}
 
 
 def build_grammar_matrix(
@@ -260,34 +235,9 @@ def build_grammar_matrix(
     When ``useful`` is given, arcs touching other nonterminals are
     dropped, so their rows and columns stay empty.
     """
-    if g.rank != backend.rank:
-        raise BackendMismatch(
-            f"grammar rank {g.rank} does not match backend rank {backend.rank}"
-        )
+    require_rank("grammar", g.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, g.nonterminals + 1))
-    cells: dict[tuple[int, int], PairSet] = {}
-    for src, dst, left, right in diagram_arcs(g):
-        if src not in keep or (dst != g.sink and dst not in keep):
-            continue
-        cell = cells.get((src, dst))
-        if cell is None:
-            cell = PairSet.empty(backend)
-            cells[src, dst] = cell
-        key = (backend.canonicalize(left), backend.canonicalize(right))
-        wit = (left, right)
-        old = cell.elements.get(key)
-        if old is None or PairSet.witness_key(wit) < PairSet.witness_key(old):
-            cell.elements[key] = wit
-        if cap is not None and len(cell.elements) > cap:
-            raise CapExceeded(len(cell.elements), cell=(src, dst))
-    return LabelMatrix(
-        backend=backend,
-        rows=g.nonterminals,
-        cols=g.nonterminals + 1,
-        useful=tuple(sorted(keep)),
-        cells=cells,
-        pair_cells=True,
-    )
+    return build_matrix(backend, diagram_arcs(g), PairSet, g.nonterminals, g.sink, keep, cap)
 
 
 class _EarlyViolation(Exception):
@@ -329,34 +279,15 @@ class _CycleScan:
     def __init__(self, g: LinearGrammar, backend: Backend):
         self.backend = backend
         self.start = g.start
-        self.arcs: dict[int, list[tuple[int, Word, Word]]] = {}
-        for src, dst, left, right in diagram_arcs(g):
-            self.arcs.setdefault(src, []).append((dst, left, right))
+        self.out = successors(diagram_arcs(g))
         self.sink = g.sink
         self._paths: dict[tuple[int, int], tuple[Word, Word] | None] = {}
 
     def _pair_path(self, src: int, dst: int) -> tuple[Word, Word] | None:
-        """Some deterministic small-letter-count walk label from src to dst."""
+        """The fewest-letter walk label from src to dst, computed once."""
         key = (src, dst)
         if key not in self._paths:
-            heap: list[tuple[int, Word, Word, int]] = [(0, (), (), src)]
-            done: set[int] = set()
-            found = None
-            while heap:
-                total, left, right, vertex = heapq.heappop(heap)
-                if vertex in done:
-                    continue
-                done.add(vertex)
-                if vertex == dst:
-                    found = (left, right)
-                    break
-                for nxt, alpha, beta in self.arcs.get(vertex, ()):
-                    if nxt not in done:
-                        heapq.heappush(
-                            heap,
-                            (total + len(alpha) + len(beta), left + alpha, beta + right, nxt),
-                        )
-            self._paths[key] = found
+            self._paths[key] = shortest_walk(self.out, src, {dst})
         return self._paths[key]
 
     def __call__(self, mat: LabelMatrix) -> None:
@@ -391,7 +322,7 @@ def closure_pairs(
     watch_final: tuple[int, int] | None = None,
     level_scan=None,
 ) -> LabelMatrix:
-    """Pivot recurrence over pair sets; pivots never include the sink column.
+    """Pivot recurrence over pair sets with ``diamond``; pivots never include the sink column.
 
     No early singleton exit here: distinct pairs at one vertex happily
     coexist with an inclusion that holds (their products under common
@@ -402,42 +333,24 @@ def closure_pairs(
     non-identity products on every update, and ``level_scan`` is called
     on the matrix before the first pivot and after each one.
     """
-    if mat.level != 0:
-        raise ValueError("closure expects a level-0 matrix")
-    useful = mat.useful
-    sink = mat.cols
-    columns = list(useful) + [sink]
+    on_cell = None
     if watch_final is not None:
-        _scan_final_cell(mat.cell(*watch_final))
-    if level_scan is not None:
-        level_scan(mat)
-    for k in useful:
-        for i in useful:
-            left = mat.cell(i, k)
-            if not left:
-                continue
-            for j in columns:
-                right = mat.cell(k, j)
-                if not right:
-                    continue
-                try:
-                    prod = diamond(left, right, cap=cap)
-                    if counters is not None:
-                        counters.diamonds += 1
-                    merged = union(mat.cell(i, j), prod, cap=cap)
-                    if counters is not None:
-                        counters.unions += 1
-                except CapExceeded as exc:
-                    exc.cell = (i, j)
-                    raise
-                mat.cells[i, j] = merged
-                if watch_final == (i, j):
-                    _scan_final_cell(merged)
-        mat.level += 1
-        if level_scan is not None:
-            level_scan(mat)
-    mat.level = mat.rows
-    return mat
+
+        def on_cell(i: int, j: int, cell: PairSet) -> None:
+            if (i, j) == watch_final:
+                _scan_final_cell(cell)
+
+    return pivot_closure(
+        mat,
+        mat.useful + (mat.cols,),
+        diamond,
+        union,
+        cap=cap,
+        counters=counters,
+        counted="diamonds",
+        on_cell=on_cell,
+        on_level=level_scan,
+    )
 
 
 def check_linear_inclusion(
@@ -448,10 +361,7 @@ def check_linear_inclusion(
 ) -> Verdict:
     """Decide whether every word the grammar generates maps to the group identity."""
     config = config if config is not None else RunConfig()
-    if g.rank != backend.rank:
-        raise BackendMismatch(
-            f"grammar rank {g.rank} does not match backend rank {backend.rank}"
-        )
+    require_rank("grammar", g.rank, backend)
     useful = useful_nonterminals(g)
     if g.start not in useful:
         return Holds()  # no terminal derivation exists, so the language is empty

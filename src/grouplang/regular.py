@@ -8,13 +8,18 @@ every state the conjugates of its cycle labels by its access labels
 must collapse to the identity.  Witness words ride along with every
 element, so a failed check always names a concrete accepted word that
 does not multiply out to the identity.
+
+This module also holds the core that the linear check shares: JSON
+object checks, reachability, the shortest-walk search, the level-0
+matrix builder and the pivot loop.  Both checks run on arcs
+(src, dst, left, right): an automaton arc has an empty right part, a
+grammar arc wraps its left and right words around the rest of the walk.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -24,7 +29,7 @@ from .errors import (
     InternalInconsistency,
     SingletonViolation,
 )
-from .groups import Backend, Word, validate_word
+from .groups import Backend, Word, read_json, require_int, validate_word
 from .semiring import GroupSet, PairSet, product, star, union
 from .verdicts import (
     CONJUGATE,
@@ -81,38 +86,54 @@ class Nfa:
                 return False
         return bool(current & self.finals)
 
+    def arcs(self) -> list[tuple[int, int, Word, Word]]:
+        """Arcs (src, dst, (letter,), ()) in (src, letter, dst) order."""
+        return [(src, dst, (letter,), ()) for src, letter, dst in sorted(self.transitions)]
+
+
+def check_fields(obj, kind: str, fields: set[str]) -> None:
+    """Reject ``obj`` unless it is a JSON object of ``kind`` with exactly ``fields`` ('kind' optional)."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{kind} description must be a JSON object")
+    if obj.get("kind", kind) != kind:
+        raise InputError(f"field 'kind' must be {kind!r}, got {obj.get('kind')!r}")
+    unknown = set(obj) - fields
+    if unknown:
+        raise InputError(f"unknown {kind} fields: {sorted(unknown)}")
+    for key in sorted(fields - {"kind"}):
+        if key not in obj:
+            raise InputError(f"missing {kind} field {key!r}")
+
+
+def require_rank(what: str, rank: int, backend: Backend) -> None:
+    if rank != backend.rank:
+        raise BackendMismatch(f"{what} rank {rank} does not match backend rank {backend.rank}")
+
 
 _NFA_FIELDS = {"kind", "states", "alphabet_rank", "transitions", "start", "finals"}
 
 
 def parse_nfa(obj: dict) -> Nfa:
-    if not isinstance(obj, dict):
-        raise InputError("automaton description must be a JSON object")
-    if obj.get("kind", "automaton") != "automaton":
-        raise InputError(f"field 'kind' must be 'automaton', got {obj.get('kind')!r}")
-    unknown = set(obj) - _NFA_FIELDS
-    if unknown:
-        raise InputError(f"unknown automaton fields: {sorted(unknown)}")
-    for key in ("states", "alphabet_rank", "transitions", "start", "finals"):
-        if key not in obj:
-            raise InputError(f"missing automaton field {key!r}")
+    check_fields(obj, "automaton", _NFA_FIELDS)
     raw = obj["transitions"]
     if not isinstance(raw, list):
         raise InputError("field 'transitions' must be a list of [from, letter, to]")
     arcs = []
     for t in raw:
-        if not isinstance(t, list) or len(t) != 3 or not all(isinstance(v, int) for v in t):
+        if not isinstance(t, list) or len(t) != 3 or not isinstance(t[1], int):
             raise InputError(f"bad transition {t!r}; expected [from, letter, to]")
-        arcs.append(tuple(t))
+        arcs.append(
+            (require_int(t[0], "transition source", 1), t[1], require_int(t[2], "transition target", 1))
+        )
     finals = obj["finals"]
-    if not isinstance(finals, list) or not all(isinstance(v, int) for v in finals):
+    if not isinstance(finals, list):
         raise InputError("field 'finals' must be a list of states")
     return Nfa(
-        states=obj["states"],
-        rank=obj["alphabet_rank"],
+        states=require_int(obj["states"], "field 'states'", 1),
+        rank=require_int(obj["alphabet_rank"], "field 'alphabet_rank'", 1),
         transitions=frozenset(arcs),
-        start=obj["start"],
-        finals=frozenset(finals),
+        start=require_int(obj["start"], "field 'start'", 1),
+        finals=frozenset(require_int(f, "final state", 1) for f in finals),
     )
 
 
@@ -128,20 +149,14 @@ def nfa_to_dict(a: Nfa) -> dict:
 
 
 def load_nfa(path: str | Path) -> Nfa:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    return parse_nfa(obj)
+    return parse_nfa(read_json(path))
 
 
-def useful_states(a: Nfa) -> frozenset[int]:
-    """States on some walk from the start to a final state."""
+def useful_vertices(arcs, start: int, ends) -> frozenset[int]:
+    """Vertices on some walk from ``start`` to a vertex of ``ends``."""
     fwd: dict[int, set[int]] = {}
     bwd: dict[int, set[int]] = {}
-    for src, _letter, dst in a.transitions:
+    for src, dst, _left, _right in arcs:
         fwd.setdefault(src, set()).add(dst)
         bwd.setdefault(dst, set()).add(src)
 
@@ -155,9 +170,45 @@ def useful_states(a: Nfa) -> frozenset[int]:
                     todo.append(nxt)
         return seen
 
-    reachable = reach({a.start}, fwd)
-    coreachable = reach(set(a.finals), bwd)
-    return frozenset(reachable & coreachable)
+    return frozenset(reach({start}, fwd) & reach(set(ends), bwd))
+
+
+def useful_states(a: Nfa) -> frozenset[int]:
+    """States on some walk from the start to a final state."""
+    return useful_vertices(a.arcs(), a.start, a.finals)
+
+
+def successors(arcs) -> dict[int, list[tuple[int, Word, Word]]]:
+    """Arcs (src, dst, left, right) grouped by source as (dst, left, right)."""
+    out: dict[int, list[tuple[int, Word, Word]]] = {}
+    for src, dst, left, right in arcs:
+        out.setdefault(src, []).append((dst, left, right))
+    return out
+
+
+def shortest_walk(out, source: int, targets) -> tuple[Word, Word] | None:
+    """Label (left, right) of a walk from ``source`` into ``targets`` with the fewest letters.
+
+    ``out`` maps each vertex to its :func:`successors`.  Ties go to the
+    smaller left part, then the smaller right part, so the answer does
+    not depend on arc order; on automaton arcs the left part is the
+    length-then-lexicographic least word.  None if no walk exists.
+    """
+    heap: list[tuple[int, Word, Word, int]] = [(0, (), (), source)]
+    done: set[int] = set()
+    while heap:
+        letters, left, right, vertex = heapq.heappop(heap)
+        if vertex in done:
+            continue
+        done.add(vertex)
+        if vertex in targets:
+            return left, right
+        for dst, alpha, beta in out.get(vertex, ()):
+            if dst not in done:
+                heapq.heappush(
+                    heap, (letters + len(alpha) + len(beta), left + alpha, beta + right, dst)
+                )
+    return None
 
 
 @dataclass
@@ -165,8 +216,7 @@ class LabelMatrix:
     """Grid of label sets indexed by 1-based vertices; the check's workspace.
 
     ``level`` counts how many pivots the closure has applied; builders
-    produce level 0.  ``pair_cells`` selects whether empty cells read as
-    empty pair sets or empty element sets.
+    produce level 0.  Absent cells read as ``empty``.
     """
 
     backend: Backend
@@ -174,15 +224,103 @@ class LabelMatrix:
     cols: int
     useful: tuple[int, ...]
     cells: dict[tuple[int, int], GroupSet | PairSet]
+    empty: GroupSet | PairSet
     level: int = 0
-    pair_cells: bool = False
-    _empty: GroupSet | PairSet = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._empty = (PairSet if self.pair_cells else GroupSet).empty(self.backend)
 
     def cell(self, i: int, j: int):
-        return self.cells.get((i, j), self._empty)
+        return self.cells.get((i, j), self.empty)
+
+
+def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep, cap) -> LabelMatrix:
+    """Level-0 matrix: cell (i, j) holds the labels of the arcs i -> j.
+
+    Arcs leaving a vertex outside ``keep``, or entering one, are dropped,
+    so those rows and columns stay empty; columns past the last row (the
+    grammar's sink) are never dropped.  Cells are created in arc order.
+    """
+    cells: dict = {}
+    key = cell_type.witness_key
+    for src, dst, left, right in arcs:
+        if src not in keep or (dst <= rows and dst not in keep):
+            continue
+        cell = cells.get((src, dst))
+        if cell is None:
+            cell = cells[src, dst] = cell_type(backend)
+        wit = cell_type.arc_witness(left, right)
+        label = cell_type.evaluate(backend, wit)
+        old = cell.elements.get(label)
+        if old is None or key(wit) < key(old):
+            cell.elements[label] = wit
+        if cap is not None and len(cell.elements) > cap:
+            raise CapExceeded(len(cell.elements), cell=(src, dst))
+    return LabelMatrix(backend, rows, cols, tuple(sorted(keep)), cells, cell_type(backend))
+
+
+def pivot_closure(
+    mat: LabelMatrix,
+    columns,
+    multiply,
+    union,
+    *,
+    cap: int | None,
+    counters: OpCounters | None,
+    counted: str,
+    on_cell=None,
+    on_level=None,
+) -> LabelMatrix:
+    """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
+
+    Pivots and rows run over ``mat.useful``, columns over ``columns``.
+    ``on_cell(i, j, cell)`` sees every level-0 cell and every update, and
+    ``on_level(mat)`` sees the matrix before the first pivot and after
+    each; either may raise to stop the closure.  The operations done are
+    added to ``counters.unions`` and to the ``counted`` field, also when
+    the closure stops early.
+    """
+    if mat.level != 0:
+        raise ValueError("closure expects a level-0 matrix")
+    cells = mat.cells
+    get = cells.get
+    empty = mat.empty
+    useful = mat.useful
+    multiplied = unions = 0
+    try:
+        if on_cell is not None:
+            for (i, j), cell in cells.items():
+                on_cell(i, j, cell)
+        if on_level is not None:
+            on_level(mat)
+        for k in useful:
+            for i in useful:
+                left = get((i, k), empty)
+                if not left.elements:
+                    continue
+                for j in columns:
+                    right = get((k, j), empty)
+                    if not right.elements:
+                        continue
+                    try:
+                        prod = multiply(left, right, cap=cap)
+                        multiplied += 1
+                        merged = union(get((i, j), empty), prod, cap=cap)
+                        unions += 1
+                    except CapExceeded as exc:
+                        exc.cell = (i, j)
+                        raise
+                    cells[i, j] = merged
+                    if on_cell is not None:
+                        on_cell(i, j, merged)
+            mat.level += 1
+            if on_level is not None:
+                on_level(mat)
+    finally:
+        if counters is not None:
+            counters.unions += unions
+            setattr(counters, counted, getattr(counters, counted) + multiplied)
+    # Pivots outside the useful set have empty rows and columns, so
+    # skipping them never changes a cell; the matrix is fully closed.
+    mat.level = mat.rows
+    return mat
 
 
 def build_initial_matrix(
@@ -197,38 +335,15 @@ def build_initial_matrix(
     When ``useful`` is given, arcs touching other states are dropped, so
     their rows and columns stay empty.
     """
-    if a.rank != backend.rank:
-        raise BackendMismatch(
-            f"automaton rank {a.rank} does not match backend rank {backend.rank}"
-        )
+    require_rank("automaton", a.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, a.states + 1))
-    cells: dict[tuple[int, int], GroupSet] = {}
-    for src, letter, dst in sorted(a.transitions):
-        if src not in keep or dst not in keep:
-            continue
-        cell = cells.get((src, dst))
-        if cell is None:
-            cell = GroupSet.empty(backend)
-            cells[src, dst] = cell
-        elem = backend.canonicalize((letter,))
-        old = cell.elements.get(elem)
-        if old is None or (1, (letter,)) < (len(old), old):
-            cell.elements[elem] = (letter,)
-        if cap is not None and len(cell.elements) > cap:
-            raise CapExceeded(len(cell.elements), cell=(src, dst))
-    mat = LabelMatrix(
-        backend=backend,
-        rows=a.states,
-        cols=a.states,
-        useful=tuple(sorted(keep)),
-        cells=cells,
-    )
-    return mat
+    return build_matrix(backend, a.arcs(), GroupSet, a.states, a.states, keep, cap)
 
 
-def _two_smallest_witnesses(cell: GroupSet) -> tuple[Word, Word]:
-    wits = sorted(cell.elements.values(), key=lambda w: (len(w), w))
-    return wits[0], wits[1]
+def _singleton_exit(i: int, j: int, cell: GroupSet) -> None:
+    if len(cell.elements) >= 2:
+        wits = sorted(cell.elements.values(), key=GroupSet.witness_key)
+        raise SingletonViolation(i, j, wits[0], wits[1])
 
 
 def closure(
@@ -238,7 +353,7 @@ def closure(
     cap: int | None = None,
     counters: OpCounters | None = None,
 ) -> LabelMatrix:
-    """Pivot recurrence over the useful states; mutates ``mat`` in place.
+    """Pivot recurrence over the useful states with ``product``; mutates ``mat`` in place.
 
     With ``early_fail`` set, raises :class:`SingletonViolation` the
     moment any useful-to-useful cell holds two distinct elements: two
@@ -246,64 +361,22 @@ def closure(
     inclusion, and stopping there keeps every set a singleton on
     instances where the inclusion holds.
     """
-    if mat.level != 0:
-        raise ValueError("closure expects a level-0 matrix")
-    useful = mat.useful
-    if early_fail:
-        for (i, j), cell in mat.cells.items():
-            if len(cell) >= 2:
-                raise SingletonViolation(i, j, *_two_smallest_witnesses(cell))
-    for k in useful:
-        for i in useful:
-            left = mat.cell(i, k)
-            if not left:
-                continue
-            for j in useful:
-                right = mat.cell(k, j)
-                if not right:
-                    continue
-                try:
-                    prod = product(left, right, cap=cap)
-                    if counters is not None:
-                        counters.products += 1
-                    merged = union(mat.cell(i, j), prod, cap=cap)
-                    if counters is not None:
-                        counters.unions += 1
-                except CapExceeded as exc:
-                    exc.cell = (i, j)
-                    raise
-                mat.cells[i, j] = merged
-                if early_fail and len(merged) >= 2:
-                    raise SingletonViolation(i, j, *_two_smallest_witnesses(merged))
-        mat.level += 1
-    # Pivots outside the useful set have empty rows and columns, so
-    # skipping them never changes a cell; the matrix is fully closed.
-    mat.level = mat.rows
-    return mat
+    return pivot_closure(
+        mat,
+        mat.useful,
+        product,
+        union,
+        cap=cap,
+        counters=counters,
+        counted="products",
+        on_cell=_singleton_exit if early_fail else None,
+    )
 
 
 def shortest_word_path(a: Nfa, source: int, targets: frozenset[int] | set[int]) -> Word | None:
     """Minimal (length, then lexicographic) word labeling a path into ``targets``."""
-    if source in targets:
-        return ()
-    arcs: dict[int, list[tuple[int, int]]] = {}
-    for src, letter, dst in a.transitions:
-        arcs.setdefault(src, []).append((letter, dst))
-    for lst in arcs.values():
-        lst.sort()
-    heap: list[tuple[int, Word, int]] = [(0, (), source)]
-    done: set[int] = set()
-    while heap:
-        length, word, state = heapq.heappop(heap)
-        if state in done:
-            continue
-        done.add(state)
-        if state in targets:
-            return word
-        for letter, dst in arcs.get(state, ()):
-            if dst not in done:
-                heapq.heappush(heap, (length + 1, word + (letter,), dst))
-    return None
+    walk = shortest_walk(successors(a.arcs()), source, targets)
+    return None if walk is None else walk[0]
 
 
 def first_failing_word(backend: Backend, candidates: list[Word]) -> Word:
@@ -334,10 +407,7 @@ def check_regular_inclusion(
 ) -> Verdict:
     """Decide whether every word the automaton accepts maps to the group identity."""
     config = config if config is not None else RunConfig()
-    if a.rank != backend.rank:
-        raise BackendMismatch(
-            f"automaton rank {a.rank} does not match backend rank {backend.rank}"
-        )
+    require_rank("automaton", a.rank, backend)
     useful = useful_states(a)
     finals_useful = sorted(a.finals & useful)
     if not finals_useful:

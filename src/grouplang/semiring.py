@@ -36,8 +36,13 @@ def _same_backend(x, y) -> None:
         raise BackendMismatch(f"mixed backends: {x.backend!r} vs {y.backend!r}")
 
 
-class GroupSet:
-    """Finite set of canonical group elements, each with one witness word."""
+class _LabelSet:
+    """Finite map from canonical labels to one witness each; never mutated once shared.
+
+    Subclasses fix what a label is: ``evaluate`` computes it from a
+    witness, ``witness_key`` orders competing witnesses, and
+    ``arc_witness`` turns an arc's (left, right) words into a witness.
+    """
 
     __slots__ = ("backend", "elements")
 
@@ -46,8 +51,49 @@ class GroupSet:
         self.elements: dict = elements if elements is not None else {}
 
     @classmethod
-    def empty(cls, backend: Backend) -> "GroupSet":
+    def empty(cls, backend: Backend):
         return cls(backend)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __bool__(self) -> bool:
+        return bool(self.elements)
+
+    def __contains__(self, label) -> bool:
+        return label in self.elements
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.backend == other.backend
+            and self.elements == other.elements
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.elements!r})"
+
+    def element_set(self) -> frozenset:
+        return frozenset(self.elements)
+
+    def witness(self, label):
+        return self.elements[label]
+
+    def sorted_items(self) -> list:
+        return sorted(self.elements.items(), key=lambda kv: self.witness_key(kv[1]))
+
+    def check_witnesses(self) -> None:
+        """Assert that every stored witness evaluates to its label."""
+        for label, wit in self.elements.items():
+            got = self.evaluate(self.backend, wit)
+            if got != label:
+                raise AssertionError(f"witness {wit!r} evaluates to {got!r}, not {label!r}")
+
+
+class GroupSet(_LabelSet):
+    """Finite set of canonical group elements, each with one witness word."""
+
+    __slots__ = ()
 
     @classmethod
     def identity(cls, backend: Backend) -> "GroupSet":
@@ -65,33 +111,14 @@ class GroupSet:
     def witness_key(wit: Word) -> tuple:
         return (len(wit), wit)
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    @staticmethod
+    def evaluate(backend: Backend, wit: Word):
+        return backend.canonicalize(wit)
 
-    def __bool__(self) -> bool:
-        return bool(self.elements)
-
-    def __contains__(self, elem) -> bool:
-        return elem in self.elements
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupSet)
-            and self.backend == other.backend
-            and self.elements == other.elements
-        )
-
-    def __repr__(self) -> str:
-        return f"GroupSet({self.elements!r})"
-
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def witness(self, elem) -> Word:
-        return self.elements[elem]
-
-    def sorted_items(self) -> list:
-        return sorted(self.elements.items(), key=lambda kv: (len(kv[1]), kv[1]))
+    @staticmethod
+    def arc_witness(left: Word, right: Word) -> Word:
+        """An automaton arc's word; its right part is always empty."""
+        return left + right
 
     def best_non_identity(self):
         """The non-identity element with the smallest witness, or None."""
@@ -102,29 +129,11 @@ class GroupSet:
                 best = (elem, wit)
         return best
 
-    def is_identity_singleton(self) -> bool:
-        return len(self.elements) == 1 and self.backend.identity in self.elements
 
-    def check_witnesses(self) -> None:
-        """Assert that every stored witness evaluates to its element."""
-        for elem, wit in self.elements.items():
-            got = self.backend.canonicalize(wit)
-            if got != elem:
-                raise AssertionError(f"witness {wit!r} evaluates to {got!r}, not {elem!r}")
-
-
-class PairSet:
+class PairSet(_LabelSet):
     """Finite set of canonical element pairs, each with a witness word pair."""
 
-    __slots__ = ("backend", "elements")
-
-    def __init__(self, backend: Backend, elements: dict | None = None):
-        self.backend = backend
-        self.elements: dict = elements if elements is not None else {}
-
-    @classmethod
-    def empty(cls, backend: Backend) -> "PairSet":
-        return cls(backend)
+    __slots__ = ()
 
     @classmethod
     def identity(cls, backend: Backend) -> "PairSet":
@@ -136,38 +145,13 @@ class PairSet:
         wl, wr = wit
         return (len(wl) + len(wr), wl, wr)
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    @staticmethod
+    def evaluate(backend: Backend, wit: tuple[Word, Word]):
+        return (backend.canonicalize(wit[0]), backend.canonicalize(wit[1]))
 
-    def __bool__(self) -> bool:
-        return bool(self.elements)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.elements
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PairSet)
-            and self.backend == other.backend
-            and self.elements == other.elements
-        )
-
-    def __repr__(self) -> str:
-        return f"PairSet({self.elements!r})"
-
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def witness(self, pair) -> tuple[Word, Word]:
-        return self.elements[pair]
-
-    def sorted_items(self) -> list:
-        return sorted(self.elements.items(), key=lambda kv: PairSet.witness_key(kv[1]))
-
-    def check_witnesses(self) -> None:
-        for (left, right), (wl, wr) in self.elements.items():
-            if self.backend.canonicalize(wl) != left or self.backend.canonicalize(wr) != right:
-                raise AssertionError(f"witness pair ({wl!r}, {wr!r}) does not evaluate to ({left!r}, {right!r})")
+    @staticmethod
+    def arc_witness(left: Word, right: Word) -> tuple[Word, Word]:
+        return (left, right)
 
 
 def _merge(elements: dict, key, wit: Word) -> None:

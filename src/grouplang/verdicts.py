@@ -80,13 +80,7 @@ class RunConfig:
     set_cap: int = 4096
     early_fail: bool = True
     literal_omega10: bool = False
-    oracle_bound_override: int | None = None
-    output_format: str = "text"
 
     def __post_init__(self):
         if self.set_cap < 1:
             raise InputError("set_cap must be >= 1")
-        if self.output_format not in ("text", "json"):
-            raise InputError(f"unknown output format {self.output_format!r}")
-        if self.oracle_bound_override is not None and self.oracle_bound_override < 1:
-            raise InputError("oracle bound override must be >= 1")

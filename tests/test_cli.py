@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from grouplang import word_from_tokens
 from grouplang.cli import main
@@ -121,6 +122,60 @@ def test_check_bad_json_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad), str(SAMPLES / "nfa_star.json"))
     assert code == 2
     assert "line" in err
+
+
+_AUTOMATON = {
+    "kind": "automaton",
+    "states": 2,
+    "alphabet_rank": 1,
+    "transitions": [[1, 1, 2]],
+    "start": 1,
+    "finals": [2],
+}
+_GRAMMAR = {
+    "kind": "linear_grammar",
+    "nonterminals": 1,
+    "alphabet_rank": 1,
+    "productions": [{"lhs": 1, "alpha": [1], "rhs": 1, "beta": [-1]}, {"lhs": 1, "alpha": []}],
+    "start": 1,
+}
+MALFORMED_LANGUAGES = {
+    "states-string": {**_AUTOMATON, "states": "2"},
+    "rank-string": {**_AUTOMATON, "alphabet_rank": "1"},
+    "start-bool": {**_AUTOMATON, "start": True},
+    "final-bool": {**_AUTOMATON, "finals": [True]},
+    "endpoint-bool": {**_AUTOMATON, "transitions": [[True, 1, 2]]},
+    "letter-bool": {**_AUTOMATON, "transitions": [[1, True, 2]]},
+    "nonterminals-string": {**_GRAMMAR, "nonterminals": "1"},
+    "lhs-string": {**_GRAMMAR, "productions": [{"lhs": "1", "alpha": []}]},
+    "rhs-bool": {**_GRAMMAR, "productions": [{"lhs": 1, "alpha": [], "rhs": True, "beta": [1]}]},
+    "not-utf8": b'{"kind": "automaton", "states": "\xff"}',
+    "nested-too-deeply": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LANGUAGES))
+def test_malformed_language_exit_two(tmp_path, capsys, name):
+    content = MALFORMED_LANGUAGES[name]
+    path = tmp_path / "lang.json"
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    code, _, err = run(capsys, "check", str(SAMPLES / "group_free1.json"), str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_oracle_max_len_zero_exit_two(capsys):
+    code, _, err = run(
+        capsys,
+        "oracle",
+        str(SAMPLES / "group_free1.json"),
+        str(SAMPLES / "nfa_star.json"),
+        "--max-len",
+        "0",
+    )
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_oracle_fails_single_generator(capsys):

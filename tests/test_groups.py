@@ -223,6 +223,9 @@ def test_parse_group_rejects_presentations():
 def test_parse_group_rejects_bad_kind():
     with pytest.raises(InputError, match="kind"):
         parse_group({"kind": "braid", "rank": 2})
+    for kind in (["free"], {"free": 1}):
+        with pytest.raises(InputError, match="kind"):
+            parse_group({"kind": kind, "rank": 2})
 
 
 def test_parse_group_cayley(s3):

@@ -86,6 +86,12 @@ def test_generates_membership():
     assert SQUARES.generates((1, 1))
 
 
+def test_generates_long_words():
+    g = grammar(1, [(1, [1], 1, []), (1, [])])  # A -> x1 A | eps
+    assert g.generates((1,) * 3000)
+    assert not g.generates((1,) * 2999 + (-1,))
+
+
 def test_generates_handles_letter_free_chains():
     g = grammar(2, [(1, [], 2, []), (2, [], 1, []), (2, [1])])
     assert g.generates((1,))

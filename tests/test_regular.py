@@ -254,10 +254,6 @@ def test_simple_path_violation_uses_cell_witness():
 def test_run_config_validation():
     with pytest.raises(InputError):
         RunConfig(set_cap=0)
-    with pytest.raises(InputError):
-        RunConfig(output_format="yaml")
-    with pytest.raises(InputError):
-        RunConfig(oracle_bound_override=0)
     assert RunConfig().set_cap == 4096
 
 
