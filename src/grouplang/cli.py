@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except GrouplangError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: never exit 1 or print a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

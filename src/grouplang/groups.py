@@ -82,6 +82,14 @@ class GroupBackend:
     def invert(self, a):
         raise NotImplementedError
 
+    def _mul(self, a, b):
+        """The product ``ab`` of two elements already checked with ``_check``."""
+        raise NotImplementedError
+
+    def _check(self, a) -> None:
+        """Raise :class:`BackendMismatch` unless ``a`` is an element in canonical form."""
+        raise NotImplementedError
+
     def is_identity(self, a) -> bool:
         return a == self.identity
 
@@ -117,6 +125,9 @@ class FreeGroup(GroupBackend):
     def multiply(self, a: Word, b: Word) -> Word:
         self._check(a)
         self._check(b)
+        return self._mul(a, b)
+
+    def _mul(self, a: Word, b: Word) -> Word:
         out = list(a)
         for x in b:
             if out and out[-1] == -x:
@@ -158,6 +169,9 @@ class FreeAbelian(GroupBackend):
     def multiply(self, a, b):
         self._check(a)
         self._check(b)
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
         return tuple(p + q for p, q in zip(a, b))
 
     def invert(self, a):
@@ -197,6 +211,9 @@ class Cyclic(GroupBackend):
     def multiply(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
+        return self._mul(a, b)
+
+    def _mul(self, a: int, b: int) -> int:
         return (a + b) % self.order
 
     def invert(self, a: int) -> int:
@@ -217,7 +234,7 @@ class FiniteCayley(GroupBackend):
     associativity is checked exhaustively while ``size`` stays within
     ``assoc_check_limit`` (beyond it the O(size^3) sweep is skipped with
     a warning).  Generator inverses are derived from the table rather
-    than supplied.
+    than supplied, and the inverse of every element is tabulated once.
     """
 
     size: int
@@ -225,6 +242,7 @@ class FiniteCayley(GroupBackend):
     table: tuple[tuple[int, ...], ...]
     generator_images: tuple[int, ...]
     assoc_check_limit: int = field(default=64, compare=False, repr=False)
+    _inverses: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = self.size
@@ -270,6 +288,8 @@ class FiniteCayley(GroupBackend):
         for g in self.generator_images:
             if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < s:
                 raise CayleyTableError(f"generator image {g!r} out of range 0..{s - 1}")
+        # Rows are permutations, so each holds the identity exactly once.
+        object.__setattr__(self, "_inverses", tuple(row.index(e) for row in self.table))
 
     @property
     def rank(self) -> int:
@@ -292,11 +312,14 @@ class FiniteCayley(GroupBackend):
     def multiply(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
+        return self._mul(a, b)
+
+    def _mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def invert(self, a: int) -> int:
         self._check(a)
-        return self.table[a].index(self.identity_index)
+        return self._inverses[a]
 
     def _check(self, a) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.size:

@@ -271,7 +271,7 @@ def pivot_closure(
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
     Pivots and rows run over ``mat.useful``, columns over ``columns``.
-    ``on_cell(i, j, cell)`` sees every level-0 cell and every update, and
+    ``on_cell(i, j, cell)`` sees every level-0 cell and every change, and
     ``on_level(mat)`` sees the matrix before the first pivot and after
     each; either may raise to stop the closure.  The operations done are
     added to ``counters.unions`` and to the ``counted`` field, also when
@@ -291,22 +291,25 @@ def pivot_closure(
         if on_level is not None:
             on_level(mat)
         for k in useful:
+            # Only a non-empty K[k][j] is ever multiplied, so the
+            # non-empty columns of row k stay the same during pivot k.
+            row_k = [j for j in columns if get((k, j), empty).elements]
             for i in useful:
                 left = get((i, k), empty)
                 if not left.elements:
                     continue
-                for j in columns:
-                    right = get((k, j), empty)
-                    if not right.elements:
-                        continue
+                for j in row_k:
+                    current = get((i, j), empty)
                     try:
-                        prod = multiply(left, right, cap=cap)
+                        prod = multiply(left, cells[k, j], cap=cap)
                         multiplied += 1
-                        merged = union(get((i, j), empty), prod, cap=cap)
+                        merged = union(current, prod, cap=cap)
                         unions += 1
                     except CapExceeded as exc:
                         exc.cell = (i, j)
                         raise
+                    if merged is current:
+                        continue
                     cells[i, j] = merged
                     if on_cell is not None:
                         on_cell(i, j, merged)

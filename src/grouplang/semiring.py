@@ -1,11 +1,18 @@
 """Witness-carrying sets of group elements and of element pairs.
 
 These are the label sets the closure algorithms push around: finite
-maps from a canonical element to one word that evaluates to it.  All
-operations return fresh sets; existing sets are never mutated.  When
-two witnesses compete for the same element the shorter one wins, ties
-broken lexicographically on the letter sequence, so retained witnesses
-do not depend on iteration order.
+maps from a canonical element to one word that evaluates to it.  No
+operation mutates a set it is given, but an operation may return one of
+its operands unchanged: ``union`` returns its left operand when the
+right one adds nothing, so callers can test for change with ``is``.
+When two witnesses compete for the same element the shorter one wins,
+ties broken lexicographically on the letter sequence, so retained
+witnesses do not depend on iteration order.
+
+The closure kernels ``product`` and ``diamond`` check every element of
+both operands once per call, before multiplying with the backend's
+unchecked ``_mul``; a foreign element still raises
+:class:`BackendMismatch`.
 
 ``GroupSet`` lives in the semiring of subsets of a group under union
 and elementwise product (zero: the empty set, one: the identity
@@ -22,17 +29,13 @@ from .errors import BackendMismatch, CapExceeded
 from .groups import Backend, Word, inverse_word
 
 
-def better_witness(a: Word, b: Word) -> Word:
-    return a if (len(a), a) <= (len(b), b) else b
-
-
 def _check_cap(size: int, cap: int | None) -> None:
     if cap is not None and size > cap:
         raise CapExceeded(size)
 
 
 def _same_backend(x, y) -> None:
-    if x.backend != y.backend:
+    if x.backend is not y.backend and x.backend != y.backend:
         raise BackendMismatch(f"mixed backends: {x.backend!r} vs {y.backend!r}")
 
 
@@ -40,7 +43,8 @@ class _LabelSet:
     """Finite map from canonical labels to one witness each; never mutated once shared.
 
     Subclasses fix what a label is: ``evaluate`` computes it from a
-    witness, ``witness_key`` orders competing witnesses, and
+    witness, ``witness_key`` orders competing witnesses (its first
+    component is ``witness_len``, the number of letters), and
     ``arc_witness`` turns an arc's (left, right) words into a witness.
     """
 
@@ -111,6 +115,8 @@ class GroupSet(_LabelSet):
     def witness_key(wit: Word) -> tuple:
         return (len(wit), wit)
 
+    witness_len = staticmethod(len)
+
     @staticmethod
     def evaluate(backend: Backend, wit: Word):
         return backend.canonicalize(wit)
@@ -146,6 +152,10 @@ class PairSet(_LabelSet):
         return (len(wl) + len(wr), wl, wr)
 
     @staticmethod
+    def witness_len(wit: tuple[Word, Word]) -> int:
+        return len(wit[0]) + len(wit[1])
+
+    @staticmethod
     def evaluate(backend: Backend, wit: tuple[Word, Word]):
         return (backend.canonicalize(wit[0]), backend.canonicalize(wit[1]))
 
@@ -160,42 +170,64 @@ def _merge(elements: dict, key, wit: Word) -> None:
         elements[key] = wit
 
 
-def _merge_pair(elements: dict, key, wit: tuple[Word, Word]) -> None:
-    old = elements.get(key)
-    if old is None or PairSet.witness_key(wit) < PairSet.witness_key(old):
-        elements[key] = wit
-
-
 def union(x, y, *, cap: int | None = None):
     """Elementwise union; on collisions the better witness is retained."""
     _same_backend(x, y)
     if type(x) is not type(y):
         raise BackendMismatch("cannot union a GroupSet with a PairSet")
-    if not x.elements:
+    xs = x.elements
+    if not xs:
         return y
     if not y.elements:
         return x
-    merged = dict(x.elements)
-    key = type(x).witness_key
+    # Copied only once ``y`` improves on ``x``.  The keys of ``y`` are
+    # distinct, so reading the old witness from ``xs`` stays right.
+    merged = xs
+    size = x.witness_len
     for elem, wit in y.elements.items():
-        old = merged.get(elem)
-        if old is None or key(wit) < key(old):
-            merged[elem] = wit
+        old = xs.get(elem)
+        if old is not None:
+            # witness_key order without building the keys: on equal
+            # lengths the witnesses themselves compare as the keys do.
+            grown = size(wit) - size(old)
+            if grown > 0 or (grown == 0 and not wit < old):
+                continue
+        if merged is xs:
+            merged = dict(xs)
+        merged[elem] = wit
     _check_cap(len(merged), cap)
-    return type(x)(x.backend, merged)
+    return x if merged is xs else type(x)(x.backend, merged)
 
 
 def product(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
     """All pairwise products; the zero (empty set) annihilates."""
     _same_backend(x, y)
-    if not x.elements or not y.elements:
+    xs, ys = x.elements, y.elements
+    if not xs or not ys:
         return GroupSet.empty(x.backend)
     backend = x.backend
+    check = backend._check
+    for a in xs:
+        check(a)
+    for b in ys:
+        check(b)
+    mul = backend._mul
+    y_items = [(b, wb, len(wb)) for b, wb in ys.items()]
     out: dict = {}
-    for a, wa in x.elements.items():
-        for b, wb in y.elements.items():
-            _merge(out, backend.multiply(a, b), wa + wb)
-            _check_cap(len(out), cap)
+    get = out.get
+    for a, wa in xs.items():
+        la = len(wa)
+        for b, wb, lb in y_items:
+            c = mul(a, b)
+            old = get(c)
+            if old is None:
+                out[c] = wa + wb
+                if cap is not None and len(out) > cap:
+                    raise CapExceeded(len(out))
+            else:
+                grown = la + lb - len(old)
+                if grown < 0 or (grown == 0 and wa + wb < old):
+                    out[c] = wa + wb
     return GroupSet(backend, out)
 
 
@@ -219,15 +251,32 @@ def star(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
 def diamond(x: PairSet, y: PairSet, *, cap: int | None = None) -> PairSet:
     """Pairwise (a, b) . (c, d) = (ac, db); note the reversed right component."""
     _same_backend(x, y)
-    if not x.elements or not y.elements:
+    xs, ys = x.elements, y.elements
+    if not xs or not ys:
         return PairSet.empty(x.backend)
     backend = x.backend
+    check = backend._check
+    for pairs in (xs, ys):
+        for left, right in pairs:
+            check(left)
+            check(right)
+    mul = backend._mul
+    y_items = [(bl, br, wbl, wbr, len(wbl) + len(wbr)) for (bl, br), (wbl, wbr) in ys.items()]
     out: dict = {}
-    for (al, ar), (wal, war) in x.elements.items():
-        for (bl, br), (wbl, wbr) in y.elements.items():
-            key = (backend.multiply(al, bl), backend.multiply(br, ar))
-            _merge_pair(out, key, (wal + wbl, wbr + war))
-            _check_cap(len(out), cap)
+    get = out.get
+    for (al, ar), (wal, war) in xs.items():
+        la = len(wal) + len(war)
+        for bl, br, wbl, wbr, lb in y_items:
+            key = (mul(al, bl), mul(br, ar))
+            old = get(key)
+            if old is None:
+                out[key] = (wal + wbl, wbr + war)
+                if cap is not None and len(out) > cap:
+                    raise CapExceeded(len(out))
+            else:
+                grown = la + lb - len(old[0]) - len(old[1])
+                if grown < 0 or (grown == 0 and (wal + wbl, wbr + war) < old):
+                    out[key] = (wal + wbl, wbr + war)
     return PairSet(backend, out)
 
 

@@ -22,27 +22,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def symmetric_group_3() -> FiniteCayley:
-    """Six-element permutation group built independently of the package.
+def symmetric_group(k: int) -> FiniteCayley:
+    """Permutation group on k points built independently of the package.
 
-    Generators: a transposition and a 3-cycle.  The table entry (i, j)
-    is the composition "apply permutation j, then permutation i".
+    Generators: the transposition (0 1) and the k-cycle.  The table
+    entry (i, j) is the composition "apply permutation j, then
+    permutation i".
     """
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: k for k, p in enumerate(perms)}
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: n for n, p in enumerate(perms)}
 
     def compose(p, q):
-        return tuple(p[q[x]] for x in range(3))
+        return tuple(p[q[x]] for x in range(k))
 
     table = tuple(
         tuple(index[compose(p, q)] for q in perms) for p in perms
     )
+    swap = (1, 0) + tuple(range(2, k))
+    cycle = tuple(range(1, k)) + (0,)
     return FiniteCayley(
-        size=6,
-        identity_index=index[(0, 1, 2)],
+        size=len(perms),
+        identity_index=index[tuple(range(k))],
         table=table,
-        generator_images=(index[(1, 0, 2)], index[(1, 2, 0)]),
+        generator_images=(index[swap], index[cycle]),
     )
+
+
+def symmetric_group_3() -> FiniteCayley:
+    """Six-element permutation group: a transposition and a 3-cycle generate it."""
+    return symmetric_group(3)
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grouplang import word_from_tokens
+from grouplang import cli, word_from_tokens
 from grouplang.cli import main
 from grouplang.groups import load_group
 from grouplang.linear import load_grammar
@@ -385,3 +389,148 @@ def test_witness_tokens_feed_back_into_membership(capsys):
             assert load_nfa(SAMPLES / lang).accepts(word)
         else:
             assert load_grammar(SAMPLES / lang).generates(word)
+
+
+# (unions, products, stars, diamonds, triples) of ``check --json`` for every
+# sample pair of matching rank, as the closure computed them before its
+# kernels were rewritten.  A kernel or loop change that drops or adds a
+# semiring call changes these.
+PINNED_COUNTERS = {
+    ("group_abelian2.json", "nfa_outback.json"): (22, 22, 3, 0, 0),
+    ("group_free2.json", "nfa_outback.json"): (22, 22, 3, 0, 0),
+    ("group_sym3.json", "nfa_outback.json"): (22, 22, 3, 0, 0),
+    ("group_cyclic2.json", "nfa_cancel.json"): (1, 1, 0, 0, 0),
+    ("group_cyclic3.json", "nfa_cancel.json"): (1, 1, 0, 0, 0),
+    ("group_free1.json", "nfa_cancel.json"): (1, 1, 0, 0, 0),
+    ("group_cyclic2.json", "nfa_even.json"): (5, 5, 2, 0, 0),
+    ("group_cyclic3.json", "nfa_even.json"): (3, 3, 0, 0, 0),
+    ("group_free1.json", "nfa_even.json"): (3, 3, 0, 0, 0),
+    ("group_cyclic2.json", "nfa_star.json"): (1, 1, 0, 0, 0),
+    ("group_cyclic3.json", "nfa_star.json"): (1, 1, 0, 0, 0),
+    ("group_free1.json", "nfa_star.json"): (1, 1, 0, 0, 0),
+    ("group_cyclic2.json", "grammar_balanced.json"): (2, 0, 0, 2, 1),
+    ("group_cyclic3.json", "grammar_balanced.json"): (2, 0, 0, 2, 1),
+    ("group_free1.json", "grammar_balanced.json"): (2, 0, 0, 2, 1),
+    ("group_cyclic2.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 1),
+    ("group_cyclic3.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 1),
+    ("group_free1.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 1),
+    ("group_cyclic2.json", "grammar_squares.json"): (2, 0, 0, 2, 1),
+    ("group_cyclic3.json", "grammar_squares.json"): (0, 0, 0, 0, 0),
+    ("group_free1.json", "grammar_squares.json"): (0, 0, 0, 0, 0),
+}
+
+
+def test_check_counters_are_pinned_on_all_bundled_examples(capsys):
+    assert set(PINNED_COUNTERS) == set(_pairings())
+    for (group, lang), pinned in PINNED_COUNTERS.items():
+        _code, report = check_json(capsys, "check", str(SAMPLES / group), str(SAMPLES / lang))
+        counters = report["counters"]
+        got = tuple(counters[k] for k in ("unions", "products", "stars", "diamonds", "triples"))
+        assert got == pinned, (group, lang)
+
+
+_HUGE = 10**30  # a JSON integer no list length can reach
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_huge_rank_exits_two_without_traceback(tmp_path, capsys, command):
+    # Ranks are not bounded yet, so this ends in the last-resort handler;
+    # a loader that rejects the rank would report it as bad input instead.
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"kind": "free_abelian", "rank": _HUGE}), encoding="utf-8")
+    lang = tmp_path / "lang.json"
+    lang.write_text(json.dumps({**_AUTOMATON, "alphabet_rank": _HUGE}), encoding="utf-8")
+    code, _, err = run(capsys, command, str(group), str(lang))
+    assert code == 2
+    assert err.startswith(("error:", "internal error:"))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_unexpected_exception_is_an_internal_error_exit_two(monkeypatch, capsys, command):
+    def broken(args):
+        raise RuntimeError("broken subcommand")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", broken)
+    pair = (SAMPLES / "group_cyclic3.json", SAMPLES / "nfa_even.json")
+    code, _, err = run(capsys, command, *map(str, pair))
+    assert code == 2
+    assert err.startswith("internal error: RuntimeError: broken subcommand")
+    assert "Traceback" not in err
+
+
+# -- fuzzing: mutated sample files never crash the CLI ------------------------
+
+# Small integers keep the oracle's enumeration small.  Huge positive ones
+# are left out while ranks are unbounded: a rank past the index range
+# overflows list sizes (see test_huge_rank_exits_two_without_traceback).
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.just(-_HUGE)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _paths(doc, prefix=()):
+    """Paths (tuples of keys and indexes) to every value inside ``doc``."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _paths(value, prefix + (index,))
+
+
+def _mutate(data, doc) -> None:
+    """One edit below the top level: a new value, a deletion, a wrapping list or a new field."""
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    edit = data.draw(st.sampled_from(["replace", "delete", "wrap", "add-field"]))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    if edit == "replace":
+        parent[last] = data.draw(_json_values)
+    elif edit == "delete":
+        del parent[last]
+    elif edit == "wrap":
+        parent[last] = [parent[last]]
+    elif isinstance(parent[last], dict):
+        parent[last][data.draw(st.text(max_size=8))] = data.draw(_json_values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_sample_files_never_crash_the_cli(tmp_path_factory, data):
+    # One file of a matching pair is edited, so most edits reach past the
+    # rank check into the loaders, the checks and the oracle.
+    pair = data.draw(st.sampled_from(sorted(_pairings())))
+    edited = data.draw(st.sampled_from([0, 1]))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for index, name in enumerate(pair):
+        doc = json.loads((SAMPLES / name).read_text(encoding="utf-8"))
+        if index == edited:
+            for _ in range(data.draw(st.integers(1, 3))):
+                if isinstance(doc, (dict, list)) and doc:
+                    _mutate(data, doc)
+        path = tmp / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    for argv in (["check", *paths, "--json"], ["oracle", *paths, "--max-words", "500"]):
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(argv)
+        # Bad input is reported as ``error:``; ``internal error:`` is a bug.
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert not err.getvalue().startswith("internal error:"), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

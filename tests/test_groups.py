@@ -23,7 +23,7 @@ from grouplang import (
     word_from_tokens,
     word_to_tokens,
 )
-from conftest import symmetric_group_3
+from conftest import symmetric_group, symmetric_group_3
 
 
 def test_canonicalize_free_group_reduces():
@@ -154,6 +154,19 @@ def test_inverse_word_is_involution():
 def test_cayley_generator_inverse_derived_from_table(s3):
     for i in (1, 2):
         assert s3.canonicalize((-i,)) == s3.invert(s3.canonicalize((i,)))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_cayley_invert_reads_the_inverse_table(k):
+    g = symmetric_group(k)
+    for a in range(g.size):
+        assert g.invert(a) == g.table[a].index(g.identity)
+        assert g.multiply(a, g.invert(a)) == g.identity
+    for foreign in (g.size, -1, True, "0"):
+        with pytest.raises(BackendMismatch):
+            g.invert(foreign)
+        with pytest.raises(BackendMismatch):
+            g.multiply(g.identity, foreign)
 
 
 def test_cayley_rejects_broken_identity():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import symmetric_group_3
 from grouplang import (
     BackendMismatch,
     CapExceeded,
@@ -329,3 +330,150 @@ def test_product_cap_exceeded_reports_cardinality():
     with pytest.raises(CapExceeded) as exc:
         product(x, y, cap=2)
     assert exc.value.cardinality == 3
+
+
+# kernels against a naive all-combinations reference
+
+_KERNEL_BACKENDS = [Cyclic(3), symmetric_group_3(), FreeGroup(2)]
+
+
+def _words(backend, max_size):
+    letters = [s * i for i in range(1, backend.rank + 1) for s in (1, -1)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
+
+
+def _groupsets(backend):
+    return st.lists(_words(backend, 3), max_size=4).map(
+        lambda ws: GroupSet.from_witness_words(backend, ws)
+    )
+
+
+def _pairsets(backend):
+    word = _words(backend, 2)
+    return st.lists(st.tuples(word, word), max_size=4).map(lambda ps: pset(backend, *ps))
+
+
+def _naive_best(combinations, key):
+    """Every (label, witness) combination kept with its minimal witness."""
+    out: dict = {}
+    for label, wit in combinations:
+        if label not in out or key(wit) < key(out[label]):
+            out[label] = wit
+    return out
+
+
+def _naive_product(x, y):
+    mul = x.backend.multiply
+    return _naive_best(
+        ((mul(a, b), wa + wb) for a, wa in x.elements.items() for b, wb in y.elements.items()),
+        GroupSet.witness_key,
+    )
+
+
+def _naive_diamond(x, y):
+    mul = x.backend.multiply
+    return _naive_best(
+        (
+            ((mul(al, bl), mul(br, ar)), (wal + wbl, wbr + war))
+            for (al, ar), (wal, war) in x.elements.items()
+            for (bl, br), (wbl, wbr) in y.elements.items()
+        ),
+        PairSet.witness_key,
+    )
+
+
+def _naive_union(x, y):
+    return _naive_best(
+        list(x.elements.items()) + list(y.elements.items()), type(x).witness_key
+    )
+
+
+def _snapshot(*sets):
+    return [dict(s.elements) for s in sets]
+
+
+def _assert_kernel(kernel, naive, x, y, cap):
+    """``kernel`` equals ``naive``: same labels, same witnesses, same cap failure."""
+    before = _snapshot(x, y)
+    expected = naive(x, y)
+    # product and diamond stop as soon as a result outgrows the cap; union
+    # reports its full size, and a union with an empty side returns the other.
+    if kernel is union:
+        over = x.elements and y.elements and cap is not None and len(expected) > cap
+        cardinality = len(expected)
+    else:
+        over = cap is not None and len(expected) > cap
+        cardinality = cap + 1 if over else None
+    if over:
+        with pytest.raises(CapExceeded) as exc:
+            kernel(x, y, cap=cap)
+        assert exc.value.cardinality == cardinality
+    else:
+        result = kernel(x, y, cap=cap)
+        assert type(result) is type(x) and result.backend == x.backend
+        assert result.elements == expected
+        if kernel is union and expected == x.elements and x.elements:
+            assert result is x
+    assert _snapshot(x, y) == before
+
+
+caps = st.none() | st.integers(0, 8)
+
+kernel_groupsets = st.sampled_from(_KERNEL_BACKENDS).flatmap(
+    lambda b: st.tuples(_groupsets(b), _groupsets(b), caps)
+)
+kernel_pairsets = st.sampled_from(_KERNEL_BACKENDS).flatmap(
+    lambda b: st.tuples(_pairsets(b), _pairsets(b), caps)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_groupsets)
+def test_product_and_union_match_naive_reference(case):
+    x, y, cap = case
+    _assert_kernel(product, _naive_product, x, y, cap)
+    _assert_kernel(union, _naive_union, x, y, cap)
+    _assert_kernel(union, _naive_union, x, x, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_pairsets)
+def test_diamond_and_union_match_naive_reference(case):
+    x, y, cap = case
+    _assert_kernel(diamond, _naive_diamond, x, y, cap)
+    _assert_kernel(union, _naive_union, x, y, cap)
+
+
+def test_union_returns_left_operand_when_nothing_is_added():
+    x = gset(FG2, [1], [2], [1, 2])
+    assert union(x, x) is x
+    assert union(x, gset(FG2, [2, 2, -2], [1])) is x  # longer witness, known element
+    grown = union(x, gset(FG2, [-1]))
+    assert grown is not x and (-1,) not in x
+
+
+# Foreign values per backend: out of range, or of the wrong type.  None of
+# them equals an element, so each is a key of its own in a set's dict.
+_FOREIGN = {Cyclic(3): [3, -1], symmetric_group_3(): [6, "0"], FreeGroup(2): [1, "x1"]}
+
+
+@pytest.mark.parametrize("backend", _KERNEL_BACKENDS, ids=lambda b: type(b).__name__)
+def test_kernels_reject_a_foreign_element_inside_a_set(backend):
+    ident = backend.identity
+    gen = backend.canonicalize((1,))
+    plain = GroupSet(backend, {ident: (), gen: (1,)})
+    pairs = PairSet(backend, {(ident, ident): ((), ()), (gen, ident): ((1,), ())})
+    for key in _FOREIGN[backend]:
+        # The foreign element sits last, after elements that multiply fine.
+        bad = GroupSet(backend, {ident: (), gen: (1,), key: (1, 1)})
+        for x, y in ((bad, plain), (plain, bad), (bad, GroupSet.identity(backend))):
+            with pytest.raises(BackendMismatch):
+                product(x, y)
+        bad_pair = PairSet(backend, {(ident, ident): ((), ()), (gen, key): ((1,), (1,))})
+        for x, y in ((bad_pair, pairs), (pairs, bad_pair)):
+            with pytest.raises(BackendMismatch):
+                diamond(x, y)
+        lone = GroupSet(backend, {key: ()})
+        for x, y in ((lone, GroupSet.identity(backend)), (GroupSet.identity(backend), lone)):
+            with pytest.raises(BackendMismatch):
+                product(x, y)
