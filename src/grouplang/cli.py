@@ -27,7 +27,7 @@ from .oracle import (
     enumerate_grammar_words,
     enumerate_nfa_words,
 )
-from .regular import check_regular_inclusion, nfa_to_dict, parse_nfa
+from .regular import check_regular_inclusion, nfa_to_dict, parse_nfa, require_rank
 from .verdicts import Fails, Holds, OpCounters, ResourceExceeded, RunConfig
 
 _LITERAL_WARNING = (
@@ -69,11 +69,7 @@ def _emit_report(report: dict, as_json: bool) -> None:
 def cmd_check(args) -> int:
     backend = load_group(args.group_file)
     kind, language = _load_language(args.language_file)
-    config = RunConfig(
-        set_cap=args.set_cap,
-        early_fail=not args.no_early_fail,
-        literal_omega10=args.literal_omega10,
-    )
+    config = RunConfig(set_cap=args.set_cap, literal_omega10=args.literal_omega10)
     counters = OpCounters()
     started = time.perf_counter()
     if kind == "automaton":
@@ -121,6 +117,7 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     backend = load_group(args.group_file)
     kind, language = _load_language(args.language_file)
+    require_rank("automaton" if kind == "automaton" else "grammar", language.rank, backend)
     if args.max_len is not None:
         bound_len = args.max_len
     elif kind == "automaton":
@@ -218,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("language_file")
     check.add_argument("--set-cap", type=int, default=4096, help="max elements per label set")
     check.add_argument(
-        "--no-early-fail",
-        action="store_true",
-        help="disable the regular check's early exit on two distinct walk labels",
-    )
-    check.add_argument(
         "--literal-omega10",
         action="store_true",
         help=(
@@ -264,10 +256,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, BackendMismatch) as exc:
+    except (BoundExceeded, InputError, BackendMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GrouplangError as exc:

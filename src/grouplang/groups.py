@@ -25,6 +25,12 @@ from .errors import BackendMismatch, CayleyTableError, InputError, LetterOutOfRa
 
 Word = tuple[int, ...]
 
+# Free abelian elements are rank-length exponent tuples, so the rank is bounded.
+MAX_FREE_ABELIAN_RANK = 1024
+
+# Cayley tables up to this size get the exhaustive O(size^3) associativity check.
+ASSOC_CHECK_LIMIT = 64
+
 
 def inverse_word(word: Word) -> Word:
     """Reverse the word and invert every letter: (uv)^-1 = v^-1 u^-1."""
@@ -154,6 +160,8 @@ class FreeAbelian(GroupBackend):
     def __post_init__(self):
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise InputError("free abelian rank must be a positive integer")
+        if self.rank > MAX_FREE_ABELIAN_RANK:
+            raise InputError(f"free abelian rank must be at most {MAX_FREE_ABELIAN_RANK}")
 
     @property
     def identity(self) -> tuple[int, ...]:
@@ -232,7 +240,7 @@ class FiniteCayley(GroupBackend):
     The table is validated at construction: the identity row and column
     must act trivially, every row and column must be a permutation, and
     associativity is checked exhaustively while ``size`` stays within
-    ``assoc_check_limit`` (beyond it the O(size^3) sweep is skipped with
+    ``ASSOC_CHECK_LIMIT`` (beyond it the O(size^3) sweep is skipped with
     a warning).  Generator inverses are derived from the table rather
     than supplied, and the inverse of every element is tabulated once.
     """
@@ -241,7 +249,6 @@ class FiniteCayley(GroupBackend):
     identity_index: int
     table: tuple[tuple[int, ...], ...]
     generator_images: tuple[int, ...]
-    assoc_check_limit: int = field(default=64, compare=False, repr=False)
     _inverses: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -266,7 +273,7 @@ class FiniteCayley(GroupBackend):
                 raise CayleyTableError(f"row {a} is not a permutation")
             if {self.table[b][a] for b in range(s)} != full:
                 raise CayleyTableError(f"column {a} is not a permutation")
-        if s <= self.assoc_check_limit:
+        if s <= ASSOC_CHECK_LIMIT:
             for a in range(s):
                 ta = self.table[a]
                 for b in range(s):
@@ -280,7 +287,7 @@ class FiniteCayley(GroupBackend):
         else:
             warnings.warn(
                 f"table size {s} exceeds the associativity check limit "
-                f"{self.assoc_check_limit}; skipping the exhaustive check",
+                f"{ASSOC_CHECK_LIMIT}; skipping the exhaustive check",
                 stacklevel=2,
             )
         if not self.generator_images:

@@ -6,9 +6,9 @@ A_i -> alpha A_j beta, and an arc i -> sink labeled (alpha, empty) for
 each A_i -> alpha.  A walk from the start to the sink spells a derived
 word: the left labels in order, then the right labels in reverse.  The
 check closes the pair-label matrix with the same pivot recurrence as
-the regular case, multiplied with the diamond operation, then tests the
-merged start-to-sink labels and, per vertex, the cycle pairs wrapped
-around the tails that leave it.
+the regular case, multiplied with the diamond operation.  It tests the
+start-to-sink labels whenever that cell changes and, per vertex, the
+cycle pairs wrapped around the tails that leave it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InternalInconsistency
 from .groups import Backend, Word, read_json, require_int, validate_word
 from .regular import (
     LabelMatrix,
@@ -97,42 +97,28 @@ class LinearGrammar:
     def generates(self, word: Word) -> bool:
         """Interval parse; independent of the closure machinery.
 
-        Nonterminals reachable through productions that add no letters
-        are folded into an epsilon-reachability relation first, so every
-        other step shrinks the interval: the parse is a search over
-        (nonterminal, lo, hi) states with an explicit stack, which no
-        word length can overflow.
+        A search over (nonterminal, lo, hi) states with an explicit
+        stack, which no word length can overflow; its seen set stops the
+        loops that productions adding no letters can form.
         """
         word = tuple(word)
-        eps_reach: dict[int, set[int]] = {i: {i} for i in range(1, self.nonterminals + 1)}
-        changed = True
-        while changed:
-            changed = False
-            for p in self.productions:
-                if p.rhs is None or p.alpha or p.beta:
-                    continue
-                for i, seen in eps_reach.items():
-                    if p.lhs in seen and p.rhs not in seen:
-                        seen.add(p.rhs)
-                        changed = True
+        by_lhs: dict[int, list[Production]] = {}
+        for p in self.productions:
+            by_lhs.setdefault(p.lhs, []).append(p)
         todo = [(self.start, 0, len(word))]
-        seen_states = set(todo)
+        seen = set(todo)
         while todo:
             nt, lo, hi = todo.pop()
-            for source in eps_reach[nt]:
-                for p in self.productions:
-                    if p.lhs != source:
-                        continue
-                    la, lb = len(p.alpha), len(p.beta)
-                    if p.rhs is None:
-                        if hi - lo == la and word[lo:hi] == p.alpha:
-                            return True
-                    elif la + lb > 0 and hi - lo >= la + lb:
-                        if word[lo:lo + la] == p.alpha and word[hi - lb:hi] == p.beta:
-                            state = (p.rhs, lo + la, hi - lb)
-                            if state not in seen_states:
-                                seen_states.add(state)
-                                todo.append(state)
+            for p in by_lhs.get(nt, ()):
+                la, lb = len(p.alpha), len(p.beta)
+                if p.rhs is None:
+                    if hi - lo == la and word[lo:hi] == p.alpha:
+                        return True
+                elif hi - lo >= la + lb and word[lo:lo + la] == p.alpha and word[hi - lb:hi] == p.beta:
+                    state = (p.rhs, lo + la, hi - lb)
+                    if state not in seen:
+                        seen.add(state)
+                        todo.append(state)
         return False
 
 
@@ -256,62 +242,63 @@ class _EarlyViolation(Exception):
 
 def _scan_final_cell(cell: PairSet) -> None:
     backend = cell.backend
-    best = None
-    for (left, right), wit in cell.elements.items():
-        if backend.multiply(left, right) != backend.identity:
-            if best is None or PairSet.witness_key(wit) < PairSet.witness_key(best):
-                best = wit
-    if best is not None:
-        raise _EarlyViolation(SIMPLE_PATH, None, [best[0] + best[1]])
+    ident = backend.identity
+    bad = cell.best(lambda pair: backend.multiply(*pair) != ident)
+    if bad is not None:
+        raise _EarlyViolation(SIMPLE_PATH, None, [bad[1][0] + bad[1][1]])
 
 
-class _CycleScan:
-    """Per-level test of cycle labels against concrete access and exit walks.
+def _wrapped_failure(backend: Backend, cycles: PairSet, tails) -> tuple | None:
+    """The first (cycle witness, tail witness) whose u v w v^-1 misses the identity, or None.
 
-    Every pair in a cycle cell labels a real walk, so wrapping it around
-    any real tail walk and comparing with the tail alone gives two
-    generated words whose images differ exactly when the wrapped product
-    misses the identity; finding one is a definitive failure long before
-    the sink column of the matrix fills in.  On inclusions that hold the
-    wrapped products are all the identity and the scan never fires.
+    ``tails`` are (v, v^-1, witness word) in witness order; cycle pairs
+    (u, w) run in witness order, each against every tail.  Every cycle
+    pair labels a real walk, so wrapping it around a real tail and
+    comparing with the tail alone gives two generated words whose
+    images differ exactly when the wrapped product misses the identity.
     """
+    ident = backend.identity
+    multiply = backend.multiply
+    for (u, w), cycle_wit in cycles.sorted_items():
+        for v, v_inv, tail_wit in tails:
+            if multiply(multiply(multiply(u, v), w), v_inv) != ident:
+                return cycle_wit, tail_wit
+    return None
 
-    def __init__(self, g: LinearGrammar, backend: Backend):
-        self.backend = backend
-        self.start = g.start
-        self.out = successors(diagram_arcs(g))
-        self.sink = g.sink
-        self._paths: dict[tuple[int, int], tuple[Word, Word] | None] = {}
 
-    def _pair_path(self, src: int, dst: int) -> tuple[Word, Word] | None:
-        """The fewest-letter walk label from src to dst, computed once."""
-        key = (src, dst)
-        if key not in self._paths:
-            self._paths[key] = shortest_walk(self.out, src, {dst})
-        return self._paths[key]
+def _wrapped_words(access: tuple[Word, Word], cycle: tuple[Word, Word], tail: Word) -> list[Word]:
+    """The generated words with and without the cycle; one of them misses the identity."""
+    return [access[0] + cycle[0] + tail + cycle[1] + access[1], access[0] + tail + access[1]]
 
-    def __call__(self, mat: LabelMatrix) -> None:
-        backend = self.backend
-        ident = backend.identity
+
+def _cycle_scan(g: LinearGrammar, backend: Backend):
+    """Per-level test of each cycle cell against the fewest-letter access and tail walks.
+
+    A failure is definitive long before the sink column of the matrix
+    fills in; on inclusions that hold the scan never fires.  A vertex's
+    walks and tail image are computed once, when its cycle cell first
+    becomes non-empty.
+    """
+    out = successors(diagram_arcs(g))
+    probes: dict[int, tuple] = {}
+
+    def scan(mat: LabelMatrix) -> None:
         for i in mat.useful:
             cycles = mat.cell(i, i)
             if not cycles:
                 continue
-            tail = self._pair_path(i, self.sink)
-            access = self._pair_path(self.start, i)
-            if tail is None or access is None:
-                continue
-            mid_word = tail[0] + tail[1]
-            mid = backend.canonicalize(mid_word)
-            mid_inv = backend.invert(mid)
-            for (u, w), (wu, ww) in cycles.sorted_items():
-                wrapped = backend.multiply(
-                    backend.multiply(backend.multiply(u, mid), w), mid_inv
-                )
-                if wrapped != ident:
-                    with_cycle = access[0] + wu + mid_word + ww + access[1]
-                    without_cycle = access[0] + mid_word + access[1]
-                    raise _EarlyViolation(CONJUGATE, i, [with_cycle, without_cycle])
+            if i not in probes:
+                # i is useful, so both walks exist.
+                tail_left, tail_right = shortest_walk(out, i, {g.sink})
+                tail = tail_left + tail_right
+                v = backend.canonicalize(tail)
+                probes[i] = (shortest_walk(out, g.start, {i}), [(v, backend.invert(v), tail)])
+            access, tails = probes[i]
+            found = _wrapped_failure(backend, cycles, tails)
+            if found is not None:
+                raise _EarlyViolation(CONJUGATE, i, _wrapped_words(access, *found))
+
+    return scan
 
 
 def closure_pairs(
@@ -375,7 +362,7 @@ def check_linear_inclusion(
             watch_final=(g.start, sink),
             # The cycle scan implements the paired reading; keep it off in
             # literal mode so that mode shows the unpaired test verbatim.
-            level_scan=None if config.literal_omega10 else _CycleScan(g, backend),
+            level_scan=None if config.literal_omega10 else _cycle_scan(g, backend),
         )
     except _EarlyViolation as exc:
         witness = first_failing_word(backend, exc.candidates)
@@ -383,18 +370,14 @@ def check_linear_inclusion(
     except CapExceeded as exc:
         return ResourceExceeded(cell=exc.cell, cardinality=exc.cardinality)
 
-    generated = proj_product(mat.cell(g.start, sink))
-    bad = generated.best_non_identity()
-    if bad is not None:
-        return Fails(witness=bad[1], reason=SIMPLE_PATH)
-
+    # No start-to-sink test here: watch_final saw that cell at level 0 and on every change.
     for i in sorted(useful):
         access = mat.cell(g.start, i)
         cycles = mat.cell(i, i)
-        tails = mat.cell(i, sink)
-        if not access or not cycles or not tails:
+        exits = mat.cell(i, sink)
+        if not access or not cycles or not exits:
             continue
-        tail_products = proj_product(tails)
+        tail_products = proj_product(exits)
         try:
             if config.literal_omega10:
                 wrapped = triple_literal(
@@ -412,34 +395,14 @@ def check_linear_inclusion(
             # The independent-projection form can fire on valid inclusions,
             # so there may be no counterexample word to extract.
             return Fails(witness=None, reason=CONJUGATE, state=i, spurious=True)
-        witness = _conjugate_witness(backend, access, cycles, tail_products)
+        tails = [(v, backend.invert(v), wit) for v, wit in tail_products.sorted_items()]
+        found = _wrapped_failure(backend, cycles, tails)
+        if found is None:
+            raise InternalInconsistency("wrapped set had a non-identity element but no pair does")
+        best_access = min(access.elements.values(), key=PairSet.witness_key)
+        witness = first_failing_word(backend, _wrapped_words(best_access, *found))
         return Fails(witness=witness, reason=CONJUGATE, state=i)
     return Holds()
-
-
-def _conjugate_witness(
-    backend: Backend, access: PairSet, cycles: PairSet, tail_products
-) -> Word:
-    """Assemble the failing generated word for a cycle-context violation.
-
-    With the in-cycle pair (u, w) and the tail product v, the words
-    "access-left cycle-left tail access-right-side" with and without the
-    cycle are both generated, and their images differ whenever
-    u v w v^-1 is not the identity, so one of them must miss the
-    identity.
-    """
-    ident = backend.identity
-    for (u, w), (wu, ww) in cycles.sorted_items():
-        for mid, wmid in tail_products.sorted_items():
-            value = backend.multiply(
-                backend.multiply(backend.multiply(u, mid), w), backend.invert(mid)
-            )
-            if value != ident:
-                (wl1, wr1) = min(access.elements.values(), key=PairSet.witness_key)
-                with_cycle = wl1 + wu + wmid + ww + wr1
-                without_cycle = wl1 + wmid + wr1
-                return first_failing_word(backend, [with_cycle, without_cycle])
-    raise AssertionError("caller guaranteed a failing pair exists")
 
 
 def nfa_to_right_linear(a: Nfa) -> LinearGrammar:

@@ -363,6 +363,14 @@ def closure(
     different walk labels between one state pair already disprove the
     inclusion, and stopping there keeps every set a singleton on
     instances where the inclusion holds.
+
+    When ``early_fail`` is set and no violation is raised, every useful
+    cycle cell ends up holding only the identity.  The label y of a
+    cycle read from its largest state m is in K[m][m] before pivot m,
+    which then adds y * y; a singleton cell forces y * y = y, so y = e,
+    and read from another of its states the cycle's label is a
+    conjugate of y.  So the conjugate test of
+    :func:`check_regular_inclusion` only fires with ``early_fail`` off.
     """
     return pivot_closure(
         mat,
@@ -448,31 +456,25 @@ def check_regular_inclusion(
             counters.stars += 1
         if conjugates.best_non_identity() is None:
             continue
-        u, v = _failing_conjugate_witnesses(backend, access, cycles)
+        u, v = _failing_conjugate_witnesses(access, cycles)
         w = _best_exit_witness(mat, j, finals_useful)
         witness = extract_witness(backend, u, v, w)
         return Fails(witness=witness, reason=CONJUGATE, state=j)
     return Holds()
 
 
-def _failing_conjugate_witnesses(
-    backend: Backend, access: GroupSet, cycles: GroupSet
-) -> tuple[Word, Word]:
-    """Witnesses of the smallest (access, cycle) pair whose conjugate is not the identity."""
-    ident = backend.identity
-    for x, wx in access.sorted_items():
-        x_inv = backend.invert(x)
-        for y, wy in cycles.sorted_items():
-            if backend.multiply(backend.multiply(x, y), x_inv) != ident:
-                return wx, wy
-    raise InternalInconsistency("conjugate set had a non-identity element but no pair does")
+def _failing_conjugate_witnesses(access: GroupSet, cycles: GroupSet) -> tuple[Word, Word]:
+    """Witnesses of the smallest (access, cycle) pair whose conjugate is not the identity.
+
+    x y x^-1 is the identity exactly when y is, so that pair is the
+    smallest access label with the smallest non-identity cycle label.
+    """
+    bad = cycles.best_non_identity()
+    if bad is None:
+        raise InternalInconsistency("conjugate set had a non-identity element but no pair does")
+    return min(access.elements.values(), key=GroupSet.witness_key), bad[1]
 
 
 def _best_exit_witness(mat: LabelMatrix, j: int, finals_useful: list[int]) -> Word:
-    best: Word | None = None
-    for t in finals_useful:
-        for wit in mat.cell(j, t).elements.values():
-            if best is None or (len(wit), wit) < (len(best), best):
-                best = wit
-    assert best is not None  # guarded by the caller
-    return best
+    exits = (wit for t in finals_useful for wit in mat.cell(j, t).elements.values())
+    return min(exits, key=GroupSet.witness_key)  # non-empty: guarded by the caller

@@ -86,6 +86,12 @@ class _LabelSet:
     def sorted_items(self) -> list:
         return sorted(self.elements.items(), key=lambda kv: self.witness_key(kv[1]))
 
+    def best(self, keep):
+        """The (label, witness) with the smallest witness among labels ``keep`` accepts, or None."""
+        key = self.witness_key
+        kept = ((label, wit) for label, wit in self.elements.items() if keep(label))
+        return min(kept, key=lambda kv: key(kv[1]), default=None)
+
     def check_witnesses(self) -> None:
         """Assert that every stored witness evaluates to its label."""
         for label, wit in self.elements.items():
@@ -129,11 +135,7 @@ class GroupSet(_LabelSet):
     def best_non_identity(self):
         """The non-identity element with the smallest witness, or None."""
         ident = self.backend.identity
-        best = None
-        for elem, wit in self.elements.items():
-            if elem != ident and (best is None or (len(wit), wit) < (len(best[1]), best[1])):
-                best = (elem, wit)
-        return best
+        return self.best(lambda elem: elem != ident)
 
 
 class PairSet(_LabelSet):
@@ -308,23 +310,17 @@ def triple_literal(x: GroupSet, y: GroupSet, z: GroupSet, *, cap: int | None = N
 
     Kept for comparison with :func:`triple_paired`; drawing the outer
     factors independently can manufacture values no actual derivation
-    produces.
+    produces.  Computed as ``product(x, star(y, z))``, which keeps the
+    minimal witnesses because a shared prefix keeps the witness order.
+    Left multiplication by one ``a`` is injective, so ``star`` never
+    outgrows the result: the cap fires exactly when the result outgrows
+    it.
     """
     _same_backend(x, y)
     _same_backend(y, z)
-    if not x.elements or not y.elements or not z.elements:
+    if not x.elements:
         return GroupSet.empty(x.backend)
-    backend = x.backend
-    out: dict = {}
-    for a, wa in x.elements.items():
-        for b, wb in y.elements.items():
-            b_inv = backend.invert(b)
-            wb_inv = inverse_word(wb)
-            ab = backend.multiply(a, b)
-            for c, wc in z.elements.items():
-                _merge(out, backend.multiply(backend.multiply(ab, c), b_inv), wa + wb + wc + wb_inv)
-                _check_cap(len(out), cap)
-    return GroupSet(backend, out)
+    return product(x, star(y, z, cap=cap), cap=cap)
 
 
 def triple_paired(p: PairSet, v: GroupSet, *, cap: int | None = None) -> GroupSet:

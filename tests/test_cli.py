@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from grouplang import cli, word_from_tokens
 from grouplang.cli import main
-from grouplang.groups import load_group
+from grouplang.groups import MAX_FREE_ABELIAN_RANK, load_group
 from grouplang.linear import load_grammar
 from grouplang.regular import load_nfa
 
@@ -434,16 +434,29 @@ _HUGE = 10**30  # a JSON integer no list length can reach
 
 @pytest.mark.parametrize("command", ["check", "oracle"])
 def test_huge_rank_exits_two_without_traceback(tmp_path, capsys, command):
-    # Ranks are not bounded yet, so this ends in the last-resort handler;
-    # a loader that rejects the rank would report it as bad input instead.
-    group = tmp_path / "group.json"
-    group.write_text(json.dumps({"kind": "free_abelian", "rank": _HUGE}), encoding="utf-8")
-    lang = tmp_path / "lang.json"
-    lang.write_text(json.dumps({**_AUTOMATON, "alphabet_rank": _HUGE}), encoding="utf-8")
-    code, _, err = run(capsys, command, str(group), str(lang))
-    assert code == 2
-    assert err.startswith(("error:", "internal error:"))
-    assert "Traceback" not in err
+    # The free-abelian loader rejects ranks past its bound as bad input.
+    for rank in (_HUGE, MAX_FREE_ABELIAN_RANK + 1):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"kind": "free_abelian", "rank": rank}), encoding="utf-8")
+        lang = tmp_path / "lang.json"
+        lang.write_text(json.dumps({**_AUTOMATON, "alphabet_rank": rank}), encoding="utf-8")
+        code, _, err = run(capsys, command, str(group), str(lang))
+        assert code == 2, rank
+        assert err.startswith("error:"), rank
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "group, lang",
+    [("group_free2.json", "nfa_cancel.json"), ("group_abelian2.json", "grammar_mixed_steps.json")],
+)
+def test_oracle_rejects_a_rank_mismatch_as_check_does(capsys, group, lang):
+    paths = (str(SAMPLES / group), str(SAMPLES / lang))
+    check = run(capsys, "check", *paths)
+    oracle = run(capsys, "oracle", *paths)
+    assert check[0] == oracle[0] == 2
+    assert check[2] == oracle[2]
+    assert oracle[2].startswith("error:") and "does not match backend rank" in oracle[2]
 
 
 @pytest.mark.parametrize("command", ["check", "oracle"])
@@ -461,13 +474,12 @@ def test_unexpected_exception_is_an_internal_error_exit_two(monkeypatch, capsys,
 
 # -- fuzzing: mutated sample files never crash the CLI ------------------------
 
-# Small integers keep the oracle's enumeration small.  Huge positive ones
-# are left out while ranks are unbounded: a rank past the index range
-# overflows list sizes (see test_huge_rank_exits_two_without_traceback).
+# Small integers keep the oracle's enumeration small.
 _json_scalars = (
     st.none()
     | st.booleans()
     | st.integers(-2, 6)
+    | st.just(_HUGE)
     | st.just(-_HUGE)
     | st.floats(allow_nan=False, allow_infinity=False, width=16)
     | st.text(max_size=3)

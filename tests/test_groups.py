@@ -23,6 +23,7 @@ from grouplang import (
     word_from_tokens,
     word_to_tokens,
 )
+from grouplang.groups import ASSOC_CHECK_LIMIT, MAX_FREE_ABELIAN_RANK
 from conftest import symmetric_group, symmetric_group_3
 
 
@@ -204,11 +205,16 @@ def test_cayley_rejects_non_associative_table():
 
 
 def test_cayley_skips_associativity_past_limit():
-    table = tuple(tuple((a + b) % 3 for b in range(3)) for a in range(3))
+    n = ASSOC_CHECK_LIMIT + 1
+    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     with pytest.warns(UserWarning, match="skipping"):
-        FiniteCayley(
-            size=3, identity_index=0, table=table, generator_images=(1,), assoc_check_limit=2
-        )
+        FiniteCayley(size=n, identity_index=0, table=table, generator_images=(1,))
+
+
+def test_free_abelian_rank_is_bounded():
+    assert FreeAbelian(MAX_FREE_ABELIAN_RANK).rank == MAX_FREE_ABELIAN_RANK
+    with pytest.raises(InputError, match="at most"):
+        FreeAbelian(MAX_FREE_ABELIAN_RANK + 1)
 
 
 def test_all_backends_canonicalize_epsilon_to_identity(s3):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import grouplang.linear
 from grouplang import (
     BackendMismatch,
     Cyclic,
@@ -96,6 +97,11 @@ def test_generates_handles_letter_free_chains():
     g = grammar(2, [(1, [], 2, []), (2, [], 1, []), (2, [1])])
     assert g.generates((1,))
     assert not g.generates(())
+    # A -> x1 B, B -> C | eps, C -> B | A x2: a letter-free cycle B <-> C
+    # behind a letter, so L(A) = {x1^n x2^(n-1) : n >= 1}.
+    g = grammar(3, [(1, [1], 2, []), (2, [], 3, []), (3, [], 2, []), (3, [], 1, [2]), (2, [])], rank=2)
+    assert g.generates((1,)) and g.generates((1, 1, 2)) and g.generates((1, 1, 1, 2, 2))
+    assert not any(g.generates(w) for w in [(), (1, 2), (1, 1, 2, 2), (2,), (1, 1)])
 
 
 # useful_nonterminals
@@ -290,3 +296,18 @@ def test_cross_algorithm_agreement_on_examples():
         if isinstance(vl, Fails):
             assert a.accepts(vl.witness)
             assert not backend.word_in_group_language(vl.witness)
+
+
+def test_cycle_tests_name_the_word_with_the_cycle(monkeypatch):
+    # A1 -> X1 A3 | x1 A1 X1, A3 -> A1 | X1.  In F1 the scan finds the
+    # cycle at A3 wrapped around the tail X1, and both words it builds
+    # (X1 X1 X1 with the cycle, X1 X1 without) miss the identity: the one
+    # with the cycle is named.
+    g = grammar(3, [(1, [-1], 3, []), (3, [], 1, []), (1, [1], 1, [-1]), (3, [-1])])
+    assert check_linear_inclusion(g, FG1) == Fails(witness=(-1, -1, -1), reason="conjugate", state=3)
+    # With the per-level scan off, Z2 leaves the failure to the cycle test
+    # after the closure.
+    monkeypatch.setattr(grouplang.linear, "_cycle_scan", lambda g, backend: None)
+    verdict = check_linear_inclusion(g, Cyclic(2))
+    assert verdict == Fails(witness=(-1, -1, -1), reason="conjugate", state=1)
+    assert g.generates(verdict.witness)

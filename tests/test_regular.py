@@ -6,11 +6,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import symmetric_group_3
 from grouplang import (
+    CONJUGATE,
     BackendMismatch,
     Cyclic,
     Fails,
+    FreeAbelian,
     FreeGroup,
     Holds,
     InputError,
@@ -29,6 +34,7 @@ from grouplang import (
     parse_nfa,
     useful_states,
 )
+from grouplang.corpus import random_nfa
 from grouplang.regular import first_failing_word, shortest_word_path
 
 FG1 = FreeGroup(1)
@@ -318,3 +324,33 @@ def test_early_fail_agrees_with_literal_run():
             if isinstance(fast, ResourceExceeded) or isinstance(slow, ResourceExceeded):
                 continue
             assert isinstance(fast, Holds) == isinstance(slow, Holds)
+
+
+_INVARIANT_BACKENDS = {
+    1: (FG1, Cyclic(2), Cyclic(3)),
+    2: (FreeGroup(2), FreeAbelian(2), symmetric_group_3()),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    rank=st.sampled_from([1, 2]),
+    pick=st.integers(0, 2),
+    density=st.sampled_from([0.1, 0.2, 0.35]),
+    paired=st.booleans(),
+)
+def test_early_exit_leaves_only_identity_cycles(rng, rank, pick, density, paired):
+    # A closure that early exit lets finish has only identity cycle labels,
+    # so the default check never reaches a conjugate failure.
+    a = random_nfa(rng, max_states=6, rank=rank, density=density, inverse_paired=paired)
+    backend = _INVARIANT_BACKENDS[rank][pick]
+    mat = build_initial_matrix(a, backend, useful=useful_states(a))
+    try:
+        closure(mat)
+    except SingletonViolation:
+        return
+    for j in mat.useful:
+        assert mat.cell(j, j).element_set() <= {backend.identity}
+    verdict = check_regular_inclusion(a, backend)
+    assert not (isinstance(verdict, Fails) and verdict.reason == CONJUGATE)

@@ -444,6 +444,44 @@ def test_diamond_and_union_match_naive_reference(case):
     _assert_kernel(union, _naive_union, x, y, cap)
 
 
+def _naive_triple(x, y, z):
+    mul, inv = x.backend.multiply, x.backend.invert
+    return _naive_best(
+        (
+            (mul(mul(mul(a, b), c), inv(b)), wa + wb + wc + inverse_word(wb))
+            for a, wa in x.elements.items()
+            for b, wb in y.elements.items()
+            for c, wc in z.elements.items()
+        ),
+        GroupSet.witness_key,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(_KERNEL_BACKENDS).flatmap(
+        lambda b: st.tuples(_groupsets(b), _groupsets(b), _groupsets(b), caps)
+    )
+)
+def test_triple_literal_matches_naive_reference(case):
+    x, y, z, cap = case
+    expected = _naive_triple(x, y, z)
+    if cap is not None and len(expected) > cap:
+        with pytest.raises(CapExceeded) as exc:
+            triple_literal(x, y, z, cap=cap)
+        assert exc.value.cardinality == cap + 1
+    else:
+        assert triple_literal(x, y, z, cap=cap).elements == expected
+
+
+def test_best_picks_the_smallest_accepted_witness():
+    x = gset(FG2, [], [2, 1], [1, 2], [1, 1, 1])
+    assert x.best(lambda elem: True) == ((), ())
+    assert x.best(lambda elem: elem != ()) == ((1, 2), (1, 2))
+    assert x.best(lambda elem: False) is None
+    assert x.best_non_identity() == ((1, 2), (1, 2))
+
+
 def test_union_returns_left_operand_when_nothing_is_added():
     x = gset(FG2, [1], [2], [1, 2])
     assert union(x, x) is x
