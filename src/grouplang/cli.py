@@ -210,10 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="run the closure-based inclusion check")
+    check = sub.add_parser(
+        "check", help="decide the inclusion and name a counterexample when it fails"
+    )
     check.add_argument("group_file")
     check.add_argument("language_file")
-    check.add_argument("--set-cap", type=int, default=4096, help="max elements per label set")
+    check.add_argument(
+        "--set-cap",
+        type=int,
+        default=4096,
+        help=(
+            "max elements per label set; binds only where the closure runs "
+            "(failing languages, --literal-omega10)"
+        ),
+    )
     check.add_argument(
         "--literal-omega10",
         action="store_true",

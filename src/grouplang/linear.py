@@ -5,10 +5,12 @@ plus a sink, an arc i -> j labeled (alpha, beta) for each production
 A_i -> alpha A_j beta, and an arc i -> sink labeled (alpha, empty) for
 each A_i -> alpha.  A walk from the start to the sink spells a derived
 word: the left labels in order, then the right labels in reverse.  The
-check closes the pair-label matrix with the same pivot recurrence as
-the regular case, multiplied with the diamond operation.  It tests the
-start-to-sink labels whenever that cell changes and, per vertex, the
-cycle pairs wrapped around the tails that leave it.
+check first runs the potential test on the level-0 pair matrix, which
+decides every inclusion that holds.  On a violation, and always in
+literal mode, it closes the pair-label matrix with the same pivot
+recurrence as the regular case, multiplied with the diamond operation.
+It tests the start-to-sink labels whenever that cell changes and, per
+vertex, the cycle pairs wrapped around the tails that leave it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .regular import (
     check_fields,
     first_failing_word,
     pivot_closure,
+    potential_holds,
     require_rank,
     shortest_walk,
     successors,
@@ -248,22 +251,26 @@ def _scan_final_cell(cell: PairSet) -> None:
         raise _EarlyViolation(SIMPLE_PATH, None, [bad[1][0] + bad[1][1]])
 
 
-def _wrapped_failure(backend: Backend, cycles: PairSet, tails) -> tuple | None:
+def _wrapped_failure(backend: Backend, cycles: PairSet, tails, passed=frozenset()) -> tuple | None:
     """The first (cycle witness, tail witness) whose u v w v^-1 misses the identity, or None.
 
     ``tails`` are (v, v^-1, witness word) in witness order; cycle pairs
-    (u, w) run in witness order, each against every tail.  Every cycle
-    pair labels a real walk, so wrapping it around a real tail and
-    comparing with the tail alone gives two generated words whose
-    images differ exactly when the wrapped product misses the identity.
+    (u, w) count in witness order, tails after them, and pairs in
+    ``passed`` are known to pass and are not tested.  Every cycle pair
+    labels a real walk, so wrapping it around a real tail and comparing
+    with the tail alone gives two generated words whose images differ
+    exactly when the wrapped product misses the identity.  The elements
+    come out of the kernels, so they are multiplied unchecked.
     """
     ident = backend.identity
-    multiply = backend.multiply
-    for (u, w), cycle_wit in cycles.sorted_items():
-        for v, v_inv, tail_wit in tails:
-            if multiply(multiply(multiply(u, v), w), v_inv) != ident:
-                return cycle_wit, tail_wit
-    return None
+    mul = backend._mul
+
+    def failing_tail(pair):
+        u, w = pair
+        return next((wit for v, v_inv, wit in tails if mul(mul(mul(u, v), w), v_inv) != ident), None)
+
+    bad = cycles.best(lambda pair: pair not in passed and failing_tail(pair) is not None)
+    return None if bad is None else (bad[1], failing_tail(bad[0]))
 
 
 def _wrapped_words(access: tuple[Word, Word], cycle: tuple[Word, Word], tail: Word) -> list[Word]:
@@ -277,26 +284,32 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
     A failure is definitive long before the sink column of the matrix
     fills in; on inclusions that hold the scan never fires.  A vertex's
     walks and tail image are computed once, when its cycle cell first
-    becomes non-empty.
+    becomes non-empty.  Cells only grow and a pair that passed against
+    the vertex's one tail passes again, so each pair is tested once, and
+    a cycle cell that is still the object scanned at the last level is
+    skipped.
     """
     out = successors(diagram_arcs(g))
     probes: dict[int, tuple] = {}
+    scanned: dict[int, PairSet] = {}
 
     def scan(mat: LabelMatrix) -> None:
         for i in mat.useful:
             cycles = mat.cell(i, i)
-            if not cycles:
+            if not cycles or scanned.get(i) is cycles:
                 continue
             if i not in probes:
                 # i is useful, so both walks exist.
                 tail_left, tail_right = shortest_walk(out, i, {g.sink})
                 tail = tail_left + tail_right
                 v = backend.canonicalize(tail)
-                probes[i] = (shortest_walk(out, g.start, {i}), [(v, backend.invert(v), tail)])
-            access, tails = probes[i]
-            found = _wrapped_failure(backend, cycles, tails)
+                probes[i] = (shortest_walk(out, g.start, {i}), [(v, backend.invert(v), tail)], set())
+            access, tails, passed = probes[i]
+            found = _wrapped_failure(backend, cycles, tails, passed)
             if found is not None:
                 raise _EarlyViolation(CONJUGATE, i, _wrapped_words(access, *found))
+            passed.update(cycles.elements)
+            scanned[i] = cycles
 
     return scan
 
@@ -355,6 +368,10 @@ def check_linear_inclusion(
     sink = g.sink
     try:
         mat = build_grammar_matrix(g, backend, cap=config.set_cap, useful=useful)
+        # Literal mode shows what the unpaired closure test says, spurious
+        # failures included, so it runs the closure alone.
+        if not config.literal_omega10 and potential_holds(mat, g.start, (sink,)):
+            return Holds()
         closure_pairs(
             mat,
             cap=config.set_cap,

@@ -1,7 +1,9 @@
 """Finite automata and the inclusion check of their languages in a group's identity language.
 
-The check labels each automaton arc with the group image of its letter,
-closes the label matrix with the all-pairs pivot recurrence
+The check labels each automaton arc with the group image of its letter
+and first runs the potential test (:func:`potential_holds`), which
+decides every inclusion that holds.  When it finds a violation, the
+check closes the label matrix with the all-pairs pivot recurrence
 ``K[i][j] = K[i][j] | K[i][k] * K[k][j]``, and then tests two things:
 no start-to-final cell may contain a non-identity element, and for
 every state the conjugates of its cycle labels by its access labels
@@ -11,9 +13,10 @@ does not multiply out to the identity.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
-matrix builder and the pivot loop.  Both checks run on arcs
-(src, dst, left, right): an automaton arc has an empty right part, a
-grammar arc wraps its left and right words around the rest of the walk.
+matrix builder, the potential test and the pivot loop.  Both checks run
+on arcs (src, dst, left, right): an automaton arc has an empty right
+part, a grammar arc wraps its left and right words around the rest of
+the walk.
 """
 
 from __future__ import annotations
@@ -256,6 +259,43 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep, 
     return LabelMatrix(backend, rows, cols, tuple(sorted(keep)), cells, cell_type(backend))
 
 
+def potential_holds(mat: LabelMatrix, start: int, ends) -> bool:
+    """Whether every walk of the level-0 matrix ``mat`` from ``start`` to an end has value e.
+
+    On useful vertices that is so exactly when each vertex v has one
+    value tau(v) that every walk from v to an end takes: tau(end) = e,
+    every label c of every cell (i, j) has ``wrap(c, tau(j)) == tau(i)``,
+    and tau(start) = e.  (If the inclusion holds, a walk from v to an end
+    takes the inverse of the value of any walk from the start to v, so
+    tau is well defined.)  The values are read off backwards from the
+    ends, each vertex taking its value from the first cell seen; every
+    useful vertex reaches an end, so every one gets one.  O(labels)
+    multiplications with the unchecked ``_mul``, since level-0 labels are
+    canonical; ``mat`` is not changed.
+    """
+    backend = mat.backend
+    wrap = type(mat.empty).wrap
+    ident = backend.identity
+    into: dict[int, list] = {}
+    for (i, j), cell in mat.cells.items():
+        into.setdefault(j, []).append((i, cell))
+    tau = {end: ident for end in ends}
+    todo = list(tau)
+    while todo:
+        j = todo.pop()
+        rest = tau[j]
+        for i, cell in into.get(j, ()):
+            for label in cell.elements:
+                value = wrap(backend, label, rest)
+                seen = tau.get(i)
+                if seen is None:
+                    tau[i] = value
+                    todo.append(i)
+                elif value != seen:
+                    return False
+    return tau.get(start) == ident
+
+
 def pivot_closure(
     mat: LabelMatrix,
     columns,
@@ -425,6 +465,9 @@ def check_regular_inclusion(
         return Holds()  # empty language; nothing to violate
     try:
         mat = build_initial_matrix(a, backend, cap=config.set_cap, useful=useful)
+        if potential_holds(mat, a.start, finals_useful):
+            return Holds()
+        # A violation: the closure finds it again and names its witness.
         closure(mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters)
     except SingletonViolation as sv:
         u = shortest_word_path(a, a.start, {sv.i})

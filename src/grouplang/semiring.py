@@ -44,8 +44,9 @@ class _LabelSet:
 
     Subclasses fix what a label is: ``evaluate`` computes it from a
     witness, ``witness_key`` orders competing witnesses (its first
-    component is ``witness_len``, the number of letters), and
-    ``arc_witness`` turns an arc's (left, right) words into a witness.
+    component is ``witness_len``, the number of letters),
+    ``arc_witness`` turns an arc's (left, right) words into a witness,
+    and ``wrap`` applies a label to the group value of the rest of a walk.
     """
 
     __slots__ = ("backend", "elements")
@@ -132,6 +133,11 @@ class GroupSet(_LabelSet):
         """An automaton arc's word; its right part is always empty."""
         return left + right
 
+    @staticmethod
+    def wrap(backend: Backend, label, rest):
+        """The value of a walk that reads ``label`` and then a walk of value ``rest``."""
+        return backend._mul(label, rest)
+
     def best_non_identity(self):
         """The non-identity element with the smallest witness, or None."""
         ident = self.backend.identity
@@ -164,6 +170,12 @@ class PairSet(_LabelSet):
     @staticmethod
     def arc_witness(left: Word, right: Word) -> tuple[Word, Word]:
         return (left, right)
+
+    @staticmethod
+    def wrap(backend: Backend, label, rest):
+        """The value of a derivation that wraps ``label``'s pair around one of value ``rest``."""
+        mul = backend._mul
+        return mul(mul(label[0], rest), label[1])
 
 
 def _merge(elements: dict, key, wit: Word) -> None:

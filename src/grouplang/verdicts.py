@@ -69,6 +69,10 @@ class OpCounters:
 class RunConfig:
     """Knobs for one inclusion check.
 
+    ``set_cap`` bounds the label sets of the pivot closure, which runs
+    only when the potential test finds a violation, or in literal mode;
+    a language that holds is decided without label sets and never
+    reaches the cap.
     ``early_fail`` applies to the regular check only: it exits as soon
     as two distinct walk labels show up between one pair of useful
     states, which keeps every label set a singleton on inclusions that

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 import pytest
 
+import grouplang.linear
+import grouplang.regular
 from grouplang import FiniteCayley
 
 _CRITERIA_REPORT: list[tuple[int, str]] = []
@@ -56,3 +59,22 @@ def symmetric_group_3() -> FiniteCayley:
 @pytest.fixture(scope="session")
 def s3():
     return symmetric_group_3()
+
+
+@contextmanager
+def closure_only():
+    """Both checks without the potential test: the pivot closure decides every language."""
+    saved = [(module, module.potential_holds) for module in (grouplang.regular, grouplang.linear)]
+    for module, _original in saved:
+        module.potential_holds = lambda *args: False
+    try:
+        yield
+    finally:
+        for module, original in saved:
+            module.potential_holds = original
+
+
+@pytest.fixture
+def no_potential():
+    with closure_only():
+        yield

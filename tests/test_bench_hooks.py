@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_inputs"
 
 
-def test_tracer_installs_and_sees_both_checks(monkeypatch):
+def _traced_sample_checks(monkeypatch):
+    """Run two automata and one grammar under the tracer; return it and the checks' counters."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
     originals = [getattr(module, attr) for module, attr, _name in tracing.SPANS]
@@ -37,8 +38,22 @@ def test_tracer_installs_and_sees_both_checks(monkeypatch):
     finally:
         tracer.uninstall()
     assert [getattr(module, attr) for module, attr, _name in tracing.SPANS] == originals
+    return tracer, counters
+
+
+def test_tracer_installs_and_sees_both_checks(monkeypatch, no_potential):
+    tracer, counters = _traced_sample_checks(monkeypatch)
     assert tracer.completed["regular.closure"] == 1
     assert tracer.raised["regular.closure", "SingletonViolation"] == 1
     assert tracer.completed["linear.closure"] == 1
     assert tracer.opcounter_view() == counters.as_dict()
     assert counters.products and counters.diamonds and counters.unions
+
+
+def test_tracer_sees_the_closure_only_on_failures(monkeypatch):
+    # nfa_cancel and grammar_balanced hold, so only nfa_star runs a closure.
+    tracer, counters = _traced_sample_checks(monkeypatch)
+    assert tracer.completed["regular.closure"] == 0
+    assert tracer.raised["regular.closure", "SingletonViolation"] == 1
+    assert tracer.completed["linear.closure"] == 0
+    assert tracer.opcounter_view() == counters.as_dict()

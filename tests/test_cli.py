@@ -75,7 +75,7 @@ def test_check_fails_with_witness_tokens(capsys):
     jsonschema.validate(report, CHECK_REPORT_SCHEMA)
 
 
-def test_check_cap_exhaustion_exit_two(capsys):
+def test_check_cap_exhaustion_exit_two(capsys, no_potential):
     code, report = check_json(
         capsys,
         "check",
@@ -88,6 +88,49 @@ def test_check_cap_exhaustion_exit_two(capsys):
     assert report["verdict"] == "resource_exceeded"
     assert "(1, 1)" in report["reason"]
     jsonschema.validate(report, CHECK_REPORT_SCHEMA)
+
+
+# S -> x S X | xx S XX | A, A -> eps | x: it generates x, so it fails.
+_CAPPED_FAILING_GRAMMAR = {
+    "kind": "linear_grammar",
+    "nonterminals": 2,
+    "alphabet_rank": 1,
+    "start": 1,
+    "productions": [
+        {"lhs": 1, "alpha": [1], "rhs": 1, "beta": [-1]},
+        {"lhs": 1, "alpha": [1, 1], "rhs": 1, "beta": [-1, -1]},
+        {"lhs": 1, "alpha": [], "rhs": 2, "beta": []},
+        {"lhs": 2, "alpha": []},
+        {"lhs": 2, "alpha": [1]},
+    ],
+}
+
+
+def test_check_cap_only_binds_when_the_closure_runs(capsys, tmp_path):
+    # The potential decides the holding grammar without label sets.
+    code, report = check_json(
+        capsys,
+        "check",
+        str(SAMPLES / "group_free1.json"),
+        str(SAMPLES / "grammar_mixed_steps.json"),
+        "--set-cap",
+        "2",
+    )
+    assert code == 0
+    assert report["verdict"] == "holds"
+    # A failing grammar still runs the closure, which caps.
+    lang = tmp_path / "capped.json"
+    lang.write_text(json.dumps(_CAPPED_FAILING_GRAMMAR), encoding="utf-8")
+    code, report = check_json(
+        capsys, "check", str(SAMPLES / "group_free1.json"), str(lang), "--set-cap", "2"
+    )
+    assert code == 2
+    assert report["verdict"] == "resource_exceeded"
+    assert "(1, 1)" in report["reason"]
+    jsonschema.validate(report, CHECK_REPORT_SCHEMA)
+    code, report = check_json(capsys, "check", str(SAMPLES / "group_free1.json"), str(lang))
+    assert code == 1
+    assert (report["witness"], report["reason"]) == ([1], "simple-path")
 
 
 def test_check_literal_mode_warns_and_fails(capsys):
@@ -420,13 +463,35 @@ PINNED_COUNTERS = {
 }
 
 
-def test_check_counters_are_pinned_on_all_bundled_examples(capsys):
+def test_check_counters_are_pinned_on_all_bundled_examples(capsys, no_potential):
     assert set(PINNED_COUNTERS) == set(_pairings())
     for (group, lang), pinned in PINNED_COUNTERS.items():
         _code, report = check_json(capsys, "check", str(SAMPLES / group), str(SAMPLES / lang))
         counters = report["counters"]
         got = tuple(counters[k] for k in ("unions", "products", "stars", "diamonds", "triples"))
         assert got == pinned, (group, lang)
+
+
+# The sample pairs whose language fails.  The potential decides the
+# other fourteen without any semiring work; these still run the closure.
+SAMPLE_FAILS = {
+    ("group_cyclic3.json", "nfa_even.json"),
+    ("group_free1.json", "nfa_even.json"),
+    ("group_cyclic2.json", "nfa_star.json"),
+    ("group_cyclic3.json", "nfa_star.json"),
+    ("group_free1.json", "nfa_star.json"),
+    ("group_cyclic3.json", "grammar_squares.json"),
+    ("group_free1.json", "grammar_squares.json"),
+}
+
+
+def test_check_counters_on_the_default_path(capsys):
+    for (group, lang), pinned in PINNED_COUNTERS.items():
+        code, report = check_json(capsys, "check", str(SAMPLES / group), str(SAMPLES / lang))
+        assert code == (1 if (group, lang) in SAMPLE_FAILS else 0), (group, lang)
+        counters = report["counters"]
+        got = tuple(counters[k] for k in ("unions", "products", "stars", "diamonds", "triples"))
+        assert got == (pinned if (group, lang) in SAMPLE_FAILS else (0, 0, 0, 0, 0)), (group, lang)
 
 
 _HUGE = 10**30  # a JSON integer no list length can reach

@@ -215,9 +215,22 @@ def test_check_rank_mismatch():
         check_linear_inclusion(grammar(1, [(1, [])], rank=2), FG1)
 
 
-def test_check_resource_exceeded_names_cell():
+def test_check_resource_exceeded_names_cell(no_potential):
     verdict = check_linear_inclusion(DISCREPANCY, FG1, RunConfig(set_cap=2))
     assert verdict == ResourceExceeded(cell=(1, 1), cardinality=3)
+
+
+# S -> x S X | xx S XX | A, A -> eps | x: generates x, so the closure runs.
+CAPPED_FAILING = grammar(
+    2, [(1, [1], 1, [-1]), (1, [1, 1], 1, [-1, -1]), (1, [], 2, []), (2, []), (2, [1])]
+)
+
+
+def test_check_cap_only_binds_when_the_closure_runs():
+    assert check_linear_inclusion(DISCREPANCY, FG1, RunConfig(set_cap=2)) == Holds()
+    verdict = check_linear_inclusion(CAPPED_FAILING, FG1, RunConfig(set_cap=2))
+    assert verdict == ResourceExceeded(cell=(1, 1), cardinality=3)
+    assert check_linear_inclusion(CAPPED_FAILING, FG1) == Fails((1,), "simple-path")
 
 
 def test_check_conjugate_violation_has_valid_witness():
