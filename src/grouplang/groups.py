@@ -16,6 +16,7 @@ True
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +90,11 @@ class GroupBackend:
         raise NotImplementedError
 
     def _mul(self, a, b):
-        """The product ``ab`` of two elements already checked with ``_check``."""
+        """The product ``ab`` of two elements already checked with ``_check``.
+
+        Nothing is checked here; given elements that are not canonical, the
+        result is undefined.
+        """
         raise NotImplementedError
 
     def _check(self, a) -> None:
@@ -134,21 +139,38 @@ class FreeGroup(GroupBackend):
         return self._mul(a, b)
 
     def _mul(self, a: Word, b: Word) -> Word:
-        out = list(a)
-        for x in b:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+        """Cancel the n letters where the two words meet, then join what is left.
+
+        Both words are reduced, so only the last n letters of ``a`` and
+        the first n of ``b`` can cancel.
+        """
+        n = 0
+        end = len(a) - 1
+        for y in b:
+            if n > end or a[end - n] != -y:
+                break
+            n += 1
+        return a[:len(a) - n] + b[n:] if n else a + b
 
     def invert(self, a: Word) -> Word:
         self._check(a)
         return tuple(-x for x in reversed(a))
 
     def _check(self, a) -> None:
-        if not isinstance(a, tuple):
-            raise BackendMismatch(f"{a!r} is not a free-group element (reduced word)")
+        """A reduced word: a tuple of ints in ±1..rank, no bools, no letter next to its inverse."""
+        if isinstance(a, tuple):
+            rank = self.rank
+            prev = 0
+            for x in a:
+                # The type test reads ``type`` first: plain ints are the common case.
+                if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+                    break
+                if not 0 < abs(x) <= rank or x == -prev:
+                    break
+                prev = x
+            else:
+                return
+        raise BackendMismatch(f"{a!r} is not a free-group element (reduced word over ±1..{self.rank})")
 
 
 @dataclass(frozen=True)
@@ -180,15 +202,22 @@ class FreeAbelian(GroupBackend):
         return self._mul(a, b)
 
     def _mul(self, a, b):
-        return tuple(p + q for p, q in zip(a, b))
+        """Exponents add; both vectors have length ``rank``."""
+        return tuple(map(operator.add, a, b))
 
     def invert(self, a):
         self._check(a)
         return tuple(-p for p in a)
 
     def _check(self, a) -> None:
-        if not isinstance(a, tuple) or len(a) != self.rank:
-            raise BackendMismatch(f"{a!r} is not a length-{self.rank} exponent vector")
+        """An exponent vector: a tuple of ``rank`` ints, no bools."""
+        if isinstance(a, tuple) and len(a) == self.rank:
+            for p in a:
+                if type(p) is not int and (not isinstance(p, int) or isinstance(p, bool)):
+                    break
+            else:
+                return
+        raise BackendMismatch(f"{a!r} is not a length-{self.rank} integer exponent vector")
 
 
 @dataclass(frozen=True)
@@ -242,7 +271,8 @@ class FiniteCayley(GroupBackend):
     associativity is checked exhaustively while ``size`` stays within
     ``ASSOC_CHECK_LIMIT`` (beyond it the O(size^3) sweep is skipped with
     a warning).  Generator inverses are derived from the table rather
-    than supplied, and the inverse of every element is tabulated once.
+    than supplied; the inverse of every element and the image of every
+    signed letter are tabulated once.
     """
 
     size: int
@@ -250,6 +280,7 @@ class FiniteCayley(GroupBackend):
     table: tuple[tuple[int, ...], ...]
     generator_images: tuple[int, ...]
     _inverses: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _letter_images: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = self.size
@@ -296,7 +327,13 @@ class FiniteCayley(GroupBackend):
             if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < s:
                 raise CayleyTableError(f"generator image {g!r} out of range 0..{s - 1}")
         # Rows are permutations, so each holds the identity exactly once.
-        object.__setattr__(self, "_inverses", tuple(row.index(e) for row in self.table))
+        inverses = tuple(row.index(e) for row in self.table)
+        object.__setattr__(self, "_inverses", inverses)
+        images = {}
+        for i, g in enumerate(self.generator_images, 1):
+            images[i] = g
+            images[-i] = inverses[g]
+        object.__setattr__(self, "_letter_images", images)
 
     @property
     def rank(self) -> int:
@@ -309,11 +346,10 @@ class FiniteCayley(GroupBackend):
     def canonicalize(self, word: Word) -> int:
         validate_word(word, self.rank)
         acc = self.identity_index
+        table = self.table
+        images = self._letter_images
         for x in word:
-            img = self.generator_images[abs(x) - 1]
-            if x < 0:
-                img = self.invert(img)
-            acc = self.table[acc][img]
+            acc = table[acc][images[x]]
         return acc
 
     def multiply(self, a: int, b: int) -> int:

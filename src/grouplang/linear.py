@@ -243,12 +243,27 @@ class _EarlyViolation(Exception):
         super().__init__("definitive violation found during closure")
 
 
-def _scan_final_cell(cell: PairSet) -> None:
-    backend = cell.backend
-    ident = backend.identity
-    bad = cell.best(lambda pair: backend.multiply(*pair) != ident)
-    if bad is not None:
-        raise _EarlyViolation(SIMPLE_PATH, None, [bad[1][0] + bad[1][1]])
+def _final_cell_scan():
+    """Test of the start-to-sink cell, run each time it changes: every pair must multiply to e.
+
+    Cells only grow and a pair's product never changes, so the pairs
+    that passed are kept and only new ones are tested; the failing pair
+    named is still the one with the smallest witness.
+    """
+    passed: set = set()
+
+    def scan(cell: PairSet) -> None:
+        if not cell.checked:
+            cell.check_labels()
+        backend = cell.backend
+        ident = backend.identity
+        mul = backend._mul
+        bad = cell.best(lambda pair: pair not in passed and mul(*pair) != ident)
+        if bad is not None:
+            raise _EarlyViolation(SIMPLE_PATH, None, [bad[1][0] + bad[1][1]])
+        passed.update(cell.elements)
+
+    return scan
 
 
 def _wrapped_failure(backend: Backend, cycles: PairSet, tails, passed=frozenset()) -> tuple | None:
@@ -335,10 +350,11 @@ def closure_pairs(
     """
     on_cell = None
     if watch_final is not None:
+        scan_final = _final_cell_scan()
 
         def on_cell(i: int, j: int, cell: PairSet) -> None:
             if (i, j) == watch_final:
-                _scan_final_cell(cell)
+                scan_final(cell)
 
     return pivot_closure(
         mat,

@@ -239,7 +239,8 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep, 
 
     Arcs leaving a vertex outside ``keep``, or entering one, are dropped,
     so those rows and columns stay empty; columns past the last row (the
-    grammar's sink) are never dropped.  Cells are created in arc order.
+    grammar's sink) are never dropped.  Cells are created in arc order,
+    and start out checked: their labels come from ``canonicalize``.
     """
     cells: dict = {}
     key = cell_type.witness_key
@@ -248,7 +249,7 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep, 
             continue
         cell = cells.get((src, dst))
         if cell is None:
-            cell = cells[src, dst] = cell_type(backend)
+            cell = cells[src, dst] = cell_type(backend, None, True)
         wit = cell_type.arc_witness(left, right)
         label = cell_type.evaluate(backend, wit)
         old = cell.elements.get(label)

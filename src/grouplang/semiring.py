@@ -2,17 +2,23 @@
 
 These are the label sets the closure algorithms push around: finite
 maps from a canonical element to one word that evaluates to it.  No
-operation mutates a set it is given, but an operation may return one of
-its operands unchanged: ``union`` returns its left operand when the
+operation changes the elements of a set it is given (only its
+``checked`` flag, below), but an operation may return one of its
+operands unchanged: ``union`` returns its left operand when the
 right one adds nothing, so callers can test for change with ``is``.
 When two witnesses compete for the same element the shorter one wins,
 ties broken lexicographically on the letter sequence, so retained
 witnesses do not depend on iteration order.
 
-The closure kernels ``product`` and ``diamond`` check every element of
-both operands once per call, before multiplying with the backend's
-unchecked ``_mul``; a foreign element still raises
-:class:`BackendMismatch`.
+Each set carries a ``checked`` flag: every element has passed the
+backend's ``_check``.  The closure kernels ``product`` and ``diamond``
+check an operand's elements only while its flag is off, then set it,
+and multiply with the backend's unchecked ``_mul``; a foreign element
+still raises :class:`BackendMismatch`.  Kernel outputs and the cells of
+a level-0 matrix start out checked, and a ``union`` output is checked
+when both operands are, so over one closure each set is checked at most
+once.  With the regular check's early exit on, every cell is a
+singleton, so ``product`` has a 1x1 path.
 
 ``GroupSet`` lives in the semiring of subsets of a group under union
 and elementwise product (zero: the empty set, one: the identity
@@ -47,13 +53,16 @@ class _LabelSet:
     component is ``witness_len``, the number of letters),
     ``arc_witness`` turns an arc's (left, right) words into a witness,
     and ``wrap`` applies a label to the group value of the rest of a walk.
+    ``checked`` is set once every label has passed the backend's
+    ``_check``; it is a cache and takes no part in equality.
     """
 
-    __slots__ = ("backend", "elements")
+    __slots__ = ("backend", "elements", "checked")
 
-    def __init__(self, backend: Backend, elements: dict | None = None):
+    def __init__(self, backend: Backend, elements: dict | None = None, checked: bool = False):
         self.backend = backend
         self.elements: dict = elements if elements is not None else {}
+        self.checked = checked
 
     @classmethod
     def empty(cls, backend: Backend):
@@ -93,6 +102,13 @@ class _LabelSet:
         kept = ((label, wit) for label, wit in self.elements.items() if keep(label))
         return min(kept, key=lambda kv: key(kv[1]), default=None)
 
+    def check_labels(self) -> None:
+        """Raise :class:`BackendMismatch` unless every label is canonical; then set ``checked``."""
+        check = self.backend._check
+        for label in self.elements:
+            self.check_label(check, label)
+        self.checked = True
+
     def check_witnesses(self) -> None:
         """Assert that every stored witness evaluates to its label."""
         for label, wit in self.elements.items():
@@ -108,7 +124,7 @@ class GroupSet(_LabelSet):
 
     @classmethod
     def identity(cls, backend: Backend) -> "GroupSet":
-        return cls(backend, {backend.identity: ()})
+        return cls(backend, {backend.identity: ()}, True)
 
     @classmethod
     def from_witness_words(cls, backend: Backend, words: Iterable[Word]) -> "GroupSet":
@@ -116,7 +132,11 @@ class GroupSet(_LabelSet):
         for w in words:
             w = tuple(w)
             _merge(out, backend.canonicalize(w), w)
-        return cls(backend, out)
+        return cls(backend, out, True)
+
+    @staticmethod
+    def check_label(check, label) -> None:
+        check(label)
 
     @staticmethod
     def witness_key(wit: Word) -> tuple:
@@ -152,7 +172,12 @@ class PairSet(_LabelSet):
     @classmethod
     def identity(cls, backend: Backend) -> "PairSet":
         e = backend.identity
-        return cls(backend, {(e, e): ((), ())})
+        return cls(backend, {(e, e): ((), ())}, True)
+
+    @staticmethod
+    def check_label(check, label) -> None:
+        check(label[0])
+        check(label[1])
 
     @staticmethod
     def witness_key(wit: tuple[Word, Word]) -> tuple:
@@ -210,7 +235,7 @@ def union(x, y, *, cap: int | None = None):
             merged = dict(xs)
         merged[elem] = wit
     _check_cap(len(merged), cap)
-    return x if merged is xs else type(x)(x.backend, merged)
+    return x if merged is xs else type(x)(x.backend, merged, x.checked and y.checked)
 
 
 def product(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
@@ -219,13 +244,19 @@ def product(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
     xs, ys = x.elements, y.elements
     if not xs or not ys:
         return GroupSet.empty(x.backend)
+    if not x.checked:
+        x.check_labels()
+    if not y.checked:
+        y.check_labels()
     backend = x.backend
-    check = backend._check
-    for a in xs:
-        check(a)
-    for b in ys:
-        check(b)
     mul = backend._mul
+    if len(xs) == 1 and len(ys) == 1:
+        # The early-exit closure's only case: one product, one witness.
+        [(a, wa)] = xs.items()
+        [(b, wb)] = ys.items()
+        if cap is not None and cap < 1:
+            raise CapExceeded(1)
+        return GroupSet(backend, {mul(a, b): wa + wb}, True)
     y_items = [(b, wb, len(wb)) for b, wb in ys.items()]
     out: dict = {}
     get = out.get
@@ -242,7 +273,7 @@ def product(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
                 grown = la + lb - len(old)
                 if grown < 0 or (grown == 0 and wa + wb < old):
                     out[c] = wa + wb
-    return GroupSet(backend, out)
+    return GroupSet(backend, out, True)
 
 
 def star(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
@@ -268,12 +299,11 @@ def diamond(x: PairSet, y: PairSet, *, cap: int | None = None) -> PairSet:
     xs, ys = x.elements, y.elements
     if not xs or not ys:
         return PairSet.empty(x.backend)
+    if not x.checked:
+        x.check_labels()
+    if not y.checked:
+        y.check_labels()
     backend = x.backend
-    check = backend._check
-    for pairs in (xs, ys):
-        for left, right in pairs:
-            check(left)
-            check(right)
     mul = backend._mul
     y_items = [(bl, br, wbl, wbr, len(wbl) + len(wbr)) for (bl, br), (wbl, wbr) in ys.items()]
     out: dict = {}
@@ -291,7 +321,7 @@ def diamond(x: PairSet, y: PairSet, *, cap: int | None = None) -> PairSet:
                 grown = la + lb - len(old[0]) - len(old[1])
                 if grown < 0 or (grown == 0 and (wal + wbl, wbr + war) < old):
                     out[key] = (wal + wbl, wbr + war)
-    return PairSet(backend, out)
+    return PairSet(backend, out, True)
 
 
 def proj_left(p: PairSet) -> GroupSet:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -101,6 +102,23 @@ def test_backend_mismatch_on_foreign_elements():
         FreeGroup(1).invert(3)
 
 
+def test_free_backends_reject_non_canonical_elements():
+    with pytest.raises(BackendMismatch):
+        FreeGroup(2).multiply((1, -1), (7,))
+    with pytest.raises(BackendMismatch):
+        FreeGroup(2).multiply((2, -2), (1,))
+    with pytest.raises(BackendMismatch):
+        FreeGroup(2).invert((1, 3))
+    with pytest.raises(BackendMismatch):
+        FreeGroup(2).invert((False,))
+    with pytest.raises(BackendMismatch):
+        FreeAbelian(2).multiply((0.5, 1), (1, 1))
+    with pytest.raises(BackendMismatch):
+        FreeAbelian(2).invert((1, True))
+    assert FreeGroup(2).multiply((1, -2), (2, 2)) == (1, 2)
+    assert FreeAbelian(2).multiply((-3, 1), (1, 1)) == (-2, 2)
+
+
 _BACKENDS = [FreeGroup(2), FreeAbelian(2), Cyclic(5), symmetric_group_3()]
 
 words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(tuple)
@@ -145,6 +163,40 @@ def test_word_times_inverse_is_identity(case):
 def test_invert_matches_inverse_word(case):
     backend, w, _ = case
     assert backend.invert(backend.canonicalize(w)) == backend.canonicalize(inverse_word(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=words, v=words)
+def test_free_group_mul_cancels_only_at_the_seam(u, v):
+    fg = FreeGroup(2)
+    a, b = fg.canonicalize(u), fg.canonicalize(v)
+    assert fg._mul(a, b) == fg.canonicalize(a + b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=words, v=words)
+def test_free_abelian_mul_adds_exponents(u, v):
+    ab = FreeAbelian(2)
+    a, b = ab.canonicalize(u), ab.canonicalize(v)
+    assert ab._mul(a, b) == tuple(p + q for p, q in zip(a, b))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_cayley_canonicalize_matches_the_per_letter_product(k):
+    g = symmetric_group(k)
+
+    def per_letter(word):
+        acc = g.identity
+        for x in word:
+            img = g.generator_images[abs(x) - 1]
+            if x < 0:
+                img = g.invert(img)
+            acc = g.table[acc][img]
+        return acc
+
+    for length in range(5):
+        for word in itertools.product((1, -1, 2, -2), repeat=length):
+            assert g.canonicalize(word) == per_letter(word)
 
 
 def test_inverse_word_is_involution():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,12 @@ from grouplang import (
     triple_paired,
     union,
 )
+from grouplang.errors import SingletonViolation
+from grouplang.linear import build_grammar_matrix, closure_pairs, load_grammar, useful_nonterminals
+from grouplang.regular import build_initial_matrix, closure, load_nfa, useful_states
+from grouplang.semiring import _LabelSet
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 FG1 = FreeGroup(1)
 FG2 = FreeGroup(2)
@@ -515,3 +523,135 @@ def test_kernels_reject_a_foreign_element_inside_a_set(backend):
         for x, y in ((lone, GroupSet.identity(backend)), (GroupSet.identity(backend), lone)):
             with pytest.raises(BackendMismatch):
                 product(x, y)
+
+
+# singleton operands, as in the early-exit closure: a 1x1 product, a union merging one label
+
+
+@pytest.mark.parametrize("cap", [None, 1, 0])
+def test_one_by_one_product(cap):
+    x, y = gset(FG2, [1, 2]), gset(FG2, [-2, 1])
+    if cap == 0:
+        with pytest.raises(CapExceeded) as exc:
+            product(x, y, cap=cap)
+        assert exc.value.cardinality == 1
+        return
+    result = product(x, y, cap=cap)
+    assert result.elements == {(1, 1): (1, 2, -2, 1)}
+    assert result.checked and x.elements == {(1, 2): (1, 2)}
+
+
+@pytest.mark.parametrize("cap", [None, 1, 0])
+def test_one_label_union(cap):
+    ab = FreeAbelian(2)
+    x = gset(ab, [2, 1])
+    tie = gset(ab, [1, 2])  # same element, same length, smaller witness
+    loses = gset(ab, [2, 1, 1, -1])  # same element, longer witness
+    new = gset(ab, [1])
+    if cap == 0:
+        # The left operand alone is over the cap, also when nothing is added.
+        for y in (tie, loses, new):
+            with pytest.raises(CapExceeded) as exc:
+                union(x, y, cap=cap)
+            assert exc.value.cardinality == len(union(x, y))
+        return
+    won = union(x, tie, cap=cap)
+    assert won.elements == {(1, 1): (1, 2)} and won is not x
+    assert union(tie, x, cap=cap) is tie
+    assert union(x, loses, cap=cap) is x
+    if cap == 1:
+        with pytest.raises(CapExceeded) as exc:
+            union(x, new, cap=cap)
+        assert exc.value.cardinality == 2
+    else:
+        grown = union(x, new, cap=cap)
+        assert grown.elements == {(1, 1): (2, 1), (1, 0): (1,)}
+        assert x.elements == {(1, 1): (2, 1)}
+
+
+def test_union_output_is_checked_when_both_operands_are():
+    checked = gset(FG2, [1])
+    fresh = GroupSet(FG2, {(2,): (2,)})
+    assert union(checked, gset(FG2, [2])).checked
+    assert not union(checked, fresh).checked
+    assert not union(fresh, checked).checked
+
+
+# Elements that are not canonical: a letter next to its inverse, a letter
+# out of range, a bool, and non-integer exponents.
+_NON_CANONICAL = [
+    (FreeGroup(2), (1, -1)),
+    (FreeGroup(2), (2, 1, -1)),
+    (FreeGroup(2), (3,)),
+    (FreeGroup(2), (True,)),
+    (FreeAbelian(2), (0.5, 1)),
+    (FreeAbelian(2), (True, 0)),
+]
+
+
+@pytest.mark.parametrize("backend, elem", _NON_CANONICAL, ids=repr)
+def test_kernels_reject_a_fresh_set_with_a_non_canonical_element(backend, elem):
+    ident = backend.identity
+    # The bad element alone, and after one that multiplies fine.
+    for make in (lambda: GroupSet(backend, {elem: (1,)}), lambda: GroupSet(backend, {ident: (), elem: (2,)})):
+        for first in (True, False):
+            bad, good = make(), GroupSet.identity(backend)
+            with pytest.raises(BackendMismatch):
+                product(bad, good) if first else product(good, bad)
+            assert not bad.checked
+    pairs = PairSet.identity(backend)
+    for key in ((elem, ident), (ident, elem)):
+        for first in (True, False):
+            bad = PairSet(backend, {key: ((1,), ())})
+            with pytest.raises(BackendMismatch):
+                diamond(bad, pairs) if first else diamond(pairs, bad)
+
+
+def _record_check_labels(monkeypatch) -> list:
+    """Every set ``check_labels`` runs on, kept alive so that no two share an id."""
+    seen = []
+    original = _LabelSet.check_labels
+
+    def recording(self):
+        seen.append(self)
+        original(self)
+
+    monkeypatch.setattr(_LabelSet, "check_labels", recording)
+    return seen
+
+
+def _close(mat, early_fail=True):
+    try:
+        if isinstance(mat.empty, PairSet):
+            closure_pairs(mat)
+        else:
+            closure(mat, early_fail=early_fail)
+    except SingletonViolation:
+        pass
+
+
+@pytest.mark.parametrize("early_fail", [True, False])
+def test_each_set_is_checked_at_most_once_over_one_closure(monkeypatch, early_fail):
+    seen = _record_check_labels(monkeypatch)
+    a = load_nfa(SAMPLES / "nfa_star.json")
+    g = load_grammar(SAMPLES / "grammar_squares.json")
+    backend = FreeGroup(1)
+    builds = [
+        lambda: build_initial_matrix(a, backend, useful=useful_states(a)),
+        lambda: build_grammar_matrix(g, backend, useful=useful_nonterminals(g)),
+    ]
+    # Built cells start out checked, so a closure checks nothing.
+    for build in builds:
+        _close(build(), early_fail)
+    assert seen == []
+    # Cells made by hand start unchecked: each is checked once, on first use.
+    level0 = []
+    for build in builds:
+        mat = build()
+        for cell in mat.cells.values():
+            cell.checked = False
+            level0.append(cell)
+        _close(mat, early_fail)
+    assert seen
+    assert all(any(s is cell for cell in level0) for s in seen)
+    assert len({id(s) for s in seen}) == len(seen)
