@@ -32,6 +32,8 @@ MAX_FREE_ABELIAN_RANK = 1024
 # Cayley tables up to this size get the exhaustive O(size^3) associativity check.
 ASSOC_CHECK_LIMIT = 64
 
+_PLAIN_INTS = frozenset({int})
+
 
 def inverse_word(word: Word) -> Word:
     """Reverse the word and invert every letter: (uv)^-1 = v^-1 u^-1."""
@@ -271,8 +273,8 @@ class FiniteCayley(GroupBackend):
     associativity is checked exhaustively while ``size`` stays within
     ``ASSOC_CHECK_LIMIT`` (beyond it the O(size^3) sweep is skipped with
     a warning).  Generator inverses are derived from the table rather
-    than supplied; the inverse of every element and the image of every
-    signed letter are tabulated once.
+    than supplied; the inverse of every element and right multiplication
+    by every signed letter are tabulated once.
     """
 
     size: int
@@ -280,7 +282,7 @@ class FiniteCayley(GroupBackend):
     table: tuple[tuple[int, ...], ...]
     generator_images: tuple[int, ...]
     _inverses: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _letter_images: dict[int, int] = field(init=False, compare=False, repr=False)
+    _letter_steps: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = self.size
@@ -333,7 +335,9 @@ class FiniteCayley(GroupBackend):
         for i, g in enumerate(self.generator_images, 1):
             images[i] = g
             images[-i] = inverses[g]
-        object.__setattr__(self, "_letter_images", images)
+        # _letter_steps[x][a] is the index of a times the image of letter x.
+        steps = {x: tuple(row[g] for row in self.table) for x, g in images.items()}
+        object.__setattr__(self, "_letter_steps", steps)
 
     @property
     def rank(self) -> int:
@@ -344,13 +348,24 @@ class FiniteCayley(GroupBackend):
         return self.identity_index
 
     def canonicalize(self, word: Word) -> int:
+        """Fold the word through the letter tables.
+
+        Only a word of plain ints is folded: ``True`` or ``1.0`` would
+        find the key of letter 1.  A letter with no table (0 or beyond
+        the rank) misses its key.  Either way ``validate_word`` decides:
+        it raises, or the letters are int subclasses, folded as ints.
+        """
+        if _PLAIN_INTS.issuperset(map(type, word)):
+            acc = self.identity_index
+            steps = self._letter_steps
+            try:
+                for x in word:
+                    acc = steps[x][acc]
+                return acc
+            except KeyError:
+                pass
         validate_word(word, self.rank)
-        acc = self.identity_index
-        table = self.table
-        images = self._letter_images
-        for x in word:
-            acc = table[acc][images[x]]
-        return acc
+        return self.canonicalize(tuple(map(int, word)))
 
     def multiply(self, a: int, b: int) -> int:
         self._check(a)

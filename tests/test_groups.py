@@ -24,7 +24,7 @@ from grouplang import (
     word_from_tokens,
     word_to_tokens,
 )
-from grouplang.groups import ASSOC_CHECK_LIMIT, MAX_FREE_ABELIAN_RANK
+from grouplang.groups import ASSOC_CHECK_LIMIT, MAX_FREE_ABELIAN_RANK, validate_word
 from conftest import symmetric_group, symmetric_group_3
 
 
@@ -197,6 +197,28 @@ def test_cayley_canonicalize_matches_the_per_letter_product(k):
     for length in range(5):
         for word in itertools.product((1, -1, 2, -2), repeat=length):
             assert g.canonicalize(word) == per_letter(word)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("where", ["alone", "inside"])
+def test_cayley_canonicalize_rejects_bad_letters_like_validate_word(k, where):
+    g = symmetric_group(k)
+    for bad in (0, g.rank + 1, -(g.rank + 1), True, 1.0, "x"):
+        word = (bad,) if where == "alone" else (1, -2, bad, 2)
+        with pytest.raises(LetterOutOfRange) as expected:
+            validate_word(word, g.rank)
+        with pytest.raises(LetterOutOfRange) as got:
+            g.canonicalize(word)
+        assert str(got.value) == str(expected.value), bad
+
+
+def test_cayley_canonicalize_accepts_int_subclass_letters():
+    class Letter(int):
+        pass
+
+    g = symmetric_group(4)
+    word = (1, -2, 2, 1, -1, 2)
+    assert g.canonicalize(tuple(Letter(x) for x in word)) == g.canonicalize(word)
 
 
 def test_inverse_word_is_involution():

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouplang import (
     BoundExceeded,
@@ -15,6 +17,7 @@ from grouplang import (
     FreeGroup,
     Holds,
     InputError,
+    LetterOutOfRange,
     LinearGrammar,
     Nfa,
     OracleFails,
@@ -28,6 +31,7 @@ from grouplang import (
     enumerate_nfa_words,
 )
 from grouplang.corpus import random_linear_grammar, random_nfa
+from conftest import symmetric_group
 
 FG1 = FreeGroup(1)
 
@@ -170,6 +174,108 @@ def test_grammar_enumeration_matches_direct_filter():
         assert got == expected
 
 
+def _sorted_filter(member, rank, max_len):
+    return sorted((w for w in _all_words(rank, max_len) if member(w)), key=lambda w: (len(w), w))
+
+
+def _drain(words):
+    """The words a stream yields, and whether it then raised BoundExceeded."""
+    out = []
+    try:
+        for w in words:
+            out.append(w)
+    except BoundExceeded:
+        return out, True
+    return out, False
+
+
+def _assert_stream(words, expected, max_words):
+    got, raised = _drain(words)
+    assert raised == (len(expected) > max_words)
+    assert got == expected[:max_words]
+
+
+max_words_choices = st.one_of(st.integers(1, 40), st.just(1_000_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.sampled_from((1, 2)),
+    states=st.integers(1, 5),
+    density=st.sampled_from((0.1, 0.25, 0.5)),
+    paired=st.booleans(),
+    max_len=st.integers(1, 5),
+    max_words=max_words_choices,
+)
+def test_nfa_stream_is_the_sorted_filter(seed, rank, states, density, paired, max_len, max_words):
+    a = random_nfa(random.Random(seed), max_states=states, rank=rank, density=density, inverse_paired=paired)
+    expected = _sorted_filter(a.accepts, rank, max_len)
+    _assert_stream(enumerate_nfa_words(a, EnumerationBound(max_len, max_words)), expected, max_words)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.sampled_from((1, 2)),
+    nonterminals=st.integers(1, 5),
+    productions=st.integers(1, 9),
+    mirrored=st.booleans(),
+    free_cycle=st.booleans(),
+    max_len=st.integers(1, 5),
+    max_words=max_words_choices,
+)
+def test_grammar_stream_is_the_sorted_filter(
+    seed, rank, nonterminals, productions, mirrored, free_cycle, max_len, max_words
+):
+    rng = random.Random(seed)
+    g = random_linear_grammar(
+        rng, max_nonterminals=nonterminals, rank=rank, max_productions=productions, mirrored=mirrored
+    )
+    if free_cycle:
+        # A letter-free cycle A -> B, B -> A through two random nonterminals.
+        a, b = rng.randint(1, g.nonterminals), rng.randint(1, g.nonterminals)
+        extra = (Production(lhs=a, alpha=(), rhs=b, beta=()), Production(lhs=b, alpha=(), rhs=a, beta=()))
+        g = LinearGrammar(g.nonterminals, g.rank, g.productions + extra, g.start)
+    expected = _sorted_filter(g.generates, rank, max_len)
+    _assert_stream(enumerate_grammar_words(g, EnumerationBound(max_len, max_words)), expected, max_words)
+
+
+@pytest.mark.parametrize("max_words", [1, 2, 3, 4, 1_000_000])
+def test_streams_stop_after_exactly_max_words(max_words):
+    # Four words up to length 3: (), (1,), (1, 1), (1, 1, 1).
+    a = nfa(1, [(1, 1, 1)], [1])
+    expected = [(), (1,), (1, 1), (1, 1, 1)]
+    _assert_stream(enumerate_nfa_words(a, EnumerationBound(3, max_words)), expected, max_words)
+    g = grammar(1, [(1, [1], 1, []), (1, [])])
+    _assert_stream(enumerate_grammar_words(g, EnumerationBound(3, max_words)), expected, max_words)
+
+
+def test_streams_are_empty_when_no_word_can_finish():
+    bound = EnumerationBound(6)
+    # The only final state is unreachable from the start.
+    assert list(enumerate_nfa_words(nfa(3, [(1, 1, 1), (2, 1, 3)], [3]), bound)) == []
+    # The final state is reachable, but only beyond the bound.
+    assert list(enumerate_nfa_words(nfa(8, [(i, 1, i + 1) for i in range(1, 8)], [8]), bound)) == []
+    # The start only loops; the nonterminal that ends is unreachable.
+    g = grammar(2, [(1, [1], 1, [-1]), (1, [], 1, []), (2, [1])])
+    assert list(enumerate_grammar_words(g, bound)) == []
+    # The start ends, but with more letters than the bound allows.
+    g = grammar(2, [(1, [1, 1, 1], 2, [1, 1]), (2, [1, 1])])
+    assert list(enumerate_grammar_words(g, bound)) == []
+
+
+def test_grammar_prunes_walks_that_cannot_finish_in_time():
+    # 2 has a cheap exit and a costly one, 1 loops freely: only the words
+    # that fit the bound come out, in order.
+    g = grammar(2, [(1, [], 2, []), (1, [1], 1, [1]), (2, [1]), (2, [-1, -1, -1, -1])])
+    assert list(enumerate_grammar_words(g, EnumerationBound(4))) == [
+        (1,),
+        (1, 1, 1),
+        (-1, -1, -1, -1),
+    ]
+
+
 def test_walk_images_match_derivation_images():
     """Walk enumeration and direct derivation agree on generated-word images."""
     rng = random.Random(9)
@@ -233,6 +339,14 @@ def test_brute_force_even_powers_hold():
     result = brute_force_inclusion(enumerate_nfa_words(a, EnumerationBound(12)), Cyclic(2))
     assert isinstance(result, OracleHolds)
     assert result.words_checked == 7  # lengths 0, 2, ..., 12
+
+
+@pytest.mark.parametrize("backend", [FG1, Cyclic(3), symmetric_group(3)], ids=["free1", "c3", "s3"])
+def test_brute_force_raises_on_a_rank_mismatch(backend):
+    rank = backend.rank + 1
+    a = nfa(2, [(1, 1, 2), (1, rank, 2), (1, -rank, 2)], [2], rank=rank)
+    with pytest.raises(LetterOutOfRange):
+        brute_force_inclusion(enumerate_nfa_words(a, EnumerationBound(2)), backend)
 
 
 # derived bounds
