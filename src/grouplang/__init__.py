@@ -44,16 +44,6 @@ from .linear import (
     parse_grammar,
     useful_nonterminals,
 )
-from .oracle import (
-    EnumerationBound,
-    OracleFails,
-    OracleHolds,
-    brute_force_inclusion,
-    counterexample_bound_linear,
-    counterexample_bound_regular,
-    enumerate_grammar_words,
-    enumerate_nfa_words,
-)
 from .regular import (
     LabelMatrix,
     Nfa,
@@ -92,3 +82,29 @@ from .verdicts import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle is not needed to run a check, so its module is imported on the
+# first use of one of these names (PEP 562).
+_ORACLE_NAMES = frozenset({
+    "EnumerationBound",
+    "OracleFails",
+    "OracleHolds",
+    "brute_force_inclusion",
+    "counterexample_bound_linear",
+    "counterexample_bound_regular",
+    "enumerate_grammar_words",
+    "enumerate_nfa_words",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# Spelled out so that ``from grouplang import *`` still brings the oracle names.
+__all__ = sorted({n for n in globals() if not n.startswith("_")} | _ORACLE_NAMES)

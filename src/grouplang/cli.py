@@ -14,21 +14,15 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import random_linear_grammar, random_nfa
 from .errors import BackendMismatch, BoundExceeded, GrouplangError, InputError
-from .groups import load_group, read_json, word_to_tokens
+from .groups import load_group, read_json, require_int, word_to_tokens
 from .linear import check_linear_inclusion, grammar_to_dict, parse_grammar
-from .oracle import (
-    EnumerationBound,
-    OracleFails,
-    brute_force_inclusion,
-    counterexample_bound_linear,
-    counterexample_bound_regular,
-    enumerate_grammar_words,
-    enumerate_nfa_words,
-)
 from .regular import check_regular_inclusion, nfa_to_dict, parse_nfa, require_rank
 from .verdicts import Fails, Holds, OpCounters, ResourceExceeded, RunConfig
+
+# ``check`` is the common command and never calls the oracle or the corpus
+# generator, so those modules are imported by the commands that use them.
+# The checks and loaders stay module attributes: bench/tracing.py wraps them.
 
 _LITERAL_WARNING = (
     "literal-omega10 mode applies the unpaired cycle-context test; "
@@ -115,6 +109,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import (
+        EnumerationBound,
+        OracleFails,
+        brute_force_inclusion,
+        counterexample_bound_linear,
+        counterexample_bound_regular,
+    )
+
     backend = load_group(args.group_file)
     kind, language = _load_language(args.language_file)
     require_rank("automaton" if kind == "automaton" else "grammar", language.rank, backend)
@@ -125,10 +127,7 @@ def cmd_oracle(args) -> int:
     else:
         bound_len = max(1, counterexample_bound_linear(language))
     bound = EnumerationBound(max_word_length=bound_len, max_words=args.max_words)
-    if kind == "automaton":
-        words = enumerate_nfa_words(language, bound)
-    else:
-        words = enumerate_grammar_words(language, bound)
+    words = _enumerate(kind, language, bound)
     started = time.perf_counter()
     result = brute_force_inclusion(words, backend)
     elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
@@ -160,19 +159,31 @@ def cmd_oracle(args) -> int:
     return code
 
 
+def _enumerate(kind: str, language, bound):
+    from .oracle import enumerate_grammar_words, enumerate_nfa_words
+
+    if kind == "automaton":
+        return enumerate_nfa_words(language, bound)
+    return enumerate_grammar_words(language, bound)
+
+
 def cmd_enumerate(args) -> int:
-    _kind, language = _load_language(args.language_file)
+    from .oracle import EnumerationBound
+
+    kind, language = _load_language(args.language_file)
     bound = EnumerationBound(max_word_length=args.max_len, max_words=args.max_words)
-    if _kind == "automaton":
-        words = enumerate_nfa_words(language, bound)
-    else:
-        words = enumerate_grammar_words(language, bound)
-    for word in words:
+    for word in _enumerate(kind, language, bound):
         print(word_to_tokens(word))
     return 0
 
 
 def cmd_gen_corpus(args) -> int:
+    from .corpus import random_linear_grammar, random_nfa
+
+    for option in ("count", "states", "nonterminals"):
+        require_int(getattr(args, option), f"--{option}", 1)
+    if not 0 <= args.density <= 1:
+        raise InputError(f"--density must be in [0, 1], got {args.density!r}")
     rng = random.Random(args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

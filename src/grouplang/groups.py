@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import operator
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
 from .errors import BackendMismatch, CayleyTableError, InputError, LetterOutOfRange
+from .records import Record
 
 Word = tuple[int, ...]
 
@@ -111,8 +111,7 @@ class GroupBackend:
         return self.canonicalize(word) == self.identity
 
 
-@dataclass(frozen=True)
-class FreeGroup(GroupBackend):
+class FreeGroup(GroupBackend, Record, frozen=True):
     """Free group on ``rank`` generators; canonical form is the freely reduced word."""
 
     rank: int
@@ -175,8 +174,7 @@ class FreeGroup(GroupBackend):
         raise BackendMismatch(f"{a!r} is not a free-group element (reduced word over ±1..{self.rank})")
 
 
-@dataclass(frozen=True)
-class FreeAbelian(GroupBackend):
+class FreeAbelian(GroupBackend, Record, frozen=True):
     """Free abelian group of ``rank``; canonical form is the exponent vector."""
 
     rank: int
@@ -222,8 +220,7 @@ class FreeAbelian(GroupBackend):
         raise BackendMismatch(f"{a!r} is not a length-{self.rank} integer exponent vector")
 
 
-@dataclass(frozen=True)
-class Cyclic(GroupBackend):
+class Cyclic(GroupBackend, Record, frozen=True):
     """Cyclic group of ``order`` on one generator; canonical form is the residue."""
 
     order: int
@@ -264,8 +261,7 @@ class Cyclic(GroupBackend):
             raise BackendMismatch(f"{a!r} is not a residue modulo {self.order}")
 
 
-@dataclass(frozen=True)
-class FiniteCayley(GroupBackend):
+class FiniteCayley(GroupBackend, Record, frozen=True):
     """Finite group given by a multiplication table; canonical form is the element index.
 
     The table is validated at construction: the identity row and column
@@ -281,8 +277,8 @@ class FiniteCayley(GroupBackend):
     identity_index: int
     table: tuple[tuple[int, ...], ...]
     generator_images: tuple[int, ...]
-    _inverses: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _letter_steps: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    _inverses: tuple[int, ...]
+    _letter_steps: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
         s = self.size

@@ -15,11 +15,11 @@ vertex, the cycle pairs wrapped around the tails that leave it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CapExceeded, InputError, InternalInconsistency
 from .groups import Backend, Word, read_json, require_int, validate_word
+from .records import Record
 from .regular import (
     LabelMatrix,
     Nfa,
@@ -45,6 +45,7 @@ from .semiring import (
 )
 from .verdicts import (
     CONJUGATE,
+    DEFAULT_CONFIG,
     SIMPLE_PATH,
     Fails,
     Holds,
@@ -55,8 +56,7 @@ from .verdicts import (
 )
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(Record, frozen=True):
     """A_lhs -> alpha A_rhs beta, or a terminal production A_lhs -> alpha when rhs is None."""
 
     lhs: int
@@ -69,8 +69,7 @@ class Production:
             raise InputError("a terminal production cannot carry a right part")
 
 
-@dataclass(frozen=True)
-class LinearGrammar:
+class LinearGrammar(Record, frozen=True):
     """Nonterminals are 1..nonterminals; the sink vertex of the diagram is nonterminals + 1."""
 
     nonterminals: int
@@ -376,7 +375,7 @@ def check_linear_inclusion(
     counters: OpCounters | None = None,
 ) -> Verdict:
     """Decide whether every word the grammar generates maps to the group identity."""
-    config = config if config is not None else RunConfig()
+    config = config if config is not None else DEFAULT_CONFIG
     require_rank("grammar", g.rank, backend)
     useful = useful_nonterminals(g)
     if g.start not in useful:

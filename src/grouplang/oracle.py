@@ -18,17 +18,16 @@ A clean sweep is evidence at the bound, not a proof of inclusion.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundExceeded, InputError
 from .groups import Backend, Word
 from .linear import LinearGrammar
+from .records import Record
 from .regular import Nfa
 
 
-@dataclass(frozen=True)
-class EnumerationBound:
+class EnumerationBound(Record, frozen=True):
     """Length bound plus a word-count safety cap; whichever is hit first stops the run."""
 
     max_word_length: int
@@ -41,15 +40,13 @@ class EnumerationBound:
             raise InputError("max_words must be >= 1")
 
 
-@dataclass(frozen=True)
-class OracleHolds:
+class OracleHolds(Record, frozen=True):
     """Every enumerated word was in the identity language; not a proof beyond the bound."""
 
     words_checked: int
 
 
-@dataclass(frozen=True)
-class OracleFails:
+class OracleFails(Record, frozen=True):
     """The length-lex smallest enumerated word outside the identity language."""
 
     witness: Word

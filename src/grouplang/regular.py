@@ -22,7 +22,6 @@ the walk.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -33,9 +32,11 @@ from .errors import (
     SingletonViolation,
 )
 from .groups import Backend, Word, read_json, require_int, validate_word
+from .records import Record
 from .semiring import GroupSet, PairSet, product, star, union
 from .verdicts import (
     CONJUGATE,
+    DEFAULT_CONFIG,
     DISTINCT_LABELS,
     SIMPLE_PATH,
     Fails,
@@ -47,8 +48,7 @@ from .verdicts import (
 )
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Record, frozen=True):
     """Nondeterministic automaton over the signed alphabet; states are 1..states.
 
     Arcs carry exactly one letter; empty-word arcs are rejected.
@@ -214,8 +214,7 @@ def shortest_walk(out, source: int, targets) -> tuple[Word, Word] | None:
     return None
 
 
-@dataclass
-class LabelMatrix:
+class LabelMatrix(Record):
     """Grid of label sets indexed by 1-based vertices; the check's workspace.
 
     ``level`` counts how many pivots the closure has applied; builders
@@ -459,7 +458,7 @@ def check_regular_inclusion(
     counters: OpCounters | None = None,
 ) -> Verdict:
     """Decide whether every word the automaton accepts maps to the group identity."""
-    config = config if config is not None else RunConfig()
+    config = config if config is not None else DEFAULT_CONFIG
     require_rank("automaton", a.rank, backend)
     useful = useful_states(a)
     finals_useful = sorted(a.finals & useful)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
 from .groups import Word
+from .records import Record
 
 # Why a Fails verdict fired.
 SIMPLE_PATH = "simple-path"        # an acyclic accepted word already misses the identity
@@ -14,13 +14,11 @@ CONJUGATE = "conjugate"            # a cycle's label breaks the conjugation test
 DISTINCT_LABELS = "distinct-labels"  # early exit: two walk labels between one state pair
 
 
-@dataclass(frozen=True)
-class Holds:
+class Holds(Record, frozen=True):
     """Every word of the language maps to the group identity."""
 
 
-@dataclass(frozen=True)
-class Fails:
+class Fails(Record, frozen=True):
     """The language contains a word that does not map to the identity.
 
     ``witness`` is such a word, except in literal-bracket mode where the
@@ -34,8 +32,7 @@ class Fails:
     spurious: bool = False
 
 
-@dataclass(frozen=True)
-class ResourceExceeded:
+class ResourceExceeded(Record, frozen=True):
     """A label set at ``cell`` outgrew the configured cap before a verdict was reached."""
 
     cell: tuple[int, int] | None
@@ -45,8 +42,7 @@ class ResourceExceeded:
 Verdict = Union[Holds, Fails, ResourceExceeded]
 
 
-@dataclass
-class OpCounters:
+class OpCounters(Record):
     """Counts of semiring operations performed by one check."""
 
     unions: int = 0
@@ -65,8 +61,7 @@ class OpCounters:
         }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record, frozen=True):
     """Knobs for one inclusion check.
 
     ``set_cap`` bounds the label sets of the pivot closure, which runs
@@ -88,3 +83,7 @@ class RunConfig:
     def __post_init__(self):
         if self.set_cap < 1:
             raise InputError("set_cap must be >= 1")
+
+
+# Shared by the checks when no configuration is given; frozen, so never altered.
+DEFAULT_CONFIG = RunConfig()

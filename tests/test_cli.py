@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouplang
 from grouplang import cli, word_from_tokens
 from grouplang.cli import main
 from grouplang.groups import MAX_FREE_ABELIAN_RANK, load_group
@@ -386,6 +391,102 @@ def test_gen_corpus_grammar_files_parse(tmp_path, capsys):
     assert len(files) == 4
     for path in files:
         load_grammar(path)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--count", "0"),
+        ("--count", "-1"),
+        ("--states", "0"),
+        ("--nonterminals", "0"),
+        ("--density", "1.5"),
+        ("--density", "-0.1"),
+        ("--density", "nan"),
+    ],
+)
+def test_gen_corpus_rejects_bad_numbers(tmp_path, capsys, option, value):
+    kind = "grammar" if option == "--nonterminals" else "nfa"
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "gen-corpus", "--kind", kind, "--seed", "1", option, value, "--out-dir", str(out_dir)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} must be")
+    assert not out_dir.exists()
+
+
+# -- start-up: what ``check`` imports ------------------------------------------
+
+# The names the package exported when every submodule was imported eagerly.
+EXPORTS = {
+    "errors": "BackendMismatch BoundExceeded CapExceeded CayleyTableError GrouplangError "
+    "InputError InternalInconsistency LetterOutOfRange SingletonViolation",
+    "groups": "Backend Cyclic FiniteCayley FreeAbelian FreeGroup Word inverse_word load_group "
+    "parse_group word_from_tokens word_to_tokens",
+    "linear": "LinearGrammar Production build_grammar_matrix check_linear_inclusion closure_pairs "
+    "grammar_to_dict load_grammar nfa_to_right_linear parse_grammar useful_nonterminals",
+    "oracle": "EnumerationBound OracleFails OracleHolds brute_force_inclusion "
+    "counterexample_bound_linear counterexample_bound_regular enumerate_grammar_words "
+    "enumerate_nfa_words",
+    "regular": "LabelMatrix Nfa build_initial_matrix check_regular_inclusion closure "
+    "extract_witness load_nfa nfa_to_dict parse_nfa useful_states",
+    "semiring": "GroupSet PairSet diamond product proj_left proj_product proj_right star "
+    "triple_literal triple_paired union",
+    "verdicts": "CONJUGATE DISTINCT_LABELS SIMPLE_PATH Fails Holds OpCounters ResourceExceeded "
+    "RunConfig Verdict",
+}
+
+# Run in a fresh interpreter: which modules ``import grouplang.cli`` loads,
+# and whether the lazily resolved oracle names then import from the package.
+_IMPORT_PROBE = """
+import json, sys
+import grouplang.cli
+loaded = [m for m in sys.argv[1:] if m in sys.modules]
+from grouplang import *
+from grouplang import OracleFails, enumerate_nfa_words
+import grouplang.oracle as oracle
+print(json.dumps({
+    "loaded": loaded,
+    "star": sorted(set(sys.argv[1:]) & set(globals())),
+    "same": OracleFails is oracle.OracleFails and EnumerationBound is oracle.EnumerationBound,
+}))
+"""
+
+
+def test_cli_import_skips_dataclasses_oracle_and_corpus():
+    src = str(Path(grouplang.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    unwanted = ["dataclasses", "inspect", "grouplang.oracle", "grouplang.corpus"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *unwanted, *EXPORTS["oracle"].split()],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    probe = json.loads(proc.stdout)
+    assert probe["loaded"] == []
+    assert probe["star"] == sorted(EXPORTS["oracle"].split())
+    assert probe["same"] is True
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_package_exports_are_the_submodule_objects(module):
+    sub = importlib.import_module(f"grouplang.{module}")
+    for name in EXPORTS[module].split():
+        assert getattr(grouplang, name) is getattr(sub, name), name
+
+
+def test_cli_keeps_the_attributes_the_tracer_wraps():
+    import grouplang.linear
+    import grouplang.regular
+
+    assert cli.check_regular_inclusion is grouplang.regular.check_regular_inclusion
+    assert cli.check_linear_inclusion is grouplang.linear.check_linear_inclusion
+    assert cli.load_group is grouplang.groups.load_group
+    assert callable(cli._load_language)
 
 
 def _pairings():

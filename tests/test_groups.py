@@ -25,6 +25,7 @@ from grouplang import (
     word_to_tokens,
 )
 from grouplang.groups import ASSOC_CHECK_LIMIT, MAX_FREE_ABELIAN_RANK, validate_word
+from grouplang.semiring import GroupSet, union
 from conftest import symmetric_group, symmetric_group_3
 
 
@@ -364,3 +365,78 @@ def test_s3_is_really_symmetric_group(s3):
     cycle = s3.canonicalize((2,))
     assert s3.multiply(transposition, transposition) == s3.identity
     assert s3.multiply(cycle, s3.multiply(cycle, cycle)) == s3.identity
+
+
+# -- backends as records: equality, hashing, immutability, constructor, repr --
+
+Z2_TABLE = ((0, 1), (1, 0))
+
+
+def test_backends_of_different_kinds_are_never_equal():
+    assert FreeGroup(2) != FreeAbelian(2)
+    assert FreeAbelian(2) != FreeGroup(2)
+    assert Cyclic(1) != FreeGroup(1)
+    assert FreeGroup(2) == FreeGroup(2) and FreeGroup(2) != FreeGroup(3)
+
+
+def test_equal_backends_hash_equal_and_share_a_dict_key(s3):
+    twin = FiniteCayley(s3.size, s3.identity_index, s3.table, s3.generator_images)
+    for a, b in ((FreeGroup(2), FreeGroup(rank=2)), (FreeAbelian(3), FreeAbelian(3)),
+                 (Cyclic(4), Cyclic(order=4)), (s3, twin)):
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: "first", b: "second"} == {a: "second"}
+
+
+def test_backend_fields_refuse_assignment_and_deletion():
+    g = FreeGroup(2)
+    with pytest.raises(AttributeError, match="cannot assign to field 'rank'"):
+        g.rank = 3
+    with pytest.raises(AttributeError):
+        g.anything = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'rank'"):
+        del g.rank
+    assert g == FreeGroup(2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FreeGroup(),
+        lambda: FreeGroup(1, 2),
+        lambda: FreeGroup(rank=1, order=2),
+        lambda: FreeGroup(1, rank=1),
+        lambda: Cyclic(rank=2),
+        lambda: FiniteCayley(2, 0, Z2_TABLE),
+        lambda: FiniteCayley(2, 0, Z2_TABLE, (1,), _inverses=(0, 1)),
+    ],
+)
+def test_backend_constructor_rejects_missing_and_extra_arguments(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_backend_reprs_are_pinned():
+    assert repr(FreeGroup(2)) == "FreeGroup(rank=2)"
+    assert repr(FreeAbelian(3)) == "FreeAbelian(rank=3)"
+    assert repr(Cyclic(5)) == "Cyclic(order=5)"
+    assert repr(FiniteCayley(2, 0, Z2_TABLE, (1,))) == (
+        "FiniteCayley(size=2, identity_index=0, table=((0, 1), (1, 0)), generator_images=(1,))"
+    )
+
+
+def test_mixed_backend_message_names_both_backends():
+    with pytest.raises(BackendMismatch) as info:
+        union(GroupSet(FreeGroup(1)), GroupSet(Cyclic(2)))
+    assert str(info.value) == "mixed backends: FreeGroup(rank=1) vs Cyclic(order=2)"
+
+
+def test_cayley_equality_and_repr_ignore_the_tabulated_fields():
+    a = FiniteCayley(2, 0, Z2_TABLE, (1,))
+    b = FiniteCayley(size=2, identity_index=0, table=Z2_TABLE, generator_images=(1,))
+    object.__setattr__(b, "_letter_steps", {})
+    object.__setattr__(b, "_inverses", ())
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert "_inverses" not in repr(a) and "_letter_steps" not in repr(a)
+    assert a != FiniteCayley(2, 0, Z2_TABLE, (0, 1))

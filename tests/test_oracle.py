@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 from grouplang import (
     BoundExceeded,
+    LabelMatrix,
+    OpCounters,
+    ResourceExceeded,
+    RunConfig,
     Cyclic,
     EnumerationBound,
     Fails,
@@ -381,3 +385,56 @@ def test_bound_is_sufficient_on_random_failing_instances():
             assert isinstance(verdict, Holds) == isinstance(oracle, OracleHolds)
             fails_seen += isinstance(verdict, Fails)
     assert fails_seen > 50
+
+
+# -- verdicts and oracle results as records ------------------------------------
+
+
+def test_verdicts_compare_only_within_their_own_class():
+    assert Holds() == Holds() and hash(Holds()) == hash(Holds())
+    assert Holds() != OracleHolds(0)
+    assert OracleHolds(3) == OracleHolds(words_checked=3) != OracleHolds(4)
+    assert Fails((1,), "simple-path") != OracleFails((1,), 0)
+    assert len({Fails((1,), "simple-path"), Fails(witness=(1,), reason="simple-path")}) == 1
+
+
+def test_verdict_reprs_and_defaults_are_pinned():
+    assert repr(Holds()) == "Holds()"
+    assert repr(Fails((1, -2), "conjugate")) == (
+        "Fails(witness=(1, -2), reason='conjugate', state=None, spurious=False)"
+    )
+    assert repr(ResourceExceeded((1, 2), 5)) == "ResourceExceeded(cell=(1, 2), cardinality=5)"
+    assert repr(RunConfig()) == "RunConfig(set_cap=4096, early_fail=True, literal_omega10=False)"
+    assert repr(EnumerationBound(3)) == "EnumerationBound(max_word_length=3, max_words=1000000)"
+    assert repr(OracleFails((1,), 2)) == "OracleFails(witness=(1,), words_checked=2)"
+    assert repr(Production(1, (1,), 2)) == "Production(lhs=1, alpha=(1,), rhs=2, beta=())"
+
+
+def test_record_constructors_keep_their_checks_and_arity():
+    with pytest.raises(InputError):
+        RunConfig(set_cap=0)
+    with pytest.raises(InputError):
+        EnumerationBound(0)
+    with pytest.raises(InputError):
+        Production(1, (1,), None, (1,))
+    with pytest.raises(TypeError):
+        Fails((1,))
+    with pytest.raises(TypeError):
+        OracleHolds()
+    with pytest.raises(TypeError):
+        Holds(1)
+    with pytest.raises(AttributeError):
+        Fails((1,), "conjugate").reason = "simple-path"
+
+
+def test_counters_and_matrices_stay_mutable_and_unhashable():
+    counters = OpCounters()
+    counters.products += 2
+    assert counters == OpCounters(products=2)
+    assert repr(counters) == "OpCounters(unions=0, products=2, stars=0, diamonds=0, triples=0)"
+    matrix = LabelMatrix(FG1, 1, 1, (1,), {}, None)
+    matrix.level = 3
+    assert matrix.level == 3
+    for value in (counters, matrix):
+        with pytest.raises(TypeError):
+            hash(value)
