@@ -180,7 +180,7 @@ def cmd_enumerate(args) -> int:
 def cmd_gen_corpus(args) -> int:
     from .corpus import random_linear_grammar, random_nfa
 
-    for option in ("count", "states", "nonterminals"):
+    for option in ("count", "states", "nonterminals", "rank"):
         require_int(getattr(args, option), f"--{option}", 1)
     if not 0 <= args.density <= 1:
         raise InputError(f"--density must be in [0, 1], got {args.density!r}")

@@ -5,7 +5,10 @@ the i-th generator and ``-i`` for its inverse, so inverting a word is
 reversing it and flipping signs.  Each backend maps words to a canonical
 form on which plain ``==`` decides equality in the group; a word belongs
 to the group's identity language exactly when it canonicalizes to the
-identity.
+identity.  ``canonicalize`` checks each letter in the same pass that folds
+it; the first letter that is not a plain int in range hands the whole word
+to :func:`validate_word`, the one place that raises
+:class:`LetterOutOfRange`.
 
 >>> FreeGroup(1).canonicalize((1, -1, 1))
 (1,)
@@ -32,8 +35,6 @@ MAX_FREE_ABELIAN_RANK = 1024
 # Cayley tables up to this size get the exhaustive O(size^3) associativity check.
 ASSOC_CHECK_LIMIT = 64
 
-_PLAIN_INTS = frozenset({int})
-
 
 def inverse_word(word: Word) -> Word:
     """Reverse the word and invert every letter: (uv)^-1 = v^-1 u^-1."""
@@ -41,6 +42,11 @@ def inverse_word(word: Word) -> Word:
 
 
 def validate_word(word: Word, rank: int) -> None:
+    """Raise :class:`LetterOutOfRange` at the first letter that is not an int in ±1..rank.
+
+    Bools and floats are refused; other int subclasses pass, and each
+    backend's ``canonicalize`` folds them again as plain ints.
+    """
     for x in word:
         if not isinstance(x, int) or isinstance(x, bool) or x == 0 or abs(x) > rank:
             raise LetterOutOfRange(f"letter {x!r} outside the signed range 1..{rank}")
@@ -83,6 +89,13 @@ class GroupBackend:
         raise NotImplementedError
 
     def canonicalize(self, word: Word):
+        """The canonical form of the element ``word`` multiplies out to.
+
+        One pass over the word checks each letter as it folds it.  At the
+        first letter that is not a plain int in ±1..rank the word goes to
+        :func:`validate_word`: it raises :class:`LetterOutOfRange`, or the
+        letters are int subclasses and the word is folded again as ints.
+        """
         raise NotImplementedError
 
     def multiply(self, a, b):
@@ -125,13 +138,20 @@ class FreeGroup(GroupBackend, Record, frozen=True):
         return ()
 
     def canonicalize(self, word: Word) -> Word:
-        validate_word(word, self.rank)
+        """Freely reduce the word, checking each letter as it is read."""
+        rank = self.rank
         out: list[int] = []
+        last = 0  # out[-1], or 0 while out is empty
         for x in word:
-            if out and out[-1] == -x:
+            if type(x) is not int or not 0 < abs(x) <= rank:
+                validate_word(word, rank)
+                return self.canonicalize(tuple(map(int, word)))
+            if x == -last:
                 out.pop()
+                last = out[-1] if out else 0
             else:
                 out.append(x)
+                last = x
         return tuple(out)
 
     def multiply(self, a: Word, b: Word) -> Word:
@@ -190,11 +210,22 @@ class FreeAbelian(GroupBackend, Record, frozen=True):
         return (0,) * self.rank
 
     def canonicalize(self, word: Word) -> tuple[int, ...]:
-        validate_word(word, self.rank)
-        vec = [0] * self.rank
+        """Count each generator's exponent, checking each letter as it is counted."""
+        rank = self.rank
+        vec = [0] * rank
         for x in word:
-            vec[abs(x) - 1] += 1 if x > 0 else -1
-        return tuple(vec)
+            if type(x) is not int:
+                break
+            if 0 < x <= rank:
+                vec[x - 1] += 1
+            elif 0 < -x <= rank:
+                vec[-x - 1] -= 1
+            else:
+                break
+        else:
+            return tuple(vec)
+        validate_word(word, rank)
+        return self.canonicalize(tuple(map(int, word)))
 
     def multiply(self, a, b):
         self._check(a)
@@ -238,10 +269,13 @@ class Cyclic(GroupBackend, Record, frozen=True):
         return 0
 
     def canonicalize(self, word: Word) -> int:
-        validate_word(word, 1)
+        """Sum the letters, checking each is a plain 1 or -1 as it is added."""
         total = 0
         for x in word:
-            total += 1 if x > 0 else -1
+            if type(x) is not int or (x != 1 and x != -1):
+                validate_word(word, 1)
+                return self.canonicalize(tuple(map(int, word)))
+            total += x
         return total % self.order
 
     def multiply(self, a: int, b: int) -> int:
@@ -344,22 +378,23 @@ class FiniteCayley(GroupBackend, Record, frozen=True):
         return self.identity_index
 
     def canonicalize(self, word: Word) -> int:
-        """Fold the word through the letter tables.
+        """Fold the word through the letter tables, checking each letter as it is read.
 
-        Only a word of plain ints is folded: ``True`` or ``1.0`` would
-        find the key of letter 1.  A letter with no table (0 or beyond
-        the rank) misses its key.  Either way ``validate_word`` decides:
-        it raises, or the letters are int subclasses, folded as ints.
+        Only plain ints are looked up: ``True`` or ``1.0`` would find the
+        key of letter 1.  A letter with no table (0 or beyond the rank)
+        misses its key.
         """
-        if _PLAIN_INTS.issuperset(map(type, word)):
-            acc = self.identity_index
-            steps = self._letter_steps
-            try:
-                for x in word:
-                    acc = steps[x][acc]
+        acc = self.identity_index
+        steps = self._letter_steps
+        try:
+            for x in word:
+                if type(x) is not int:
+                    break
+                acc = steps[x][acc]
+            else:
                 return acc
-            except KeyError:
-                pass
+        except KeyError:
+            pass
         validate_word(word, self.rank)
         return self.canonicalize(tuple(map(int, word)))
 

@@ -211,7 +211,8 @@ def _merge(elements: dict, key, wit: Word) -> None:
 
 def union(x, y, *, cap: int | None = None):
     """Elementwise union; on collisions the better witness is retained."""
-    _same_backend(x, y)
+    if x.backend is not y.backend:
+        _same_backend(x, y)
     if type(x) is not type(y):
         raise BackendMismatch("cannot union a GroupSet with a PairSet")
     xs = x.elements
@@ -240,7 +241,8 @@ def union(x, y, *, cap: int | None = None):
 
 def product(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
     """All pairwise products; the zero (empty set) annihilates."""
-    _same_backend(x, y)
+    if x.backend is not y.backend:
+        _same_backend(x, y)
     xs, ys = x.elements, y.elements
     if not xs or not ys:
         return GroupSet.empty(x.backend)
@@ -295,7 +297,8 @@ def star(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
 
 def diamond(x: PairSet, y: PairSet, *, cap: int | None = None) -> PairSet:
     """Pairwise (a, b) . (c, d) = (ac, db); note the reversed right component."""
-    _same_backend(x, y)
+    if x.backend is not y.backend:
+        _same_backend(x, y)
     xs, ys = x.elements, y.elements
     if not xs or not ys:
         return PairSet.empty(x.backend)

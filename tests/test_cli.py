@@ -400,6 +400,7 @@ def test_gen_corpus_grammar_files_parse(tmp_path, capsys):
         ("--count", "-1"),
         ("--states", "0"),
         ("--nonterminals", "0"),
+        ("--rank", "0"),
         ("--density", "1.5"),
         ("--density", "-0.1"),
         ("--density", "nan"),
@@ -413,7 +414,10 @@ def test_gen_corpus_rejects_bad_numbers(tmp_path, capsys, option, value):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {option} must be")
+    if option == "--density":
+        assert err == f"error: --density must be in [0, 1], got {float(value)!r}\n"
+    else:
+        assert err == f"error: {option} must be an integer >= 1, got {value}\n"
     assert not out_dir.exists()
 
 

@@ -25,7 +25,7 @@ from grouplang import (
     word_to_tokens,
 )
 from grouplang.groups import ASSOC_CHECK_LIMIT, MAX_FREE_ABELIAN_RANK, validate_word
-from grouplang.semiring import GroupSet, union
+from grouplang.semiring import GroupSet, PairSet, diamond, product, union
 from conftest import symmetric_group, symmetric_group_3
 
 
@@ -200,12 +200,17 @@ def test_cayley_canonicalize_matches_the_per_letter_product(k):
             assert g.canonicalize(word) == per_letter(word)
 
 
-@pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("where", ["alone", "inside"])
-def test_cayley_canonicalize_rejects_bad_letters_like_validate_word(k, where):
-    g = symmetric_group(k)
+class Letter(int):
+    """An int subclass: a letter ``validate_word`` accepts unless it is 0 or out of range."""
+
+
+# Backends besides FiniteCayley, at the smallest rank or order and above it.
+_FREE_AND_CYCLIC = [FreeGroup(1), FreeGroup(2), FreeAbelian(1), FreeAbelian(3), Cyclic(1), Cyclic(4)]
+
+
+def _assert_rejects_bad_letters_like_validate_word(g, where):
     for bad in (0, g.rank + 1, -(g.rank + 1), True, 1.0, "x"):
-        word = (bad,) if where == "alone" else (1, -2, bad, 2)
+        word = (bad,) if where == "alone" else (1, -g.rank, bad, g.rank)
         with pytest.raises(LetterOutOfRange) as expected:
             validate_word(word, g.rank)
         with pytest.raises(LetterOutOfRange) as got:
@@ -213,13 +218,94 @@ def test_cayley_canonicalize_rejects_bad_letters_like_validate_word(k, where):
         assert str(got.value) == str(expected.value), bad
 
 
-def test_cayley_canonicalize_accepts_int_subclass_letters():
-    class Letter(int):
-        pass
-
-    g = symmetric_group(4)
-    word = (1, -2, 2, 1, -1, 2)
+def _assert_accepts_int_subclass_letters(g):
+    word = (1, -g.rank, g.rank, 1, -1, g.rank)
     assert g.canonicalize(tuple(Letter(x) for x in word)) == g.canonicalize(word)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("where", ["alone", "inside"])
+def test_cayley_canonicalize_rejects_bad_letters_like_validate_word(k, where):
+    _assert_rejects_bad_letters_like_validate_word(symmetric_group(k), where)
+
+
+@pytest.mark.parametrize("backend", _FREE_AND_CYCLIC, ids=repr)
+@pytest.mark.parametrize("where", ["alone", "inside"])
+def test_canonicalize_rejects_bad_letters_like_validate_word(backend, where):
+    _assert_rejects_bad_letters_like_validate_word(backend, where)
+
+
+def test_cayley_canonicalize_accepts_int_subclass_letters():
+    _assert_accepts_int_subclass_letters(symmetric_group(4))
+
+
+@pytest.mark.parametrize("backend", _FREE_AND_CYCLIC, ids=repr)
+def test_canonicalize_accepts_int_subclass_letters(backend):
+    _assert_accepts_int_subclass_letters(backend)
+
+
+def _two_pass_canonicalize(backend, word):
+    """``canonicalize`` with ``validate_word`` as a pass of its own: the reference."""
+    if isinstance(backend, FiniteCayley):
+        if all(type(x) is int for x in word):
+            acc = backend.identity_index
+            try:
+                for x in word:
+                    acc = backend._letter_steps[x][acc]
+                return acc
+            except KeyError:
+                pass
+        validate_word(word, backend.rank)
+        return _two_pass_canonicalize(backend, tuple(map(int, word)))
+    validate_word(word, backend.rank)
+    if isinstance(backend, FreeGroup):
+        out = []
+        for x in word:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        return tuple(out)
+    if isinstance(backend, FreeAbelian):
+        vec = [0] * backend.rank
+        for x in word:
+            vec[abs(x) - 1] += 1 if x > 0 else -1
+        return tuple(vec)
+    total = 0
+    for x in word:
+        total += 1 if x > 0 else -1
+    return total % backend.order
+
+
+def _outcome(canonicalize, *args):
+    try:
+        return "value", canonicalize(*args)
+    except LetterOutOfRange as exc:
+        return "error", str(exc)
+
+
+def _any_letters_for(backend):
+    """Letters in and just out of range, as ints or ``Letter``, and non-int letters."""
+    near = st.integers(-(backend.rank + 1), backend.rank + 1)
+    odd = st.sampled_from([True, False, 1.0, -1.0, "x", None])
+    return st.one_of(near, near.map(Letter), odd)
+
+
+_ONE_PASS_BACKENDS = _FREE_AND_CYCLIC + [symmetric_group_3(), symmetric_group(4)]
+
+backend_and_any_word = st.sampled_from(_ONE_PASS_BACKENDS).flatmap(
+    lambda b: st.tuples(
+        st.just(b),
+        st.one_of(_words_for(b), st.lists(_any_letters_for(b), max_size=12).map(tuple)),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=backend_and_any_word)
+def test_one_pass_canonicalize_matches_the_two_pass_reference(case):
+    backend, word = case
+    assert _outcome(backend.canonicalize, word) == _outcome(_two_pass_canonicalize, backend, word)
 
 
 def test_inverse_word_is_involution():
@@ -429,6 +515,12 @@ def test_mixed_backend_message_names_both_backends():
     with pytest.raises(BackendMismatch) as info:
         union(GroupSet(FreeGroup(1)), GroupSet(Cyclic(2)))
     assert str(info.value) == "mixed backends: FreeGroup(rank=1) vs Cyclic(order=2)"
+    for kernel, kind in ((union, GroupSet), (product, GroupSet), (diamond, PairSet)):
+        with pytest.raises(BackendMismatch) as info:
+            kernel(kind.identity(FreeGroup(1)), kind.identity(Cyclic(2)))
+        assert str(info.value) == "mixed backends: FreeGroup(rank=1) vs Cyclic(order=2)"
+        # Equal backends built apart are one group.
+        assert kernel(kind.identity(FreeGroup(1)), kind.identity(FreeGroup(1))) == kind.identity(FreeGroup(1))
 
 
 def test_cayley_equality_and_repr_ignore_the_tabulated_fields():
