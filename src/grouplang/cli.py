@@ -211,6 +211,12 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
+_MAX_WORDS_HELP = (
+    "stop with an error after this many words; it caps the words emitted, "
+    "not memory: all words of one length are built before any is emitted"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grouplang",
@@ -229,10 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--set-cap",
         type=int,
-        default=4096,
+        default=RunConfig.set_cap,
         help=(
-            "max elements per label set; binds only where the closure runs "
-            "(failing languages, --literal-omega10)"
+            "max elements per label set the closure computes, never the input's "
+            "own arc labels; binds only where the closure runs (failing "
+            "languages, --literal-omega10)"
         ),
     )
     check.add_argument(
@@ -250,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("group_file")
     oracle.add_argument("language_file")
     oracle.add_argument("--max-len", type=int, help="override the derived length bound")
-    oracle.add_argument("--max-words", type=int, default=1_000_000)
+    oracle.add_argument("--max-words", type=int, default=1_000_000, help=_MAX_WORDS_HELP)
     oracle.add_argument("--json", action="store_true")
     oracle.set_defaults(func=cmd_oracle)
 
     enum = sub.add_parser("enumerate", help="list language words in length-lex order")
     enum.add_argument("language_file")
     enum.add_argument("--max-len", type=int, required=True)
-    enum.add_argument("--max-words", type=int, default=100_000)
+    enum.add_argument("--max-words", type=int, default=100_000, help=_MAX_WORDS_HELP)
     enum.set_defaults(func=cmd_enumerate)
 
     gen = sub.add_parser("gen-corpus", help="write seeded random instances as JSON files")

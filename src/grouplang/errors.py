@@ -26,13 +26,13 @@ class BackendMismatch(GrouplangError):
 class CapExceeded(GrouplangError):
     """A label set grew past the configured cardinality cap.
 
-    ``cell`` is filled in by the closure loop so the offending matrix
-    position can be reported.
+    Raised by the semiring kernels; ``cell`` is filled in by the caller
+    that knows the offending matrix position.
     """
 
-    def __init__(self, cardinality: int, cell: tuple[int, int] | None = None):
+    def __init__(self, cardinality: int):
         self.cardinality = cardinality
-        self.cell = cell
+        self.cell: tuple[int, int] | None = None
         super().__init__(f"label set grew past the cap (cardinality {cardinality})")
 
 

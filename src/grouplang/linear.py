@@ -211,11 +211,7 @@ def useful_nonterminals(g: LinearGrammar) -> frozenset[int]:
 
 
 def build_grammar_matrix(
-    g: LinearGrammar,
-    backend: Backend,
-    *,
-    cap: int | None = None,
-    useful: frozenset[int] | None = None,
+    g: LinearGrammar, backend: Backend, *, useful: frozenset[int] | None = None
 ) -> LabelMatrix:
     """Level-0 pair matrix: cell (i, j) holds the images of the arcs i -> j.
 
@@ -225,7 +221,7 @@ def build_grammar_matrix(
     """
     require_rank("grammar", g.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, g.nonterminals + 1))
-    return build_matrix(backend, diagram_arcs(g), PairSet, g.nonterminals, g.sink, keep, cap)
+    return build_matrix(backend, diagram_arcs(g), PairSet, g.nonterminals, g.sink, keep)
 
 
 class _EarlyViolation(Exception):
@@ -381,12 +377,12 @@ def check_linear_inclusion(
     if g.start not in useful:
         return Holds()  # no terminal derivation exists, so the language is empty
     sink = g.sink
+    mat = build_grammar_matrix(g, backend, useful=useful)
+    # Literal mode shows what the unpaired closure test says, spurious
+    # failures included, so it runs the closure alone.
+    if not config.literal_omega10 and potential_holds(mat, g.start, (sink,)):
+        return Holds()
     try:
-        mat = build_grammar_matrix(g, backend, cap=config.set_cap, useful=useful)
-        # Literal mode shows what the unpaired closure test says, spurious
-        # failures included, so it runs the closure alone.
-        if not config.literal_omega10 and potential_holds(mat, g.start, (sink,)):
-            return Holds()
         closure_pairs(
             mat,
             cap=config.set_cap,

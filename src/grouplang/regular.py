@@ -233,13 +233,15 @@ class LabelMatrix(Record):
         return self.cells.get((i, j), self.empty)
 
 
-def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep, cap) -> LabelMatrix:
+def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep) -> LabelMatrix:
     """Level-0 matrix: cell (i, j) holds the labels of the arcs i -> j.
 
     Arcs leaving a vertex outside ``keep``, or entering one, are dropped,
     so those rows and columns stay empty; columns past the last row (the
     grammar's sink) are never dropped.  Cells are created in arc order,
     and start out checked: their labels come from ``canonicalize``.
+    No cap applies: a cell holds at most one label per arc, and the set
+    cap bounds only the sets the closure computes.
     """
     cells: dict = {}
     key = cell_type.witness_key
@@ -254,8 +256,6 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep, 
         old = cell.elements.get(label)
         if old is None or key(wit) < key(old):
             cell.elements[label] = wit
-        if cap is not None and len(cell.elements) > cap:
-            raise CapExceeded(len(cell.elements), cell=(src, dst))
     return LabelMatrix(backend, rows, cols, tuple(sorted(keep)), cells, cell_type(backend))
 
 
@@ -367,11 +367,7 @@ def pivot_closure(
 
 
 def build_initial_matrix(
-    a: Nfa,
-    backend: Backend,
-    *,
-    cap: int | None = None,
-    useful: frozenset[int] | None = None,
+    a: Nfa, backend: Backend, *, useful: frozenset[int] | None = None
 ) -> LabelMatrix:
     """Level-0 matrix: cell (i, j) holds the images of the single arcs i -> j.
 
@@ -380,7 +376,7 @@ def build_initial_matrix(
     """
     require_rank("automaton", a.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, a.states + 1))
-    return build_matrix(backend, a.arcs(), GroupSet, a.states, a.states, keep, cap)
+    return build_matrix(backend, a.arcs(), GroupSet, a.states, a.states, keep)
 
 
 def _singleton_exit(i: int, j: int, cell: GroupSet) -> None:
@@ -464,11 +460,11 @@ def check_regular_inclusion(
     finals_useful = sorted(a.finals & useful)
     if not finals_useful:
         return Holds()  # empty language; nothing to violate
+    mat = build_initial_matrix(a, backend, useful=useful)
+    if potential_holds(mat, a.start, finals_useful):
+        return Holds()
+    # A violation: the closure finds it again and names its witness.
     try:
-        mat = build_initial_matrix(a, backend, cap=config.set_cap, useful=useful)
-        if potential_holds(mat, a.start, finals_useful):
-            return Holds()
-        # A violation: the closure finds it again and names its witness.
         closure(mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters)
     except SingletonViolation as sv:
         u = shortest_word_path(a, a.start, {sv.i})

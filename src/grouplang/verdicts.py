@@ -52,28 +52,23 @@ class OpCounters(Record):
     triples: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "unions": self.unions,
-            "products": self.products,
-            "stars": self.stars,
-            "diamonds": self.diamonds,
-            "triples": self.triples,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class RunConfig(Record, frozen=True):
     """Knobs for one inclusion check.
 
-    ``set_cap`` bounds the label sets of the pivot closure, which runs
-    only when the potential test finds a violation, or in literal mode;
-    a language that holds is decided without label sets and never
-    reaches the cap.
-    ``early_fail`` applies to the regular check only: it exits as soon
-    as two distinct walk labels show up between one pair of useful
-    states, which keeps every label set a singleton on inclusions that
-    hold.  ``literal_omega10`` switches the linear check's cycle test to
-    the independent-projection form, kept only to demonstrate that it
-    can reject valid inclusions.
+    ``set_cap`` bounds the label sets the pivot closure computes, never
+    the input's level-0 cells.  The closure runs only when the potential
+    test finds a violation, or in literal mode; a language that holds is
+    decided without label sets and never reaches the cap.
+    ``early_fail`` applies to the regular check only, so only to failing
+    automata: it picks their witness search, exiting as soon as two
+    distinct walk labels show up between one pair of useful states;
+    ``early_fail=False`` runs the paper's full closure, for comparison.
+    ``literal_omega10`` switches the linear check's cycle test to the
+    independent-projection form, kept only to demonstrate that it can
+    reject valid inclusions.
     """
 
     set_cap: int = 4096

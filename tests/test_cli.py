@@ -111,6 +111,21 @@ _CAPPED_FAILING_GRAMMAR = {
 }
 
 
+# S -> x S X | xx S XX | xxx S XXX | eps: three labels in one input cell, and it holds.
+_NESTED_GRAMMAR = {
+    "kind": "linear_grammar",
+    "nonterminals": 1,
+    "alphabet_rank": 1,
+    "start": 1,
+    "productions": [
+        {"lhs": 1, "alpha": [1], "rhs": 1, "beta": [-1]},
+        {"lhs": 1, "alpha": [1, 1], "rhs": 1, "beta": [-1, -1]},
+        {"lhs": 1, "alpha": [1, 1, 1], "rhs": 1, "beta": [-1, -1, -1]},
+        {"lhs": 1, "alpha": []},
+    ],
+}
+
+
 def test_check_cap_only_binds_when_the_closure_runs(capsys, tmp_path):
     # The potential decides the holding grammar without label sets.
     code, report = check_json(
@@ -120,6 +135,14 @@ def test_check_cap_only_binds_when_the_closure_runs(capsys, tmp_path):
         str(SAMPLES / "grammar_mixed_steps.json"),
         "--set-cap",
         "2",
+    )
+    assert code == 0
+    assert report["verdict"] == "holds"
+    # The input's own cells are never capped: the potential decides first.
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(_NESTED_GRAMMAR), encoding="utf-8")
+    code, report = check_json(
+        capsys, "check", str(SAMPLES / "group_free1.json"), str(nested), "--set-cap", "2"
     )
     assert code == 0
     assert report["verdict"] == "holds"

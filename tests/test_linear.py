@@ -226,8 +226,16 @@ CAPPED_FAILING = grammar(
 )
 
 
+# S -> x S X | xx S XX | xxx S XXX | eps: three labels in the level-0 cell (1, 1).
+NESTED = grammar(
+    1, [(1, [1], 1, [-1]), (1, [1, 1], 1, [-1, -1]), (1, [1, 1, 1], 1, [-1, -1, -1]), (1, [])]
+)
+
+
 def test_check_cap_only_binds_when_the_closure_runs():
     assert check_linear_inclusion(DISCREPANCY, FG1, RunConfig(set_cap=2)) == Holds()
+    # The input's own cells are never capped: the potential decides first.
+    assert check_linear_inclusion(NESTED, FG1, RunConfig(set_cap=2)) == Holds()
     verdict = check_linear_inclusion(CAPPED_FAILING, FG1, RunConfig(set_cap=2))
     assert verdict == ResourceExceeded(cell=(1, 1), cardinality=3)
     assert check_linear_inclusion(CAPPED_FAILING, FG1) == Fails((1,), "simple-path")

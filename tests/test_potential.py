@@ -262,6 +262,11 @@ def test_default_verdict_matches_the_closure(seed, linear, paired, rank, pick, c
         assert _oracle_holds(language, backend)
     else:
         assert verdict == reference
+    # The cap bounds only what the closure computes: at every cap, a
+    # language the potential finds holding is decided before the closure.
+    potential = (linear_potential if linear else regular_potential)(language, backend)
+    if potential and not config.literal_omega10:
+        assert verdict == Holds()
     # Literal mode only concerns the linear check, which then skips the potential.
     if isinstance(verdict, Holds) and not (linear and config.literal_omega10):
         assert counters == OpCounters()
