@@ -9,7 +9,10 @@ no start-to-final cell may contain a non-identity element, and for
 every state the conjugates of its cycle labels by its access labels
 must collapse to the identity.  Witness words ride along with every
 element, so a failed check always names a concrete accepted word that
-does not multiply out to the identity.
+does not multiply out to the identity.  With the early exit on, the
+potential's values also guide that closure (:func:`potential_cells`):
+a pivot step whose product they fix makes no semiring call, and only
+the steps that can break the potential run ``product`` and ``union``.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
@@ -296,6 +299,38 @@ def potential_holds(mat: LabelMatrix, start: int, ends) -> bool:
     return tau.get(start) == ident
 
 
+def potential_cells(mat: LabelMatrix, ends) -> dict[tuple[int, int], tuple]:
+    """The singleton cells of the level-0 automaton matrix ``mat`` that agree with the potential.
+
+    tau is read off as :func:`potential_holds` reads it, each vertex
+    taking the first value seen backwards from the ends, but a break does
+    not stop the walk.  A cell (i, j) whose one label c has
+    c * tau(j) == tau(i), that is c = tau(i) tau(j)^-1, maps to
+    (c, witness).  :func:`closure` settles from these the pivot steps
+    whose outcome they fix.  ``mat`` is not changed.
+    """
+    mul = mat.backend._mul
+    into: dict[int, list] = {}
+    for (i, j), cell in mat.cells.items():
+        into.setdefault(j, []).append((i, cell.elements))
+    tau = {end: mat.backend.identity for end in ends}
+    todo = list(tau)
+    known = {}
+    while todo:
+        j = todo.pop()
+        rest = tau[j]
+        for i, elements in into.get(j, ()):
+            label = next(iter(elements))
+            value = mul(label, rest)
+            seen = tau.get(i)
+            if seen is None:
+                tau[i] = seen = value
+                todo.append(i)
+            if value == seen and len(elements) == 1:
+                known[i, j] = (label, elements[label])
+    return known
+
+
 def pivot_closure(
     mat: LabelMatrix,
     columns,
@@ -307,15 +342,27 @@ def pivot_closure(
     counted: str,
     on_cell=None,
     on_level=None,
+    known: dict | None = None,
 ) -> LabelMatrix:
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
     Pivots and rows run over ``mat.useful``, columns over ``columns``.
     ``on_cell(i, j, cell)`` sees every level-0 cell and every change, and
     ``on_level(mat)`` sees the matrix before the first pivot and after
-    each; either may raise to stop the closure.  The operations done are
-    added to ``counters.unions`` and to the ``counted`` field, also when
-    the closure stops early.
+    each; either may raise to stop the closure.  The semiring calls made
+    are added to ``counters.unions`` and to the ``counted`` field, also
+    when the closure stops early.
+
+    ``known`` (element sets only; see :func:`potential_cells`) maps
+    singleton cells to their (label, witness) with label
+    tau(i) tau(j)^-1 for some vertex values tau; it is updated in place.
+    A step from two known cells into an empty or known cell makes no
+    semiring call: the product is tau(i) tau(j)^-1 again, so the step
+    fills the empty cell with it or at most improves the known cell's
+    witness, by the comparison ``union`` makes.  That cell stays a
+    singleton, so a cap of at least 1 never binds there.  Every other
+    step calls ``multiply`` and ``union``, and a cell they change is no
+    longer known.
     """
     if mat.level != 0:
         raise ValueError("closure expects a level-0 matrix")
@@ -323,6 +370,11 @@ def pivot_closure(
     get = cells.get
     empty = mat.empty
     useful = mat.useful
+    backend = mat.backend
+    mul = backend._mul
+    if known is None:
+        known = {}
+    settled = known.get
     multiplied = unions = 0
     try:
         if on_cell is not None:
@@ -338,7 +390,34 @@ def pivot_closure(
                 left = get((i, k), empty)
                 if not left.elements:
                     continue
+                left_known = settled((i, k)) if known else None
+                if left_known is not None:
+                    left_label, left_wit = left_known
+                    left_len = len(left_wit)
                 for j in row_k:
+                    if (
+                        left_known is not None
+                        and (right := settled((k, j))) is not None
+                        and ((old := settled((i, j))) is not None or (i, j) not in cells)
+                    ):
+                        if old is None:
+                            label = mul(left_label, right[0])
+                            wit = left_wit + right[1]
+                        else:
+                            # ``union``'s witness order, without building the
+                            # new witness when it is longer.
+                            label, old_wit = old
+                            grown = left_len + len(right[1]) - len(old_wit)
+                            if grown > 0:
+                                continue
+                            wit = left_wit + right[1]
+                            if grown == 0 and not wit < old_wit:
+                                continue
+                        known[i, j] = (label, wit)
+                        merged = cells[i, j] = type(empty)(backend, {label: wit}, True)
+                        if on_cell is not None:
+                            on_cell(i, j, merged)
+                        continue
                     current = get((i, j), empty)
                     try:
                         prod = multiply(left, cells[k, j], cap=cap)
@@ -351,6 +430,8 @@ def pivot_closure(
                     if merged is current:
                         continue
                     cells[i, j] = merged
+                    if known:
+                        known.pop((i, j), None)
                     if on_cell is not None:
                         on_cell(i, j, merged)
             mat.level += 1
@@ -391,6 +472,7 @@ def closure(
     early_fail: bool = True,
     cap: int | None = None,
     counters: OpCounters | None = None,
+    known: dict | None = None,
 ) -> LabelMatrix:
     """Pivot recurrence over the useful states with ``product``; mutates ``mat`` in place.
 
@@ -408,6 +490,13 @@ def closure(
     conjugate of y.  So the conjugate test of
     :func:`check_regular_inclusion` could only fire with ``early_fail``
     off, and only then is it run.
+
+    ``known`` (from :func:`potential_cells`) lets the closure settle
+    steps without a semiring call.  If K[i][k] = tau(i) tau(k)^-1 and
+    K[k][j] = tau(k) tau(j)^-1, their product is tau(i) tau(j)^-1, so
+    into an empty cell or one that already holds just that label the
+    step can only add that label or improve its witness; the closure,
+    its exit and every witness stay those of the unguided closure.
     """
     return pivot_closure(
         mat,
@@ -418,6 +507,7 @@ def closure(
         counters=counters,
         counted="products",
         on_cell=_singleton_exit if early_fail else None,
+        known=known,
     )
 
 
@@ -464,8 +554,11 @@ def check_regular_inclusion(
     if potential_holds(mat, a.start, finals_useful):
         return Holds()
     # A violation: the closure finds it again and names its witness.
+    known = potential_cells(mat, finals_useful) if config.early_fail else None
     try:
-        closure(mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters)
+        closure(
+            mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters, known=known
+        )
     except SingletonViolation as sv:
         u = shortest_word_path(a, a.start, {sv.i})
         w = shortest_word_path(a, sv.j, set(finals_useful))

@@ -43,7 +43,11 @@ Verdict = Union[Holds, Fails, ResourceExceeded]
 
 
 class OpCounters(Record):
-    """Counts of semiring operations performed by one check."""
+    """Counts of the semiring calls one check makes.
+
+    The pivot steps of the regular closure that the potential settles
+    (see ``regular.potential_cells``) make no call and are not counted.
+    """
 
     unions: int = 0
     products: int = 0
@@ -64,8 +68,10 @@ class RunConfig(Record, frozen=True):
     decided without label sets and never reaches the cap.
     ``early_fail`` applies to the regular check only, so only to failing
     automata: it picks their witness search, exiting as soon as two
-    distinct walk labels show up between one pair of useful states;
-    ``early_fail=False`` runs the paper's full closure, for comparison.
+    distinct walk labels show up between one pair of useful states, and
+    lets the potential settle the closure steps whose outcome it fixes;
+    ``early_fail=False`` runs the paper's full closure, unguided, for
+    comparison.
     ``literal_omega10`` switches the linear check's cycle test to the
     independent-projection form, kept only to demonstrate that it can
     reject valid inclusions.

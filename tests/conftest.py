@@ -63,15 +63,26 @@ def s3():
 
 @contextmanager
 def closure_only():
-    """Both checks without the potential test: the pivot closure decides every language."""
-    saved = [(module, module.potential_holds) for module in (grouplang.regular, grouplang.linear)]
-    for module, _original in saved:
-        module.potential_holds = lambda *args: False
+    """Both checks without the potential: the unguided pivot closure decides every language.
+
+    ``potential_holds`` never holds, and ``potential_cells`` settles no
+    pivot step of the regular closure.
+    """
+    saved = [
+        (module, name, getattr(module, name))
+        for module, name in (
+            (grouplang.regular, "potential_holds"),
+            (grouplang.linear, "potential_holds"),
+            (grouplang.regular, "potential_cells"),
+        )
+    ]
+    grouplang.regular.potential_holds = grouplang.linear.potential_holds = lambda *args: False
+    grouplang.regular.potential_cells = lambda *args: {}
     try:
         yield
     finally:
-        for module, original in saved:
-            module.potential_holds = original
+        for module, name, original in saved:
+            setattr(module, name, original)
 
 
 @pytest.fixture

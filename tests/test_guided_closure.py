@@ -1,0 +1,161 @@
+"""The regular closure guided by the potential, against the unguided closure.
+
+``potential_cells`` marks the level-0 cells whose one label agrees with
+the potential tau, and ``closure(..., known=...)`` settles from them the
+pivot steps whose outcome tau already fixes, with no semiring call.  The
+guided closure must end exactly as the unguided one: the same
+``SingletonViolation``, the same ``CapExceeded``, or the same closed
+matrix.
+"""
+
+from __future__ import annotations
+
+import importlib
+import random
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import closure_only, symmetric_group
+from grouplang import (
+    CapExceeded,
+    Cyclic,
+    Fails,
+    FreeAbelian,
+    FreeGroup,
+    Nfa,
+    OpCounters,
+    SingletonViolation,
+    build_initial_matrix,
+    check_regular_inclusion,
+    closure,
+    useful_states,
+)
+from grouplang.corpus import random_nfa
+from grouplang.regular import potential_cells
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BACKENDS = (
+    FreeGroup(1),
+    Cyclic(2),
+    Cyclic(3),
+    FreeGroup(2),
+    FreeAbelian(2),
+    symmetric_group(3),
+    symmetric_group(4),
+)
+
+
+def path_nfa(rng: random.Random, backend, states: int, loop_at: int) -> Nfa:
+    """States 1..states on a path with arcs both ways, each pair a letter and its inverse.
+
+    Finals are the states whose path value is the identity, so the
+    language holds until the non-identity self-loop at ``loop_at`` breaks
+    it (no generator of these backends is the identity).
+    """
+    letters = [s * i for i in range(1, backend.rank + 1) for s in (1, -1)]
+    arcs = set()
+    value = [None, backend.identity]
+    for q in range(2, states + 1):
+        a = rng.choice(letters)
+        arcs |= {(q - 1, a, q), (q, -a, q - 1)}
+        value.append(backend.multiply(value[q - 1], backend.canonicalize((a,))))
+    arcs.add((loop_at, rng.choice(letters), loop_at))
+    finals = frozenset(q for q in range(1, states + 1) if value[q] == backend.identity)
+    return Nfa(states=states, rank=backend.rank, transitions=frozenset(arcs), finals=finals)
+
+
+def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool):
+    """('violation', ...), ('cap', ...) or ('closed', level, cells), and the counters."""
+    useful = useful_states(a)
+    finals = sorted(a.finals & useful)
+    mat = build_initial_matrix(a, backend, useful=useful)
+    known = potential_cells(mat, finals) if guided else None
+    counters = OpCounters()
+    try:
+        closure(mat, early_fail=early_fail, cap=cap, counters=counters, known=known)
+    except SingletonViolation as sv:
+        return ("violation", sv.i, sv.j, sv.witness_a, sv.witness_b), counters
+    except CapExceeded as exc:
+        return ("cap", exc.cell, exc.cardinality), counters
+    cells = {at: cell.elements for at, cell in mat.cells.items()}
+    return ("closed", mat.level, cells), counters
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(BACKENDS) - 1),
+    shape=st.sampled_from(("random", "paired", "path")),
+    cap=st.sampled_from((None, 1, 2)),
+    early_fail=st.booleans(),
+)
+def test_guided_closure_ends_as_the_unguided_one(seed, pick, shape, cap, early_fail):
+    rng = random.Random(seed)
+    backend = BACKENDS[pick]
+    if shape == "path":
+        states = rng.randint(2, 16)
+        a = path_nfa(rng, backend, states, rng.randint(1, states))
+    else:
+        a = random_nfa(
+            rng,
+            max_states=rng.choice((5, 8)),
+            rank=backend.rank,
+            density=rng.choice((0.1, 0.2, 0.3, 0.5)),
+            inverse_paired=shape == "paired",
+        )
+    if not early_fail and cap is None:
+        cap = 64  # without the early exit, free-group sets grow without bound
+    guided, guided_counters = run_closure(a, backend, cap, early_fail, guided=True)
+    plain, plain_counters = run_closure(a, backend, cap, early_fail, guided=False)
+    assert guided == plain
+    # Settled steps make neither call; a cap hit in ``union`` leaves one
+    # product without its union on both sides.
+    assert guided_counters.products <= plain_counters.products
+    unpaired = guided_counters.products - guided_counters.unions
+    assert unpaired == plain_counters.products - plain_counters.unions
+
+
+def pinned_path() -> Nfa:
+    """A 16-state inverse-paired path over F2 with the self-loop x1 at state 12."""
+    letters = (1, 2, -2, -1, 2, 1, -1, -2, 1, 1, -1, -1, 2, 1, 2)
+    arcs = {(q, a, q + 1) for q, a in enumerate(letters, 1)}
+    arcs |= {(q + 1, -a, q) for q, a in enumerate(letters, 1)}
+    arcs.add((12, 1, 12))
+    # The path value is the identity at states 1, 5, 9 and 13.
+    return Nfa(states=16, rank=2, transitions=frozenset(arcs), finals=frozenset({1, 5, 9, 13}))
+
+
+# Default path: the only step the potential does not fix is the one into
+# (12, 12) at pivot 11, where the loop meets the identity.
+PINNED_PRODUCTS = (1, 646)
+
+
+def test_guided_closure_multiplies_only_at_the_violation():
+    a = pinned_path()
+    backend = FreeGroup(2)
+    counters, reference_counters = OpCounters(), OpCounters()
+    verdict = check_regular_inclusion(a, backend, None, counters)
+    with closure_only():
+        reference = check_regular_inclusion(a, backend, None, reference_counters)
+    assert verdict == reference and isinstance(verdict, Fails)
+    assert verdict.state == 12
+    assert (counters.products, reference_counters.products) == PINNED_PRODUCTS
+    assert counters.unions == counters.products
+
+
+def test_tracer_counts_match_on_the_guided_closure(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    counters = OpCounters()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        check_regular_inclusion(pinned_path(), FreeGroup(2), None, counters)
+    finally:
+        tracer.uninstall()
+    assert tracer.raised["regular.closure", "SingletonViolation"] == 1
+    assert tracer.opcounter_view() == counters.as_dict()
+    assert counters.products == PINNED_PRODUCTS[0]

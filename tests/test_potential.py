@@ -6,7 +6,10 @@ start's value is the identity.  The checks return ``Holds`` when it
 does; otherwise the pivot closure runs as before and names the witness.
 So every verdict, and every ``OpCounters`` of a failing language, must
 match the closure-only check (``conftest.closure_only``), except that a
-holding language the closure capped now holds.
+holding language the closure capped now holds.  On a failing automaton
+with the early exit on, the potential also settles the pivot steps
+whose outcome it fixes; those make no semiring call, so there the
+default check makes at most the reference's products and unions.
 """
 
 from __future__ import annotations
@@ -108,6 +111,21 @@ def both_paths(check, language, backend, config=None):
     return (verdict, counters), (reference, reference_counters)
 
 
+def assert_counters_match(check, config, verdict, counters, reference_counters):
+    """Counters of a non-holding verdict against the closure-only check's.
+
+    Only the guided closure (a regular ``Fails`` with the early exit on)
+    may make fewer calls, still one ``union`` per product.
+    """
+    guided = check is check_regular_inclusion and (config or RunConfig()).early_fail
+    if guided and isinstance(verdict, Fails):
+        assert counters.products == counters.unions <= reference_counters.unions
+        for field in ("stars", "diamonds", "triples"):
+            assert getattr(counters, field) == getattr(reference_counters, field)
+    else:
+        assert counters == reference_counters
+
+
 def assert_same_as_closure(check, language, backend, config=None):
     (verdict, counters), (reference, reference_counters) = both_paths(
         check, language, backend, config
@@ -116,7 +134,7 @@ def assert_same_as_closure(check, language, backend, config=None):
     if isinstance(verdict, Holds):
         assert counters == OpCounters()
     else:
-        assert counters == reference_counters
+        assert_counters_match(check, config, verdict, counters, reference_counters)
     return verdict
 
 
@@ -271,4 +289,4 @@ def test_default_verdict_matches_the_closure(seed, linear, paired, rank, pick, c
     if isinstance(verdict, Holds) and not (linear and config.literal_omega10):
         assert counters == OpCounters()
     else:
-        assert counters == reference_counters
+        assert_counters_match(check, config, verdict, counters, reference_counters)
