@@ -5,10 +5,11 @@ plus a sink, an arc i -> j labeled (alpha, beta) for each production
 A_i -> alpha A_j beta, and an arc i -> sink labeled (alpha, empty) for
 each A_i -> alpha.  A walk from the start to the sink spells a derived
 word: the left labels in order, then the right labels in reverse.  The
-check first runs the potential test on the level-0 pair matrix, which
-decides every inclusion that holds.  On a violation, and always in
-literal mode, it closes the pair-label matrix with the same pivot
-recurrence as the regular case, multiplied with the diamond operation.
+check first reads the potential of the level-0 pair matrix
+(``regular.potential``), which decides every inclusion that holds.  On
+a violation, and always in literal mode, it closes the pair-label
+matrix with the same pivot recurrence as the regular case, multiplied
+with the diamond operation.
 It tests the start-to-sink labels whenever that cell changes and, per
 vertex, the cycle pairs wrapped around the tails that leave it.
 """
@@ -27,7 +28,7 @@ from .regular import (
     check_fields,
     first_failing_word,
     pivot_closure,
-    potential_holds,
+    potential,
     require_rank,
     shortest_walk,
     successors,
@@ -380,8 +381,10 @@ def check_linear_inclusion(
     mat = build_grammar_matrix(g, backend, useful=useful)
     # Literal mode shows what the unpaired closure test says, spurious
     # failures included, so it runs the closure alone.
-    if not config.literal_omega10 and potential_holds(mat, g.start, (sink,)):
-        return Holds()
+    if not config.literal_omega10:
+        tau, broken = potential(mat, (sink,))
+        if not broken and tau.get(g.start) == backend.identity:
+            return Holds()
     try:
         closure_pairs(
             mat,

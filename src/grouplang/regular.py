@@ -1,18 +1,19 @@
 """Finite automata and the inclusion check of their languages in a group's identity language.
 
 The check labels each automaton arc with the group image of its letter
-and first runs the potential test (:func:`potential_holds`), which
-decides every inclusion that holds.  When it finds a violation, the
-check closes the label matrix with the all-pairs pivot recurrence
+and first reads the potential (:func:`potential`), which decides every
+inclusion that holds.  When it finds a violation, the check closes the
+label matrix with the all-pairs pivot recurrence
 ``K[i][j] = K[i][j] | K[i][k] * K[k][j]``, and then tests two things:
 no start-to-final cell may contain a non-identity element, and for
 every state the conjugates of its cycle labels by its access labels
 must collapse to the identity.  Witness words ride along with every
 element, so a failed check always names a concrete accepted word that
 does not multiply out to the identity.  With the early exit on, the
-potential's values also guide that closure (:func:`potential_cells`):
-a pivot step whose product they fix makes no semiring call, and only
-the steps that can break the potential run ``product`` and ``union``.
+same pass of the potential also guides that closure
+(:func:`known_cells`): a pivot step whose product it fixes makes no
+semiring call, and only the steps that can break the potential run
+``product`` and ``union``.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
@@ -262,28 +263,38 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep) 
     return LabelMatrix(backend, rows, cols, tuple(sorted(keep)), cells, cell_type(backend))
 
 
-def potential_holds(mat: LabelMatrix, start: int, ends) -> bool:
-    """Whether every walk of the level-0 matrix ``mat`` from ``start`` to an end has value e.
+def potential(mat: LabelMatrix, ends) -> tuple[dict, set[tuple[int, int]]]:
+    """The vertex values tau of the level-0 matrix ``mat`` and the cells that break them.
 
-    On useful vertices that is so exactly when each vertex v has one
-    value tau(v) that every walk from v to an end takes: tau(end) = e,
-    every label c of every cell (i, j) has ``wrap(c, tau(j)) == tau(i)``,
-    and tau(start) = e.  (If the inclusion holds, a walk from v to an end
+    On useful vertices, every walk of ``mat`` from the start to an end
+    has value e exactly when each vertex v has one value tau(v) that
+    every walk from v to an end takes: tau(end) = e, every label c of
+    every cell (i, j) has ``wrap(c, tau(j)) == tau(i)``, and
+    tau(start) = e.  (If the inclusion holds, a walk from v to an end
     takes the inverse of the value of any walk from the start to v, so
-    tau is well defined.)  The values are read off backwards from the
-    ends, each vertex taking its value from the first cell seen; every
-    useful vertex reaches an end, so every one gets one.  O(labels)
-    multiplications with the unchecked ``_mul``, since level-0 labels are
-    canonical; ``mat`` is not changed.
+    tau is well defined.)  So the inclusion holds exactly when
+    ``broken`` is empty and tau(start) is e.
+
+    tau is read off backwards from the ends, each vertex taking the first
+    value seen; every useful vertex reaches an end, so every one gets
+    one.  A break does not stop the walk: ``broken`` holds every cell with
+    a label that disagrees.  O(labels) multiplications with the unchecked
+    ``_mul``, since level-0 labels are canonical; ``mat`` is not changed.
+
+    >>> from grouplang import Cyclic
+    >>> arcs = frozenset({(1, 1, 2), (2, 1, 2)})  # 1 -x-> 2, and a loop x at the final 2
+    >>> a = Nfa(states=2, rank=1, transitions=arcs, finals=frozenset({2}))
+    >>> potential(build_initial_matrix(a, Cyclic(2)), [2])
+    ({2: 0, 1: 1}, {(2, 2)})
     """
     backend = mat.backend
     wrap = type(mat.empty).wrap
-    ident = backend.identity
     into: dict[int, list] = {}
     for (i, j), cell in mat.cells.items():
         into.setdefault(j, []).append((i, cell))
-    tau = {end: ident for end in ends}
+    tau = {end: backend.identity for end in ends}
     todo = list(tau)
+    broken = set()
     while todo:
         j = todo.pop()
         rest = tau[j]
@@ -295,40 +306,23 @@ def potential_holds(mat: LabelMatrix, start: int, ends) -> bool:
                     tau[i] = value
                     todo.append(i)
                 elif value != seen:
-                    return False
-    return tau.get(start) == ident
+                    broken.add((i, j))
+                    break
+    return tau, broken
 
 
-def potential_cells(mat: LabelMatrix, ends) -> dict[tuple[int, int], tuple]:
-    """The singleton cells of the level-0 automaton matrix ``mat`` that agree with the potential.
+def known_cells(mat: LabelMatrix, broken) -> dict[tuple[int, int], tuple]:
+    """The singleton cells of ``mat`` outside ``broken``, as (label, witness).
 
-    tau is read off as :func:`potential_holds` reads it, each vertex
-    taking the first value seen backwards from the ends, but a break does
-    not stop the walk.  A cell (i, j) whose one label c has
-    c * tau(j) == tau(i), that is c = tau(i) tau(j)^-1, maps to
-    (c, witness).  :func:`closure` settles from these the pivot steps
-    whose outcome they fix.  ``mat`` is not changed.
+    With ``broken`` from :func:`potential`, each such cell's one label c
+    is tau(i) tau(j)^-1, so :func:`closure` can settle from these the
+    pivot steps whose outcome tau fixes.
     """
-    mul = mat.backend._mul
-    into: dict[int, list] = {}
-    for (i, j), cell in mat.cells.items():
-        into.setdefault(j, []).append((i, cell.elements))
-    tau = {end: mat.backend.identity for end in ends}
-    todo = list(tau)
-    known = {}
-    while todo:
-        j = todo.pop()
-        rest = tau[j]
-        for i, elements in into.get(j, ()):
-            label = next(iter(elements))
-            value = mul(label, rest)
-            seen = tau.get(i)
-            if seen is None:
-                tau[i] = seen = value
-                todo.append(i)
-            if value == seen and len(elements) == 1:
-                known[i, j] = (label, elements[label])
-    return known
+    return {
+        at: next(iter(cell.elements.items()))
+        for at, cell in mat.cells.items()
+        if len(cell.elements) == 1 and at not in broken
+    }
 
 
 def pivot_closure(
@@ -353,7 +347,7 @@ def pivot_closure(
     are added to ``counters.unions`` and to the ``counted`` field, also
     when the closure stops early.
 
-    ``known`` (element sets only; see :func:`potential_cells`) maps
+    ``known`` (element sets only; see :func:`known_cells`) maps
     singleton cells to their (label, witness) with label
     tau(i) tau(j)^-1 for some vertex values tau; it is updated in place.
     A step from two known cells into an empty or known cell makes no
@@ -491,7 +485,7 @@ def closure(
     :func:`check_regular_inclusion` could only fire with ``early_fail``
     off, and only then is it run.
 
-    ``known`` (from :func:`potential_cells`) lets the closure settle
+    ``known`` (from :func:`known_cells`) lets the closure settle
     steps without a semiring call.  If K[i][k] = tau(i) tau(k)^-1 and
     K[k][j] = tau(k) tau(j)^-1, their product is tau(i) tau(j)^-1, so
     into an empty cell or one that already holds just that label the
@@ -551,10 +545,11 @@ def check_regular_inclusion(
     if not finals_useful:
         return Holds()  # empty language; nothing to violate
     mat = build_initial_matrix(a, backend, useful=useful)
-    if potential_holds(mat, a.start, finals_useful):
+    tau, broken = potential(mat, finals_useful)
+    if not broken and tau.get(a.start) == backend.identity:
         return Holds()
     # A violation: the closure finds it again and names its witness.
-    known = potential_cells(mat, finals_useful) if config.early_fail else None
+    known = known_cells(mat, broken) if config.early_fail else None
     try:
         closure(
             mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters, known=known

@@ -17,8 +17,7 @@ and multiply with the backend's unchecked ``_mul``; a foreign element
 still raises :class:`BackendMismatch`.  Kernel outputs and the cells of
 a level-0 matrix start out checked, and a ``union`` output is checked
 when both operands are, so over one closure each set is checked at most
-once.  With the regular check's early exit on, every cell is a
-singleton, so ``product`` has a 1x1 path.
+once.
 
 ``GroupSet`` lives in the semiring of subsets of a group under union
 and elementwise product (zero: the empty set, one: the identity
@@ -252,13 +251,6 @@ def product(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
         y.check_labels()
     backend = x.backend
     mul = backend._mul
-    if len(xs) == 1 and len(ys) == 1:
-        # The early-exit closure's only case: one product, one witness.
-        [(a, wa)] = xs.items()
-        [(b, wb)] = ys.items()
-        if cap is not None and cap < 1:
-            raise CapExceeded(1)
-        return GroupSet(backend, {mul(a, b): wa + wb}, True)
     y_items = [(b, wb, len(wb)) for b, wb in ys.items()]
     out: dict = {}
     get = out.get

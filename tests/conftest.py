@@ -65,24 +65,20 @@ def s3():
 def closure_only():
     """Both checks without the potential: the unguided pivot closure decides every language.
 
-    ``potential_holds`` never holds, and ``potential_cells`` settles no
-    pivot step of the regular closure.
+    ``potential`` reads no vertex value and calls every cell broken, so
+    it never holds and the regular closure knows no cell.
     """
-    saved = [
-        (module, name, getattr(module, name))
-        for module, name in (
-            (grouplang.regular, "potential_holds"),
-            (grouplang.linear, "potential_holds"),
-            (grouplang.regular, "potential_cells"),
-        )
-    ]
-    grouplang.regular.potential_holds = grouplang.linear.potential_holds = lambda *args: False
-    grouplang.regular.potential_cells = lambda *args: {}
+
+    def broken_everywhere(mat, ends):
+        return {}, set(mat.cells)
+
+    saved = [(module, module.potential) for module in (grouplang.regular, grouplang.linear)]
+    grouplang.regular.potential = grouplang.linear.potential = broken_everywhere
     try:
         yield
     finally:
-        for module, name, original in saved:
-            setattr(module, name, original)
+        for module, original in saved:
+            module.potential = original
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """The regular closure guided by the potential, against the unguided closure.
 
-``potential_cells`` marks the level-0 cells whose one label agrees with
-the potential tau, and ``closure(..., known=...)`` settles from them the
-pivot steps whose outcome tau already fixes, with no semiring call.  The
-guided closure must end exactly as the unguided one: the same
+``known_cells`` marks the level-0 singleton cells that ``potential``
+does not find broken, whose one label agrees with the potential tau,
+and ``closure(..., known=...)`` settles from them the pivot steps whose
+outcome tau already fixes, with no semiring call.  The guided closure
+must end exactly as the unguided one: the same
 ``SingletonViolation``, the same ``CapExceeded``, or the same closed
 matrix.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouplang.regular
 from conftest import closure_only, symmetric_group
 from grouplang import (
     CapExceeded,
@@ -33,7 +35,7 @@ from grouplang import (
     useful_states,
 )
 from grouplang.corpus import random_nfa
-from grouplang.regular import potential_cells
+from grouplang.regular import known_cells, potential
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,7 +74,7 @@ def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool):
     useful = useful_states(a)
     finals = sorted(a.finals & useful)
     mat = build_initial_matrix(a, backend, useful=useful)
-    known = potential_cells(mat, finals) if guided else None
+    known = known_cells(mat, potential(mat, finals)[1]) if guided else None
     counters = OpCounters()
     try:
         closure(mat, early_fail=early_fail, cap=cap, counters=counters, known=known)
@@ -144,6 +146,20 @@ def test_guided_closure_multiplies_only_at_the_violation():
     assert verdict.state == 12
     assert (counters.products, reference_counters.products) == PINNED_PRODUCTS
     assert counters.unions == counters.products
+
+
+def test_the_potential_is_read_once(monkeypatch):
+    calls = []
+    original = grouplang.regular.potential
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grouplang.regular, "potential", counted)
+    verdict = check_regular_inclusion(pinned_path(), FreeGroup(2))
+    assert isinstance(verdict, Fails) and verdict.state == 12
+    assert len(calls) == 1
 
 
 def test_tracer_counts_match_on_the_guided_closure(monkeypatch):

@@ -48,7 +48,8 @@ from grouplang import (
     useful_states,
 )
 from grouplang.corpus import random_linear_grammar, random_nfa
-from grouplang.regular import potential_holds
+from grouplang.regular import potential
+from test_guided_closure import BACKENDS
 
 FG1 = FreeGroup(1)
 BACKENDS_BY_RANK = {
@@ -85,21 +86,35 @@ def _snapshot(mat):
     return {at: (cell, dict(cell.elements)) for at, cell in mat.cells.items()}
 
 
+def checked_potential(mat, start, ends):
+    """Whether the potential holds, after checking ``potential``'s contract on ``mat``.
+
+    tau has a value for exactly the useful vertices and the ends, a cell
+    is broken exactly when one of its labels disagrees with tau, and
+    ``mat`` is not changed.
+    """
+    before = _snapshot(mat)
+    tau, broken = potential(mat, ends)
+    assert _snapshot(mat) == before and mat.level == 0
+    assert set(tau) == set(mat.useful) | set(ends)
+    wrap = type(mat.empty).wrap
+    assert broken == {
+        (i, j)
+        for (i, j), cell in mat.cells.items()
+        if any(wrap(mat.backend, c, tau[j]) != tau[i] for c in cell.elements)
+    }
+    return not broken and tau.get(start) == mat.backend.identity
+
+
 def regular_potential(a, backend):
     useful = useful_states(a)
     mat = build_initial_matrix(a, backend, useful=useful)
-    before = _snapshot(mat)
-    result = potential_holds(mat, a.start, sorted(a.finals & useful))
-    assert _snapshot(mat) == before and mat.level == 0
-    return result
+    return checked_potential(mat, a.start, sorted(a.finals & useful))
 
 
 def linear_potential(g, backend):
     mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
-    before = _snapshot(mat)
-    result = potential_holds(mat, g.start, (g.sink,))
-    assert _snapshot(mat) == before and mat.level == 0
-    return result
+    return checked_potential(mat, g.start, (g.sink,))
 
 
 def both_paths(check, language, backend, config=None):
@@ -290,3 +305,31 @@ def test_default_verdict_matches_the_closure(seed, linear, paired, rank, pick, c
         assert counters == OpCounters()
     else:
         assert_counters_match(check, config, verdict, counters, reference_counters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(BACKENDS) - 1),
+    linear=st.booleans(),
+    paired=st.booleans(),
+)
+def test_potential_contract_on_every_backend(seed, pick, linear, paired):
+    rng = random.Random(seed)
+    backend = BACKENDS[pick]
+    if linear:
+        language = random_linear_grammar(rng, rank=backend.rank, mirrored=paired)
+        holds = linear_potential(language, backend)
+        empty = language.start not in useful_nonterminals(language)
+        check = check_linear_inclusion
+    else:
+        density = rng.choice((0.1, 0.2, 0.3, 0.5))
+        language = random_nfa(rng, rank=backend.rank, density=density, inverse_paired=paired)
+        holds = regular_potential(language, backend)
+        empty = not language.finals & useful_states(language)
+        check = check_regular_inclusion
+    # The potential decides every non-empty language as the closure does.
+    with closure_only():
+        reference = check(language, backend)
+    if not isinstance(reference, ResourceExceeded):
+        assert holds == (isinstance(reference, Holds) and not empty)
