@@ -102,7 +102,7 @@ def cmd_check(args) -> int:
             f"set cap exceeded at cell {verdict.cell} (cardinality {verdict.cardinality})"
         )
         code = 2
-    if args.literal_omega10 and not args.json:
+    if args.literal_omega10 and kind == "linear_grammar" and not args.json:
         print(f"warning: {_LITERAL_WARNING}", file=sys.stderr)
     _emit_report(report, args.json)
     return code
@@ -180,8 +180,6 @@ def cmd_enumerate(args) -> int:
 def cmd_gen_corpus(args) -> int:
     from .corpus import random_linear_grammar, random_nfa
 
-    for option in ("count", "states", "nonterminals", "rank"):
-        require_int(getattr(args, option), f"--{option}", 1)
     if not 0 <= args.density <= 1:
         raise InputError(f"--density must be in [0, 1], got {args.density!r}")
     rng = random.Random(args.seed)
@@ -247,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "use the independent-projection form of the cycle-context test "
-            "(may report spurious violations; kept for comparison)"
+            "(grammars only; may report spurious violations; kept for comparison)"
         ),
     )
     check.add_argument("--json", action="store_true")
@@ -280,9 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Integer options of any command that must be at least 1 when given.
+_POSITIVE_OPTIONS = ("set_cap", "max_len", "max_words", "count", "states", "nonterminals", "rank")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for option in _POSITIVE_OPTIONS:
+            if getattr(args, option, None) is not None:
+                require_int(getattr(args, option), "--" + option.replace("_", "-"), 1)
         return args.func(args)
     except (BoundExceeded, InputError, BackendMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

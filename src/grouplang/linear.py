@@ -263,22 +263,18 @@ def _final_cell_scan():
 
 
 def _wrapped_failure(backend: Backend, cycles: PairSet, tails, passed=frozenset()) -> tuple | None:
-    """The first (cycle witness, tail witness) whose u v w v^-1 misses the identity, or None.
+    """The first (cycle witness, tail witness) whose u v w differs from v, or None.
 
-    ``tails`` are (v, v^-1, witness word) in witness order; cycle pairs
-    (u, w) count in witness order, tails after them, and pairs in
-    ``passed`` are known to pass and are not tested.  Every cycle pair
-    labels a real walk, so wrapping it around a real tail and comparing
-    with the tail alone gives two generated words whose images differ
-    exactly when the wrapped product misses the identity.  The elements
-    come out of the kernels, so they are multiplied unchecked.
+    ``tails`` are (v, witness word) in witness order; cycle pairs (u, w)
+    count in witness order, tails after them, and pairs in ``passed``
+    are known to pass and are not tested.  u v w is ``PairSet.wrap``, the
+    rule :func:`potential` applies to every cell, unchecked since the
+    elements come out of the kernels.  Every cycle pair labels a real
+    walk, so the generated words with and without it then differ in value.
     """
-    ident = backend.identity
-    mul = backend._mul
 
     def failing_tail(pair):
-        u, w = pair
-        return next((wit for v, v_inv, wit in tails if mul(mul(mul(u, v), w), v_inv) != ident), None)
+        return next((wit for v, wit in tails if PairSet.wrap(backend, pair, v) != v), None)
 
     bad = cycles.best(lambda pair: pair not in passed and failing_tail(pair) is not None)
     return None if bad is None else (bad[1], failing_tail(bad[0]))
@@ -294,7 +290,7 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
 
     A failure is definitive long before the sink column of the matrix
     fills in; on inclusions that hold the scan never fires.  A vertex's
-    walks and tail image are computed once, when its cycle cell first
+    walks and tail value are computed once, when its cycle cell first
     becomes non-empty.  Cells only grow and a pair that passed against
     the vertex's one tail passes again, so each pair is tested once, and
     a cycle cell that is still the object scanned at the last level is
@@ -314,7 +310,7 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
                 tail_left, tail_right = shortest_walk(out, i, {g.sink})
                 tail = tail_left + tail_right
                 v = backend.canonicalize(tail)
-                probes[i] = (shortest_walk(out, g.start, {i}), [(v, backend.invert(v), tail)], set())
+                probes[i] = (shortest_walk(out, g.start, {i}), [(v, tail)], set())
             access, tails, passed = probes[i]
             found = _wrapped_failure(backend, cycles, tails, passed)
             if found is not None:
@@ -426,8 +422,7 @@ def check_linear_inclusion(
             # The independent-projection form can fire on valid inclusions,
             # so there may be no counterexample word to extract.
             return Fails(witness=None, reason=CONJUGATE, state=i, spurious=True)
-        tails = [(v, backend.invert(v), wit) for v, wit in tail_products.sorted_items()]
-        found = _wrapped_failure(backend, cycles, tails)
+        found = _wrapped_failure(backend, cycles, tail_products.sorted_items())
         if found is None:
             raise InternalInconsistency("wrapped set had a non-identity element but no pair does")
         best_access = min(access.elements.values(), key=PairSet.witness_key)

@@ -341,22 +341,22 @@ def pivot_closure(
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
     Pivots and rows run over ``mat.useful``, columns over ``columns``.
-    ``on_cell(i, j, cell)`` sees every level-0 cell and every change, and
-    ``on_level(mat)`` sees the matrix before the first pivot and after
-    each; either may raise to stop the closure.  The semiring calls made
-    are added to ``counters.unions`` and to the ``counted`` field, also
-    when the closure stops early.
+    ``on_cell(i, j, cell)`` sees every level-0 cell and every change a
+    semiring step makes, and ``on_level(mat)`` sees the matrix before the
+    first pivot and after each; either may raise to stop the closure.
+    The semiring calls made are added to ``counters.unions`` and to the
+    ``counted`` field, also when the closure stops early.
 
     ``known`` (element sets only; see :func:`known_cells`) maps
     singleton cells to their (label, witness) with label
     tau(i) tau(j)^-1 for some vertex values tau; it is updated in place.
-    A step from two known cells into an empty or known cell makes no
-    semiring call: the product is tau(i) tau(j)^-1 again, so the step
-    fills the empty cell with it or at most improves the known cell's
-    witness, by the comparison ``union`` makes.  That cell stays a
-    singleton, so a cap of at least 1 never binds there.  Every other
-    step calls ``multiply`` and ``union``, and a cell they change is no
-    longer known.
+    A step from two known cells into an empty or known cell is settled
+    with no semiring call: the product is tau(i) tau(j)^-1 again, so the
+    step fills the empty cell with it or at most improves the known
+    cell's witness, by the comparison ``union`` makes.  That cell stays a
+    singleton, so a cap of at least 1 never binds there, and ``on_cell``
+    does not see it.  Every other step calls ``multiply`` and ``union``,
+    and a cell they change is no longer known.
     """
     if mat.level != 0:
         raise ValueError("closure expects a level-0 matrix")
@@ -408,9 +408,7 @@ def pivot_closure(
                             if grown == 0 and not wit < old_wit:
                                 continue
                         known[i, j] = (label, wit)
-                        merged = cells[i, j] = type(empty)(backend, {label: wit}, True)
-                        if on_cell is not None:
-                            on_cell(i, j, merged)
+                        cells[i, j] = type(empty)(backend, {label: wit}, True)
                         continue
                     current = get((i, j), empty)
                     try:

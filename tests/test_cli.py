@@ -172,6 +172,16 @@ def test_check_literal_mode_warns_and_fails(capsys):
     assert code == 1
     assert "spurious" in err
     assert "fails" in out
+    # The mode applies to grammars only: an automaton's run is unchanged.
+    files = [str(SAMPLES / "group_cyclic2.json"), str(SAMPLES / "nfa_even.json")]
+    code, out, err = run(capsys, "check", *files, "--literal-omega10")
+    plain_code, plain_out, _ = run(capsys, "check", *files)
+    assert (code, err) == (plain_code, "")
+
+    def timeless(text):
+        return [line for line in text.splitlines() if not line.startswith("elapsed_ms:")]
+
+    assert timeless(out) == timeless(plain_out)
 
 
 def test_check_text_output(capsys):
@@ -240,17 +250,27 @@ def test_malformed_language_exit_two(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
-def test_oracle_max_len_zero_exit_two(capsys):
-    code, _, err = run(
-        capsys,
-        "oracle",
-        str(SAMPLES / "group_free1.json"),
-        str(SAMPLES / "nfa_star.json"),
-        "--max-len",
-        "0",
-    )
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("oracle", "--max-len", "0"),
+        ("oracle", "--max-words", "0"),
+        ("check", "--set-cap", "0"),
+        ("check", "--set-cap", "-5"),
+        ("enumerate", "--max-len", "0"),
+        ("enumerate", "--max-words", "0"),
+    ],
+)
+def test_oracle_max_len_zero_exit_two(capsys, command, option, value):
+    files = [str(SAMPLES / "nfa_star.json")]
+    if command != "enumerate":
+        files.insert(0, str(SAMPLES / "group_free1.json"))
+    elif option != "--max-len":
+        files += ["--max-len", "3"]
+    code, out, err = run(capsys, command, *files, option, value)
     assert code == 2
-    assert err.startswith("error:")
+    assert out == ""
+    assert err == f"error: {option} must be an integer >= 1, got {value}\n"
 
 
 def test_oracle_fails_single_generator(capsys):

@@ -35,7 +35,8 @@ from grouplang import (
     useful_states,
 )
 from grouplang.corpus import random_nfa
-from grouplang.regular import known_cells, potential
+from grouplang.regular import known_cells, pivot_closure, potential
+from grouplang.semiring import product, union
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,6 +147,46 @@ def test_guided_closure_multiplies_only_at_the_violation():
     assert verdict.state == 12
     assert (counters.products, reference_counters.products) == PINNED_PRODUCTS
     assert counters.unions == counters.products
+
+
+def settled_chain() -> Nfa:
+    """1 -x1-> 2 -x2-> 3 -x1-> 4 over F2, with the arcs 3 -X2-> 2 and 2 -X1-> 1 back.
+
+    Every cell is a singleton that agrees with tau, but tau(1) = x1 x2 x1
+    is not e: the guided closure settles every step.
+    """
+    arcs = frozenset({(1, 1, 2), (2, 2, 3), (3, -2, 2), (2, -1, 1), (3, 1, 4)})
+    return Nfa(states=4, rank=2, transitions=arcs, finals=frozenset({4}))
+
+
+def test_guided_closure_with_every_step_settled():
+    a = settled_chain()
+    backend = FreeGroup(2)
+    mat = build_initial_matrix(a, backend, useful=useful_states(a))
+    tau, broken = potential(mat, [4])
+    assert not broken and tau[1] != backend.identity
+    counters = OpCounters()
+    verdict = check_regular_inclusion(a, backend, None, counters)
+    assert verdict == Fails(witness=(1, 2, 1), reason="simple-path")
+    assert counters == OpCounters()
+    assert run_closure(a, backend, None, True, guided=True)[0] == (
+        run_closure(a, backend, None, True, guided=False)[0]
+    )
+    # The hook sees the level-0 cells only: no semiring step changes a cell.
+    level0 = list(mat.cells)
+    seen = []
+    pivot_closure(
+        mat,
+        mat.useful,
+        product,
+        union,
+        cap=None,
+        counters=None,
+        counted="products",
+        on_cell=lambda i, j, cell: seen.append((i, j)),
+        known=known_cells(mat, broken),
+    )
+    assert seen == level0 and len(mat.cells) > len(level0)
 
 
 def test_the_potential_is_read_once(monkeypatch):

@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grouplang.linear
+from conftest import symmetric_group
 from grouplang import (
     BackendMismatch,
     Cyclic,
     Fails,
+    FreeAbelian,
     FreeGroup,
     Holds,
     InputError,
@@ -30,6 +34,8 @@ from grouplang import (
     parse_grammar,
     useful_nonterminals,
 )
+from grouplang.linear import _wrapped_failure
+from grouplang.semiring import PairSet
 
 FG1 = FreeGroup(1)
 
@@ -332,3 +338,45 @@ def test_cycle_tests_name_the_word_with_the_cycle(monkeypatch):
     verdict = check_linear_inclusion(g, Cyclic(2))
     assert verdict == Fails(witness=(-1, -1, -1), reason="conjugate", state=1)
     assert g.generates(verdict.witness)
+
+
+WRAP_BACKENDS = (FreeGroup(2), FreeAbelian(2), symmetric_group(3), Cyclic(3))
+
+
+def _conjugation_failure(backend, cycles: PairSet, tails, passed):
+    """The cycle search as u v w v^-1 != e, with each tail's inverse computed up front."""
+    ident = backend.identity
+    mul = backend._mul
+    inverted = [(v, backend.invert(v), wit) for v, wit in tails]
+
+    def failing_tail(pair):
+        u, w = pair
+        return next((wit for v, v_inv, wit in inverted if mul(mul(mul(u, v), w), v_inv) != ident), None)
+
+    bad = cycles.best(lambda pair: pair not in passed and failing_tail(pair) is not None)
+    return None if bad is None else (bad[1], failing_tail(bad[0]))
+
+
+def _words(rank: int, max_size: int):
+    letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    return st.lists(st.tuples(st.lists(letters, max_size=3), st.lists(letters, max_size=3)), max_size=max_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), pick=st.integers(0, len(WRAP_BACKENDS) - 1), with_passed=st.booleans())
+def test_wrapped_failure_matches_the_conjugation_test(data, pick, with_passed):
+    backend = WRAP_BACKENDS[pick]
+    cycles = PairSet(backend)
+    for left, right in data.draw(_words(backend.rank, 6)):
+        wit = (tuple(left), tuple(right))
+        label = PairSet.evaluate(backend, wit)
+        old = cycles.elements.get(label)
+        if old is None or PairSet.witness_key(wit) < PairSet.witness_key(old):
+            cycles.elements[label] = wit
+    tail_words = sorted({tuple(left + right) for left, right in data.draw(_words(backend.rank, 3))})
+    tails = sorted(((backend.canonicalize(w), w) for w in tail_words), key=lambda t: (len(t[1]), t[1]))
+    passed = set()
+    if with_passed and cycles:
+        passed = set(data.draw(st.lists(st.sampled_from(sorted(cycles.elements, key=repr)))))
+    expected = _conjugation_failure(backend, cycles, tails, passed)
+    assert _wrapped_failure(backend, cycles, tails, passed) == expected
