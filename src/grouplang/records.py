@@ -68,11 +68,11 @@ class Record:
 
     A class attribute of the same name is the field's default; as for a
     function's parameters, fields with defaults come last.  A name that
-    starts with ``_`` is derived state, set by ``__post_init__``: it is
-    not a constructor argument and takes no part in equality, hashing or
-    ``repr``.  Equality holds only between instances of the same class.
-    ``frozen=True`` refuses assignment and makes instances hashable;
-    otherwise they are mutable and unhashable.
+    starts with ``_`` is derived state, set by ``__post_init__`` or on
+    first use: it is not a constructor argument and takes no part in
+    equality, hashing or ``repr``.  Equality holds only between instances
+    of the same class.  ``frozen=True`` refuses assignment and makes
+    instances hashable; otherwise they are mutable and unhashable.
     """
 
     _fields: tuple[str, ...] = ()

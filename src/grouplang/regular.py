@@ -10,10 +10,9 @@ every state the conjugates of its cycle labels by its access labels
 must collapse to the identity.  Witness words ride along with every
 element, so a failed check always names a concrete accepted word that
 does not multiply out to the identity.  With the early exit on, the
-same pass of the potential also guides that closure
-(:func:`known_cells`): a pivot step whose product it fixes makes no
-semiring call, and only the steps that can break the potential run
-``product`` and ``union``.
+same pass of the potential also guides that closure: a pivot step
+whose product it fixes makes no semiring call, and only the steps that
+can break the potential run ``product`` and ``union``.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
@@ -26,6 +25,7 @@ the walk.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -55,7 +55,8 @@ from .verdicts import (
 class Nfa(Record, frozen=True):
     """Nondeterministic automaton over the signed alphabet; states are 1..states.
 
-    Arcs carry exactly one letter; empty-word arcs are rejected.
+    Arcs carry exactly one letter; empty-word arcs are rejected.  The
+    sorted arcs and their :func:`successors` are derived on first use.
     """
 
     states: int
@@ -93,9 +94,18 @@ class Nfa(Record, frozen=True):
                 return False
         return bool(current & self.finals)
 
-    def arcs(self) -> list[tuple[int, int, Word, Word]]:
+    def arcs(self) -> tuple[tuple[int, int, Word, Word], ...]:
         """Arcs (src, dst, (letter,), ()) in (src, letter, dst) order."""
-        return [(src, dst, (letter,), ()) for src, letter, dst in sorted(self.transitions)]
+        return self._arcs
+
+    @cached_property
+    def _arcs(self) -> tuple[tuple[int, int, Word, Word], ...]:
+        word = {letter: (letter,) for _src, letter, _dst in self.transitions}  # shared: less to cache
+        return tuple((src, dst, word[letter], ()) for src, letter, dst in sorted(self.transitions))
+
+    @cached_property
+    def _successors(self) -> dict[int, list[tuple[int, int, Word, Word]]]:
+        return successors(self._arcs)
 
 
 def check_fields(obj, kind: str, fields: set[str]) -> None:
@@ -185,11 +195,11 @@ def useful_states(a: Nfa) -> frozenset[int]:
     return useful_vertices(a.arcs(), a.start, a.finals)
 
 
-def successors(arcs) -> dict[int, list[tuple[int, Word, Word]]]:
-    """Arcs (src, dst, left, right) grouped by source as (dst, left, right)."""
-    out: dict[int, list[tuple[int, Word, Word]]] = {}
-    for src, dst, left, right in arcs:
-        out.setdefault(src, []).append((dst, left, right))
+def successors(arcs) -> dict[int, list[tuple[int, int, Word, Word]]]:
+    """Arcs (src, dst, left, right) grouped by source, the arc tuples themselves."""
+    out: dict[int, list[tuple[int, int, Word, Word]]] = {}
+    for arc in arcs:
+        out.setdefault(arc[0], []).append(arc)
     return out
 
 
@@ -210,7 +220,7 @@ def shortest_walk(out, source: int, targets) -> tuple[Word, Word] | None:
         done.add(vertex)
         if vertex in targets:
             return left, right
-        for dst, alpha, beta in out.get(vertex, ()):
+        for _src, dst, alpha, beta in out.get(vertex, ()):
             if dst not in done:
                 heapq.heappush(
                     heap, (letters + len(alpha) + len(beta), left + alpha, beta + right, dst)
@@ -311,18 +321,8 @@ def potential(mat: LabelMatrix, ends) -> tuple[dict, set[tuple[int, int]]]:
     return tau, broken
 
 
-def known_cells(mat: LabelMatrix, broken) -> dict[tuple[int, int], tuple]:
-    """The singleton cells of ``mat`` outside ``broken``, as (label, witness).
-
-    With ``broken`` from :func:`potential`, each such cell's one label c
-    is tau(i) tau(j)^-1, so :func:`closure` can settle from these the
-    pivot steps whose outcome tau fixes.
-    """
-    return {
-        at: next(iter(cell.elements.items()))
-        for at, cell in mat.cells.items()
-        if len(cell.elements) == 1 and at not in broken
-    }
+# Longer than any witness: the length table's entry for an empty cell.
+_NO_CELL = 1 << 29
 
 
 def pivot_closure(
@@ -336,7 +336,7 @@ def pivot_closure(
     counted: str,
     on_cell=None,
     on_level=None,
-    known: dict | None = None,
+    broken: set | None = None,
 ) -> LabelMatrix:
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
@@ -347,16 +347,22 @@ def pivot_closure(
     The semiring calls made are added to ``counters.unions`` and to the
     ``counted`` field, also when the closure stops early.
 
-    ``known`` (element sets only; see :func:`known_cells`) maps
-    singleton cells to their (label, witness) with label
-    tau(i) tau(j)^-1 for some vertex values tau; it is updated in place.
+    ``broken`` (element sets only), the cells :func:`potential` found
+    broken, guides the closure.  A level-0 singleton cell outside it is
+    *known*: its one label is tau(i) tau(j)^-1.  Two tables indexed by
+    row, then column, hold what the guide reads: ``ln[i][j]`` is the
+    witness length of a known cell, -1 for any other non-empty cell and
+    ``_NO_CELL`` for an empty one (two lists of ``mat.cols + 1`` entries
+    per useful row), and ``kn[i][j]`` is a known cell's (label, witness).
     A step from two known cells into an empty or known cell is settled
     with no semiring call: the product is tau(i) tau(j)^-1 again, so the
     step fills the empty cell with it or at most improves the known
-    cell's witness, by the comparison ``union`` makes.  That cell stays a
-    singleton, so a cap of at least 1 never binds there, and ``on_cell``
-    does not see it.  Every other step calls ``multiply`` and ``union``,
-    and a cell they change is no longer known.
+    cell's witness, by the comparison ``union`` makes; most steps end at
+    one length test.  That cell stays a singleton, so a cap of at least 1
+    never binds there, and ``on_cell`` does not see it.  Every other step
+    calls ``multiply`` and ``union``, and a cell they change is no longer
+    known.  Without ``broken`` (the linear closure, and the regular one
+    with the early exit off), every step runs the semiring.
     """
     if mat.level != 0:
         raise ValueError("closure expects a level-0 matrix")
@@ -366,9 +372,17 @@ def pivot_closure(
     useful = mat.useful
     backend = mat.backend
     mul = backend._mul
-    if known is None:
-        known = {}
-    settled = known.get
+    ln_i = None
+    if broken is not None:
+        width = mat.cols + 1
+        ln = {i: [_NO_CELL] * width for i in useful}
+        kn = {i: [None] * width for i in useful}
+        for (i, j), cell in cells.items():
+            if len(cell.elements) == 1 and (i, j) not in broken:
+                kn[i][j] = entry = next(iter(cell.elements.items()))
+                ln[i][j] = len(entry[1])
+            else:
+                ln[i][j] = -1
     multiplied = unions = 0
     try:
         if on_cell is not None:
@@ -380,36 +394,51 @@ def pivot_closure(
             # Only a non-empty K[k][j] is ever multiplied, so the
             # non-empty columns of row k stay the same during pivot k.
             row_k = [j for j in columns if get((k, j), empty).elements]
+            entries = None
             for i in useful:
                 left = get((i, k), empty)
                 if not left.elements:
                     continue
-                left_known = settled((i, k)) if known else None
-                if left_known is not None:
-                    left_label, left_wit = left_known
-                    left_len = len(left_wit)
-                for j in row_k:
-                    if (
-                        left_known is not None
-                        and (right := settled((k, j))) is not None
-                        and ((old := settled((i, j))) is not None or (i, j) not in cells)
-                    ):
-                        if old is None:
-                            label = mul(left_label, right[0])
-                            wit = left_wit + right[1]
-                        else:
-                            # ``union``'s witness order, without building the
-                            # new witness when it is longer.
-                            label, old_wit = old
-                            grown = left_len + len(right[1]) - len(old_wit)
-                            if grown > 0:
-                                continue
-                            wit = left_wit + right[1]
-                            if grown == 0 and not wit < old_wit:
-                                continue
-                        known[i, j] = (label, wit)
-                        cells[i, j] = type(empty)(backend, {label: wit}, True)
-                        continue
+                steps = row_k
+                if broken is not None:
+                    ln_i = ln[i]
+                    left_len = ln_i[k]
+                    if left_len >= 0:
+                        if entries is None:
+                            # (j, kn[k][j], the witness length of a known K[k][j]
+                            # or else -_NO_CELL, which passes no length test).
+                            ln_k, kn_k = ln[k], kn[k]
+                            entries = [
+                                (j, kn_k[j], n if (n := ln_k[j]) >= 0 else -_NO_CELL) for j in row_k
+                            ]
+                        # Settle first the steps tau fixes: the steps of one
+                        # row write distinct cells and all read K[i][k] as it
+                        # was, so the rest see the cells they would have seen.
+                        steps = []
+                        kn_i = kn[i]
+                        left_label, left_wit = kn_i[k]
+                        for j, right, right_len in entries:
+                            old = ln_i[j]
+                            if old >= 0:
+                                new_len = left_len + right_len
+                                # ``union``'s witness order, without building
+                                # the new witness when it is longer.
+                                if new_len > old:
+                                    continue
+                                if right_len >= 0:
+                                    wit = left_wit + right[1]
+                                    if old == _NO_CELL:
+                                        label = mul(left_label, right[0])
+                                    else:
+                                        label, old_wit = kn_i[j]
+                                        if new_len == old and not wit < old_wit:
+                                            continue
+                                    kn_i[j] = (label, wit)
+                                    ln_i[j] = new_len
+                                    cells[i, j] = type(empty)(backend, {label: wit}, True)
+                                    continue
+                            steps.append(j)
+                for j in steps:
                     current = get((i, j), empty)
                     try:
                         prod = multiply(left, cells[k, j], cap=cap)
@@ -422,10 +451,12 @@ def pivot_closure(
                     if merged is current:
                         continue
                     cells[i, j] = merged
-                    if known:
-                        known.pop((i, j), None)
+                    if ln_i is not None:
+                        ln_i[j] = -1
                     if on_cell is not None:
                         on_cell(i, j, merged)
+                if i == k:
+                    entries = None  # row k's own steps may have changed its cells
             mat.level += 1
             if on_level is not None:
                 on_level(mat)
@@ -464,7 +495,7 @@ def closure(
     early_fail: bool = True,
     cap: int | None = None,
     counters: OpCounters | None = None,
-    known: dict | None = None,
+    broken: set | None = None,
 ) -> LabelMatrix:
     """Pivot recurrence over the useful states with ``product``; mutates ``mat`` in place.
 
@@ -483,9 +514,10 @@ def closure(
     :func:`check_regular_inclusion` could only fire with ``early_fail``
     off, and only then is it run.
 
-    ``known`` (from :func:`known_cells`) lets the closure settle
-    steps without a semiring call.  If K[i][k] = tau(i) tau(k)^-1 and
-    K[k][j] = tau(k) tau(j)^-1, their product is tau(i) tau(j)^-1, so
+    ``broken`` (from :func:`potential`; passed only with the early exit
+    on) lets the closure settle steps without a semiring call, on the
+    tables :func:`pivot_closure` describes.  If K[i][k] = tau(i) tau(k)^-1
+    and K[k][j] = tau(k) tau(j)^-1, their product is tau(i) tau(j)^-1, so
     into an empty cell or one that already holds just that label the
     step can only add that label or improve its witness; the closure,
     its exit and every witness stay those of the unguided closure.
@@ -499,13 +531,13 @@ def closure(
         counters=counters,
         counted="products",
         on_cell=_singleton_exit if early_fail else None,
-        known=known,
+        broken=broken,
     )
 
 
 def shortest_word_path(a: Nfa, source: int, targets: frozenset[int] | set[int]) -> Word | None:
     """Minimal (length, then lexicographic) word labeling a path into ``targets``."""
-    walk = shortest_walk(successors(a.arcs()), source, targets)
+    walk = shortest_walk(a._successors, source, targets)
     return None if walk is None else walk[0]
 
 
@@ -547,11 +579,9 @@ def check_regular_inclusion(
     if not broken and tau.get(a.start) == backend.identity:
         return Holds()
     # A violation: the closure finds it again and names its witness.
-    known = known_cells(mat, broken) if config.early_fail else None
+    guide = broken if config.early_fail else None
     try:
-        closure(
-            mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters, known=known
-        )
+        closure(mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters, broken=guide)
     except SingletonViolation as sv:
         u = shortest_word_path(a, a.start, {sv.i})
         w = shortest_word_path(a, sv.j, set(finals_useful))

@@ -46,7 +46,7 @@ class OpCounters(Record):
     """Counts of the semiring calls one check makes.
 
     The pivot steps of the regular closure that the potential settles
-    (see ``regular.known_cells``) make no call and are not counted.
+    (see ``regular.pivot_closure``) make no call and are not counted.
     """
 
     unions: int = 0

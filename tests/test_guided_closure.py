@@ -1,9 +1,9 @@
 """The regular closure guided by the potential, against the unguided closure.
 
-``known_cells`` marks the level-0 singleton cells that ``potential``
-does not find broken, whose one label agrees with the potential tau,
-and ``closure(..., known=...)`` settles from them the pivot steps whose
-outcome tau already fixes, with no semiring call.  The guided closure
+Given the cells ``potential`` finds broken, ``closure(..., broken=...)``
+knows the other level-0 singleton cells, whose one label agrees with
+the potential tau, and settles from them the pivot steps whose outcome
+tau already fixes, with no semiring call.  The guided closure
 must end exactly as the unguided one: the same
 ``SingletonViolation``, the same ``CapExceeded``, or the same closed
 matrix.
@@ -35,7 +35,7 @@ from grouplang import (
     useful_states,
 )
 from grouplang.corpus import random_nfa
-from grouplang.regular import known_cells, pivot_closure, potential
+from grouplang.regular import pivot_closure, potential
 from grouplang.semiring import product, union
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,10 +75,10 @@ def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool):
     useful = useful_states(a)
     finals = sorted(a.finals & useful)
     mat = build_initial_matrix(a, backend, useful=useful)
-    known = known_cells(mat, potential(mat, finals)[1]) if guided else None
+    broken = potential(mat, finals)[1] if guided else None
     counters = OpCounters()
     try:
-        closure(mat, early_fail=early_fail, cap=cap, counters=counters, known=known)
+        closure(mat, early_fail=early_fail, cap=cap, counters=counters, broken=broken)
     except SingletonViolation as sv:
         return ("violation", sv.i, sv.j, sv.witness_a, sv.witness_b), counters
     except CapExceeded as exc:
@@ -99,7 +99,7 @@ def test_guided_closure_ends_as_the_unguided_one(seed, pick, shape, cap, early_f
     rng = random.Random(seed)
     backend = BACKENDS[pick]
     if shape == "path":
-        states = rng.randint(2, 16)
+        states = rng.randint(2, 32)  # the sizes of the regular-closure benchmark pool
         a = path_nfa(rng, backend, states, rng.randint(1, states))
     else:
         a = random_nfa(
@@ -149,6 +149,35 @@ def test_guided_closure_multiplies_only_at_the_violation():
     assert counters.unions == counters.products
 
 
+def pinned_long_path() -> Nfa:
+    """A 32-state inverse-paired path over Z^2 with the self-loop x1 at state 28.
+
+    The path reads (x1 x2 X1 X2)^7 x1 x2 X1, the largest size of the
+    regular-closure benchmark pool.
+    """
+    letters = (1, 2, -1, -2) * 7 + (1, 2, -1)
+    arcs = {(q, a, q + 1) for q, a in enumerate(letters, 1)}
+    arcs |= {(q + 1, -a, q) for q, a in enumerate(letters, 1)}
+    arcs.add((28, 1, 28))
+    # The path value is the identity at states 1, 5, ..., 29.
+    return Nfa(states=32, rank=2, transitions=frozenset(arcs), finals=frozenset(range(1, 32, 4)))
+
+
+def test_guided_closure_at_the_benchmark_size():
+    a = pinned_long_path()
+    backend = FreeAbelian(2)
+    counters = OpCounters()
+    verdict = check_regular_inclusion(a, backend, None, counters)
+    with closure_only():
+        reference = check_regular_inclusion(a, backend, None)
+    assert verdict == reference and isinstance(verdict, Fails)
+    assert verdict.state == 28
+    assert counters.products == counters.unions == 1
+    guided = run_closure(a, backend, None, True, guided=True)[0]
+    assert guided == run_closure(a, backend, None, True, guided=False)[0]
+    assert guided[:3] == ("violation", 28, 28)
+
+
 def settled_chain() -> Nfa:
     """1 -x1-> 2 -x2-> 3 -x1-> 4 over F2, with the arcs 3 -X2-> 2 and 2 -X1-> 1 back.
 
@@ -184,7 +213,7 @@ def test_guided_closure_with_every_step_settled():
         counters=None,
         counted="products",
         on_cell=lambda i, j, cell: seen.append((i, j)),
-        known=known_cells(mat, broken),
+        broken=broken,
     )
     assert seen == level0 and len(mat.cells) > len(level0)
 
