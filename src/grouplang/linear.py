@@ -290,11 +290,11 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
 
     A failure is definitive long before the sink column of the matrix
     fills in; on inclusions that hold the scan never fires.  A vertex's
-    walks and tail value are computed once, when its cycle cell first
-    becomes non-empty.  Cells only grow and a pair that passed against
-    the vertex's one tail passes again, so each pair is tested once, and
-    a cycle cell that is still the object scanned at the last level is
-    skipped.
+    tail walk and value are computed once, when its cycle cell first
+    becomes non-empty, and its access walk only when a pair fails.
+    Cells only grow and a pair that passed against the vertex's one tail
+    passes again, so each pair is tested once, and a cycle cell that is
+    still the object scanned at the last level is skipped.
     """
     out = successors(diagram_arcs(g))
     probes: dict[int, tuple] = {}
@@ -306,14 +306,15 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
             if not cycles or scanned.get(i) is cycles:
                 continue
             if i not in probes:
-                # i is useful, so both walks exist.
+                # i is useful, so its tail and access walks exist.
                 tail_left, tail_right = shortest_walk(out, i, {g.sink})
                 tail = tail_left + tail_right
                 v = backend.canonicalize(tail)
-                probes[i] = (shortest_walk(out, g.start, {i}), [(v, tail)], set())
-            access, tails, passed = probes[i]
+                probes[i] = ([(v, tail)], set())
+            tails, passed = probes[i]
             found = _wrapped_failure(backend, cycles, tails, passed)
             if found is not None:
+                access = shortest_walk(out, g.start, {i})
                 raise _EarlyViolation(CONJUGATE, i, _wrapped_words(access, *found))
             passed.update(cycles.elements)
             scanned[i] = cycles
@@ -350,7 +351,6 @@ def closure_pairs(
 
     return pivot_closure(
         mat,
-        mat.useful + (mat.cols,),
         diamond,
         union,
         cap=cap,

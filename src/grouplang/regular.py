@@ -327,7 +327,6 @@ _NO_CELL = 1 << 29
 
 def pivot_closure(
     mat: LabelMatrix,
-    columns,
     multiply,
     union,
     *,
@@ -340,7 +339,8 @@ def pivot_closure(
 ) -> LabelMatrix:
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
-    Pivots and rows run over ``mat.useful``, columns over ``columns``.
+    Pivots and rows run over ``mat.useful``; columns run over them too,
+    then over the columns past the last row (a pair matrix's sink).
     ``on_cell(i, j, cell)`` sees every level-0 cell and every change a
     semiring step makes, and ``on_level(mat)`` sees the matrix before the
     first pivot and after each; either may raise to stop the closure.
@@ -348,12 +348,13 @@ def pivot_closure(
     ``counted`` field, also when the closure stops early.
 
     ``broken`` (element sets only), the cells :func:`potential` found
-    broken, guides the closure.  A level-0 singleton cell outside it is
-    *known*: its one label is tau(i) tau(j)^-1.  Two tables indexed by
-    row, then column, hold what the guide reads: ``ln[i][j]`` is the
-    witness length of a known cell, -1 for any other non-empty cell and
-    ``_NO_CELL`` for an empty one (two lists of ``mat.cols + 1`` entries
-    per useful row), and ``kn[i][j]`` is a known cell's (label, witness).
+    broken, guides the closure.  A level-0 cell outside it is *known*: a
+    singleton (two labels c of one cell cannot both have ``wrap(c, tau(j))
+    == tau(i)``) whose label is tau(i) tau(j)^-1.  Two tables per useful
+    row, indexed by a column's position ``at[j]``, hold what the guide
+    reads: ``ln[i][at[j]]`` is the witness length of a known cell, -1 for
+    any other non-empty cell and ``_NO_CELL`` for an empty one, and
+    ``kn[i][at[j]]`` is a known cell's (label, witness).
     A step from two known cells into an empty or known cell is settled
     with no semiring call: the product is tau(i) tau(j)^-1 again, so the
     step fills the empty cell with it or at most improves the known
@@ -372,17 +373,15 @@ def pivot_closure(
     useful = mat.useful
     backend = mat.backend
     mul = backend._mul
-    ln_i = None
+    columns = useful + tuple(range(mat.rows + 1, mat.cols + 1))
     if broken is not None:
-        width = mat.cols + 1
-        ln = {i: [_NO_CELL] * width for i in useful}
-        kn = {i: [None] * width for i in useful}
+        at = {j: n for n, j in enumerate(columns)}
+        ln = {i: [_NO_CELL] * len(columns) for i in useful}
+        kn = {i: [None] * len(columns) for i in useful}
         for (i, j), cell in cells.items():
-            if len(cell.elements) == 1 and (i, j) not in broken:
-                kn[i][j] = entry = next(iter(cell.elements.items()))
-                ln[i][j] = len(entry[1])
-            else:
-                ln[i][j] = -1
+            entry = None if (i, j) in broken else next(iter(cell.elements.items()))
+            kn[i][at[j]] = entry
+            ln[i][at[j]] = -1 if entry is None else len(entry[1])
     multiplied = unions = 0
     try:
         if on_cell is not None:
@@ -390,10 +389,10 @@ def pivot_closure(
                 on_cell(i, j, cell)
         if on_level is not None:
             on_level(mat)
-        for k in useful:
+        for at_k, k in enumerate(useful):  # the columns start with ``useful``
             # Only a non-empty K[k][j] is ever multiplied, so the
             # non-empty columns of row k stay the same during pivot k.
-            row_k = [j for j in columns if get((k, j), empty).elements]
+            row_k = [(j, p) for p, j in enumerate(columns) if get((k, j), empty).elements]
             entries = None
             for i in useful:
                 left = get((i, k), empty)
@@ -402,23 +401,24 @@ def pivot_closure(
                 steps = row_k
                 if broken is not None:
                     ln_i = ln[i]
-                    left_len = ln_i[k]
+                    left_len = ln_i[at_k]
                     if left_len >= 0:
                         if entries is None:
-                            # (j, kn[k][j], the witness length of a known K[k][j]
-                            # or else -_NO_CELL, which passes no length test).
+                            # (j, at[j], kn[k][at[j]], the witness length of a known
+                            # K[k][j] or else -_NO_CELL, which passes no length test).
                             ln_k, kn_k = ln[k], kn[k]
                             entries = [
-                                (j, kn_k[j], n if (n := ln_k[j]) >= 0 else -_NO_CELL) for j in row_k
+                                (j, p, kn_k[p], n if (n := ln_k[p]) >= 0 else -_NO_CELL)
+                                for j, p in row_k
                             ]
                         # Settle first the steps tau fixes: the steps of one
                         # row write distinct cells and all read K[i][k] as it
                         # was, so the rest see the cells they would have seen.
                         steps = []
                         kn_i = kn[i]
-                        left_label, left_wit = kn_i[k]
-                        for j, right, right_len in entries:
-                            old = ln_i[j]
+                        left_label, left_wit = kn_i[at_k]
+                        for j, p, right, right_len in entries:
+                            old = ln_i[p]
                             if old >= 0:
                                 new_len = left_len + right_len
                                 # ``union``'s witness order, without building
@@ -430,15 +430,15 @@ def pivot_closure(
                                     if old == _NO_CELL:
                                         label = mul(left_label, right[0])
                                     else:
-                                        label, old_wit = kn_i[j]
+                                        label, old_wit = kn_i[p]
                                         if new_len == old and not wit < old_wit:
                                             continue
-                                    kn_i[j] = (label, wit)
-                                    ln_i[j] = new_len
+                                    kn_i[p] = (label, wit)
+                                    ln_i[p] = new_len
                                     cells[i, j] = type(empty)(backend, {label: wit}, True)
                                     continue
-                            steps.append(j)
-                for j in steps:
+                            steps.append((j, p))
+                for j, p in steps:
                     current = get((i, j), empty)
                     try:
                         prod = multiply(left, cells[k, j], cap=cap)
@@ -451,8 +451,8 @@ def pivot_closure(
                     if merged is current:
                         continue
                     cells[i, j] = merged
-                    if ln_i is not None:
-                        ln_i[j] = -1
+                    if broken is not None:
+                        ln_i[p] = -1
                     if on_cell is not None:
                         on_cell(i, j, merged)
                 if i == k:
@@ -505,33 +505,40 @@ def closure(
     inclusion, and stopping there keeps every set a singleton on
     instances where the inclusion holds.
 
-    When ``early_fail`` is set and no violation is raised, every useful
-    cycle cell ends up holding only the identity.  The label y of a
-    cycle read from its largest state m is in K[m][m] before pivot m,
-    which then adds y * y; a singleton cell forces y * y = y, so y = e,
-    and read from another of its states the cycle's label is a
-    conjugate of y.  So the conjugate test of
-    :func:`check_regular_inclusion` could only fire with ``early_fail``
-    off, and only then is it run.
+    A closure that ends with singleton cells leaves only the identity in
+    every useful cycle cell.  The label y of a cycle read from its
+    largest state m is in K[m][m] before pivot m, which then adds y * y;
+    a singleton cell forces y * y = y, so y = e, and read from another
+    of its states the cycle's label is a conjugate of y.  So the
+    conjugate test of :func:`check_regular_inclusion` can fire only
+    after a closure that left a cell with two labels, which only the
+    paper's closure, ``early_fail=False``, can do; the default closure
+    gets there only when the tests' ``closure_only()`` skips the potential.
 
-    ``broken`` (from :func:`potential`; passed only with the early exit
-    on) lets the closure settle steps without a semiring call, on the
-    tables :func:`pivot_closure` describes.  If K[i][k] = tau(i) tau(k)^-1
-    and K[k][j] = tau(k) tau(j)^-1, their product is tau(i) tau(j)^-1, so
-    into an empty cell or one that already holds just that label the
-    step can only add that label or improve its witness; the closure,
-    its exit and every witness stay those of the unguided closure.
+    ``broken`` (from :func:`potential`) lets the closure settle the steps
+    whose product tau fixes, as :func:`pivot_closure` describes; the
+    closure, its exit and every witness stay those of the unguided one.
+    ``early_fail=False`` runs the paper's closure unguided, whatever
+    ``broken`` is.
+
+    >>> from grouplang import Cyclic
+    >>> loop = Nfa(states=1, rank=1, transitions=frozenset({(1, 1, 1)}), finals=frozenset({1}))
+    >>> closure(build_initial_matrix(loop, Cyclic(2)))
+    Traceback (most recent call last):
+    ...
+    grouplang.errors.SingletonViolation: cell (1, 1) holds two distinct labels
+    >>> closure(build_initial_matrix(loop, Cyclic(2)), early_fail=False).cell(1, 1)
+    GroupSet({1: (1,), 0: (1, 1)})
     """
     return pivot_closure(
         mat,
-        mat.useful,
         product,
         union,
         cap=cap,
         counters=counters,
         counted="products",
         on_cell=_singleton_exit if early_fail else None,
-        broken=broken,
+        broken=broken if early_fail else None,
     )
 
 
@@ -579,9 +586,8 @@ def check_regular_inclusion(
     if not broken and tau.get(a.start) == backend.identity:
         return Holds()
     # A violation: the closure finds it again and names its witness.
-    guide = broken if config.early_fail else None
     try:
-        closure(mat, early_fail=config.early_fail, cap=config.set_cap, counters=counters, broken=guide)
+        closure(mat, cap=config.set_cap, counters=counters, broken=broken)
     except SingletonViolation as sv:
         u = shortest_word_path(a, a.start, {sv.i})
         w = shortest_word_path(a, sv.j, set(finals_useful))
@@ -597,7 +603,7 @@ def check_regular_inclusion(
         if bad is not None:
             return Fails(witness=bad[1], reason=SIMPLE_PATH)
 
-    if config.early_fail:
+    if all(len(cell) == 1 for cell in mat.cells.values()):
         return Holds()  # every cycle cell is identity-only: see ``closure``
     for j in sorted(useful):
         access = mat.cell(start, j)

@@ -66,19 +66,12 @@ class RunConfig(Record, frozen=True):
     the input's level-0 cells.  The closure runs only when the potential
     test finds a violation, or in literal mode; a language that holds is
     decided without label sets and never reaches the cap.
-    ``early_fail`` applies to the regular check only, so only to failing
-    automata: it picks their witness search, exiting as soon as two
-    distinct walk labels show up between one pair of useful states, and
-    lets the potential settle the closure steps whose outcome it fixes;
-    ``early_fail=False`` runs the paper's full closure, unguided, for
-    comparison.
     ``literal_omega10`` switches the linear check's cycle test to the
     independent-projection form, kept only to demonstrate that it can
     reject valid inclusions.
     """
 
     set_cap: int = 4096
-    early_fail: bool = True
     literal_omega10: bool = False
 
     def __post_init__(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 
@@ -79,6 +80,21 @@ def closure_only():
     finally:
         for module, original in saved:
             module.potential = original
+
+
+@contextmanager
+def paper_closure():
+    """The regular check on the paper's full closure: unguided, with no early exit.
+
+    The closure then runs to the end and the check runs the paper's
+    start-to-final and conjugate tests on the closed matrix.
+    """
+    original = grouplang.regular.closure
+    grouplang.regular.closure = functools.partial(original, early_fail=False)
+    try:
+        yield
+    finally:
+        grouplang.regular.closure = original
 
 
 @pytest.fixture

@@ -250,6 +250,80 @@ def test_malformed_language_exit_two(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+_CAYLEY = {"kind": "cayley", "size": 2, "identity": 0, "table": [[0, 1], [1, 0]], "generator_images": [1]}
+# (file, is it the group file, the error line; "{path}" stands for the file's path)
+INPUT_ERRORS = {
+    "language-array": ([], False, "{path}: language description must be a JSON object"),
+    "transitions-not-list": (
+        {**_AUTOMATON, "transitions": {}},
+        False,
+        "field 'transitions' must be a list of [from, letter, to]",
+    ),
+    "finals-not-list": ({**_AUTOMATON, "finals": 2}, False, "field 'finals' must be a list of states"),
+    "start-out-of-range": ({**_AUTOMATON, "start": 99}, False, "start state 99 out of range 1..2"),
+    "final-out-of-range": ({**_AUTOMATON, "finals": [99]}, False, "final state 99 out of range 1..2"),
+    "productions-not-list": (
+        {**_GRAMMAR, "productions": {}},
+        False,
+        "field 'productions' must be a list",
+    ),
+    "grammar-start-out-of-range": ({**_GRAMMAR, "start": 99}, False, "start 99 out of range 1..1"),
+    "lhs-out-of-range": (
+        {**_GRAMMAR, "productions": [{"lhs": 99, "alpha": []}]},
+        False,
+        "production lhs 99 out of range",
+    ),
+    "rhs-out-of-range": (
+        {**_GRAMMAR, "productions": [{"lhs": 1, "alpha": [], "rhs": 99, "beta": []}]},
+        False,
+        "production rhs 99 out of range",
+    ),
+    "group-array": ([], True, "group specification must be a JSON object"),
+    "table-not-list": ({**_CAYLEY, "table": {}}, True, "field 'table' must be a list of rows"),
+    "images-not-list": (
+        {**_CAYLEY, "generator_images": 1},
+        True,
+        "field 'generator_images' must be a list",
+    ),
+    "identity-out-of-range": ({**_CAYLEY, "identity": 5}, True, "identity index 5 out of range 0..1"),
+    "identity-not-identity": (
+        {**_CAYLEY, "identity": 1},
+        True,
+        "index 1 does not act as the identity on 0",
+    ),
+    "column-not-permutation": (
+        {**_CAYLEY, "size": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
+        True,
+        "column 1 is not a permutation",
+    ),
+    "no-generator-images": (
+        {**_CAYLEY, "generator_images": []},
+        True,
+        "at least one generator image is required",
+    ),
+    "image-out-of-range": (
+        {**_CAYLEY, "generator_images": [2]},
+        True,
+        "generator image 2 out of range 0..1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_error_names_its_cause(tmp_path, capsys, name):
+    content, is_group, message = INPUT_ERRORS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    group, language = SAMPLES / "group_free1.json", SAMPLES / "nfa_cancel.json"
+    if is_group:
+        group = path
+    else:
+        language = path
+    code, _, err = run(capsys, "check", str(group), str(language))
+    assert code == 2
+    assert err == f"error: {message.format(path=path)}\n"
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [

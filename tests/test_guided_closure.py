@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -206,7 +207,6 @@ def test_guided_closure_with_every_step_settled():
     seen = []
     pivot_closure(
         mat,
-        mat.useful,
         product,
         union,
         cap=None,
@@ -216,6 +216,21 @@ def test_guided_closure_with_every_step_settled():
         broken=broken,
     )
     assert seen == level0 and len(mat.cells) > len(level0)
+
+
+def test_guided_tables_do_not_grow_with_the_state_numbers():
+    # One arc into the last of two million states: the closure's tables
+    # have one entry per useful column, not per state number.
+    last = 2_000_000
+    a = Nfa(states=last, rank=1, transitions=frozenset({(1, 1, last)}), finals=frozenset({last}))
+    tracemalloc.start()
+    try:
+        verdict = check_regular_inclusion(a, Cyclic(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == Fails(witness=(1,), reason="simple-path")
+    assert peak < 1 << 20
 
 
 def test_the_potential_is_read_once(monkeypatch):

@@ -404,7 +404,7 @@ def test_verdict_reprs_and_defaults_are_pinned():
         "Fails(witness=(1, -2), reason='conjugate', state=None, spurious=False)"
     )
     assert repr(ResourceExceeded((1, 2), 5)) == "ResourceExceeded(cell=(1, 2), cardinality=5)"
-    assert repr(RunConfig()) == "RunConfig(set_cap=4096, early_fail=True, literal_omega10=False)"
+    assert repr(RunConfig()) == "RunConfig(set_cap=4096, literal_omega10=False)"
     assert repr(EnumerationBound(3)) == "EnumerationBound(max_word_length=3, max_words=1000000)"
     assert repr(OracleFails((1,), 2)) == "OracleFails(witness=(1,), words_checked=2)"
     assert repr(Production(1, (1,), 2)) == "Production(lhs=1, alpha=(1,), rhs=2, beta=())"

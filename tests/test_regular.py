@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symmetric_group_3
+from conftest import paper_closure, symmetric_group_3
 from grouplang import (
     CONJUGATE,
     BackendMismatch,
@@ -208,22 +208,25 @@ def test_check_rank_mismatch():
 
 
 def test_check_resource_exceeded_reports_cell():
-    config = RunConfig(set_cap=1, early_fail=False)
+    config = RunConfig(set_cap=1)
     # With early-fail off, pivot 1 adds x x to the loop cell {x}; the
     # union grows it past a cap of 1.
     a = nfa(1, [(1, 1, 1)], [1])
-    assert check_regular_inclusion(a, FG1, config) == ResourceExceeded(cell=(1, 1), cardinality=2)
+    with paper_closure():
+        assert check_regular_inclusion(a, FG1, config) == ResourceExceeded(cell=(1, 1), cardinality=2)
     # The cap bounds only what the closure computes: parallel arcs put
     # two labels in the input cell (1, 2), but no set grows there.
     a = nfa(2, [(1, 1, 2), (1, -1, 2)], [2])
-    assert check_regular_inclusion(a, FG1, config) == Fails(witness=(-1,), reason="simple-path")
+    with paper_closure():
+        assert check_regular_inclusion(a, FG1, config) == Fails(witness=(-1,), reason="simple-path")
 
 
 def test_check_conjugate_violation_mid_cycle():
     # Words x (x)^n x^-1: the simple path x x^-1 cancels, but the cycle at
     # state 2 does not, so only the conjugate test can catch it.
     a = nfa(3, [(1, 1, 2), (2, 1, 2), (2, -1, 3)], [3], rank=1)
-    verdict = check_regular_inclusion(a, Cyclic(3), RunConfig(early_fail=False))
+    with paper_closure():
+        verdict = check_regular_inclusion(a, Cyclic(3))
     assert isinstance(verdict, Fails)
     assert verdict.reason == "conjugate"
     assert a.accepts(verdict.witness)
@@ -253,7 +256,8 @@ def test_first_failing_word_raises_on_no_candidate():
 
 def test_simple_path_violation_uses_cell_witness():
     a = nfa(2, [(1, 1, 2), (2, 1, 1)], [2], rank=1)
-    verdict = check_regular_inclusion(a, Cyclic(3), RunConfig(early_fail=False))
+    with paper_closure():
+        verdict = check_regular_inclusion(a, Cyclic(3))
     assert isinstance(verdict, Fails)
     assert verdict.reason == "simple-path"
     assert verdict.witness == (1,)
@@ -321,8 +325,9 @@ def test_early_fail_agrees_with_literal_run():
         finals = [s for s in range(1, n + 1) if rng.random() < 0.4]
         a = nfa(n, arcs, finals)
         for backend in (FG1, Cyclic(2), Cyclic(4)):
-            fast = check_regular_inclusion(a, backend, RunConfig(early_fail=True))
-            slow = check_regular_inclusion(a, backend, RunConfig(early_fail=False))
+            fast = check_regular_inclusion(a, backend)
+            with paper_closure():
+                slow = check_regular_inclusion(a, backend)
             if isinstance(fast, ResourceExceeded) or isinstance(slow, ResourceExceeded):
                 continue
             assert isinstance(fast, Holds) == isinstance(slow, Holds)
