@@ -116,9 +116,6 @@ class GroupBackend:
         """Raise :class:`BackendMismatch` unless ``a`` is an element in canonical form."""
         raise NotImplementedError
 
-    def is_identity(self, a) -> bool:
-        return a == self.identity
-
     def word_in_group_language(self, word: Word) -> bool:
         """Does ``word`` multiply out to the identity?"""
         return self.canonicalize(word) == self.identity

@@ -16,6 +16,7 @@ vertex, the cycle pairs wrapped around the tails that leave it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CapExceeded, InputError, InternalInconsistency
@@ -71,7 +72,12 @@ class Production(Record, frozen=True):
 
 
 class LinearGrammar(Record, frozen=True):
-    """Nonterminals are 1..nonterminals; the sink vertex of the diagram is nonterminals + 1."""
+    """Nonterminals are 1..nonterminals; the sink vertex of the diagram is nonterminals + 1.
+
+    The diagram is derived once, on first use, as for ``Nfa``: ``_arcs``,
+    the arcs (src, dst, alpha, beta) sorted, a terminal production's arc
+    ending at the sink, and ``_successors``, their ``successors``.
+    """
 
     nonterminals: int
     rank: int
@@ -96,6 +102,17 @@ class LinearGrammar(Record, frozen=True):
     @property
     def sink(self) -> int:
         return self.nonterminals + 1
+
+    @cached_property
+    def _arcs(self) -> tuple[tuple[int, int, Word, Word], ...]:
+        sink = self.sink
+        return tuple(
+            sorted((p.lhs, sink if p.rhs is None else p.rhs, p.alpha, p.beta) for p in self.productions)
+        )
+
+    @cached_property
+    def _successors(self) -> dict[int, list[tuple[int, int, Word, Word]]]:
+        return successors(self._arcs)
 
     def generates(self, word: Word) -> bool:
         """Interval parse; independent of the closure machinery.
@@ -144,26 +161,17 @@ def parse_grammar(obj: dict) -> LinearGrammar:
         if not isinstance(p, dict):
             raise InputError(f"bad production {p!r}")
         keys = set(p)
-        if keys == {"lhs", "alpha", "rhs", "beta"}:
-            prods.append(
-                Production(
-                    lhs=require_int(p["lhs"], "production lhs", 1),
-                    alpha=_parse_word(p["alpha"], "production alpha"),
-                    rhs=require_int(p["rhs"], "production rhs", 1),
-                    beta=_parse_word(p["beta"], "production beta"),
-                )
-            )
-        elif keys == {"lhs", "alpha"}:
-            prods.append(
-                Production(
-                    lhs=require_int(p["lhs"], "production lhs", 1),
-                    alpha=_parse_word(p["alpha"], "production alpha"),
-                )
-            )
-        else:
+        if keys != {"lhs", "alpha", "rhs", "beta"} and keys != {"lhs", "alpha"}:
             raise InputError(
                 f"production must have fields lhs/alpha/rhs/beta or lhs/alpha, got {sorted(keys)}"
             )
+        lhs = require_int(p["lhs"], "production lhs", 1)
+        alpha = _parse_word(p["alpha"], "production alpha")
+        if "rhs" in keys:
+            rhs = require_int(p["rhs"], "production rhs", 1)
+            prods.append(Production(lhs, alpha, rhs, _parse_word(p["beta"], "production beta")))
+        else:
+            prods.append(Production(lhs, alpha))
     return LinearGrammar(
         nonterminals=require_int(obj["nonterminals"], "field 'nonterminals'", 1),
         rank=require_int(obj["alphabet_rank"], "field 'alphabet_rank'", 1),
@@ -175,12 +183,10 @@ def parse_grammar(obj: dict) -> LinearGrammar:
 def grammar_to_dict(g: LinearGrammar) -> dict:
     prods = []
     for p in g.productions:
-        if p.rhs is None:
-            prods.append({"lhs": p.lhs, "alpha": list(p.alpha)})
-        else:
-            prods.append(
-                {"lhs": p.lhs, "alpha": list(p.alpha), "rhs": p.rhs, "beta": list(p.beta)}
-            )
+        prod = {"lhs": p.lhs, "alpha": list(p.alpha)}
+        if p.rhs is not None:
+            prod.update(rhs=p.rhs, beta=list(p.beta))
+        prods.append(prod)
     return {
         "kind": "linear_grammar",
         "nonterminals": g.nonterminals,
@@ -194,21 +200,9 @@ def load_grammar(path: str | Path) -> LinearGrammar:
     return parse_grammar(read_json(path))
 
 
-def diagram_arcs(g: LinearGrammar) -> list[tuple[int, int, Word, Word]]:
-    """Arcs (src, dst, left, right) of the grammar's labeled graph, sink included."""
-    arcs = []
-    for p in g.productions:
-        if p.rhs is None:
-            arcs.append((p.lhs, g.sink, p.alpha, ()))
-        else:
-            arcs.append((p.lhs, p.rhs, p.alpha, p.beta))
-    arcs.sort()
-    return arcs
-
-
 def useful_nonterminals(g: LinearGrammar) -> frozenset[int]:
     """Nonterminals reachable from the start and able to reach the sink."""
-    return useful_vertices(diagram_arcs(g), g.start, {g.sink}) - {g.sink}
+    return useful_vertices(g._arcs, g.start, {g.sink}) - {g.sink}
 
 
 def build_grammar_matrix(
@@ -222,7 +216,7 @@ def build_grammar_matrix(
     """
     require_rank("grammar", g.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, g.nonterminals + 1))
-    return build_matrix(backend, diagram_arcs(g), PairSet, g.nonterminals, g.sink, keep)
+    return build_matrix(backend, g._arcs, PairSet, g.nonterminals, g.sink, keep)
 
 
 class _EarlyViolation(Exception):
@@ -239,8 +233,8 @@ class _EarlyViolation(Exception):
         super().__init__("definitive violation found during closure")
 
 
-def _final_cell_scan():
-    """Test of the start-to-sink cell, run each time it changes: every pair must multiply to e.
+def _final_cell_scan(watch: tuple[int, int]):
+    """``on_cell`` test of the cell ``watch``, run each time it changes: every pair must multiply to e.
 
     Cells only grow and a pair's product never changes, so the pairs
     that passed are kept and only new ones are tested; the failing pair
@@ -248,7 +242,9 @@ def _final_cell_scan():
     """
     passed: set = set()
 
-    def scan(cell: PairSet) -> None:
+    def scan(i: int, j: int, cell: PairSet) -> None:
+        if (i, j) != watch:
+            return
         if not cell.checked:
             cell.check_labels()
         backend = cell.backend
@@ -296,7 +292,7 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
     passes again, so each pair is tested once, and a cycle cell that is
     still the object scanned at the last level is skipped.
     """
-    out = successors(diagram_arcs(g))
+    out = g._successors
     probes: dict[int, tuple] = {}
     scanned: dict[int, PairSet] = {}
 
@@ -341,14 +337,6 @@ def closure_pairs(
     non-identity products on every update, and ``level_scan`` is called
     on the matrix before the first pivot and after each one.
     """
-    on_cell = None
-    if watch_final is not None:
-        scan_final = _final_cell_scan()
-
-        def on_cell(i: int, j: int, cell: PairSet) -> None:
-            if (i, j) == watch_final:
-                scan_final(cell)
-
     return pivot_closure(
         mat,
         diamond,
@@ -356,7 +344,7 @@ def closure_pairs(
         cap=cap,
         counters=counters,
         counted="diamonds",
-        on_cell=on_cell,
+        on_cell=None if watch_final is None else _final_cell_scan(watch_final),
         on_level=level_scan,
     )
 

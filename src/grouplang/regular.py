@@ -17,9 +17,12 @@ can break the potential run ``product`` and ``union``.
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
 matrix builder, the potential test and the pivot loop.  Both checks run
-on arcs (src, dst, left, right): an automaton arc has an empty right
-part, a grammar arc wraps its left and right words around the rest of
-the walk.
+on a language's diagram, its arcs (src, dst, left, right): an automaton
+arc has an empty right part, a grammar arc wraps its left and right
+words around the rest of the walk.  :class:`Nfa` and
+:class:`~grouplang.linear.LinearGrammar` each derive their sorted arcs
+(``_arcs``) and the arcs' :func:`successors` (``_successors``) once, on
+first use, and every later check of the same language reads them.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class Nfa(Record, frozen=True):
     """Nondeterministic automaton over the signed alphabet; states are 1..states.
 
     Arcs carry exactly one letter; empty-word arcs are rejected.  The
-    sorted arcs and their :func:`successors` are derived on first use.
+    diagram is derived once, on first use: ``_arcs``, the arcs sorted,
+    and ``_successors``, their :func:`successors`.
     """
 
     states: int
@@ -94,12 +98,9 @@ class Nfa(Record, frozen=True):
                 return False
         return bool(current & self.finals)
 
-    def arcs(self) -> tuple[tuple[int, int, Word, Word], ...]:
-        """Arcs (src, dst, (letter,), ()) in (src, letter, dst) order."""
-        return self._arcs
-
     @cached_property
     def _arcs(self) -> tuple[tuple[int, int, Word, Word], ...]:
+        """Arcs (src, dst, (letter,), ()) in (src, letter, dst) order."""
         word = {letter: (letter,) for _src, letter, _dst in self.transitions}  # shared: less to cache
         return tuple((src, dst, word[letter], ()) for src, letter, dst in sorted(self.transitions))
 
@@ -192,7 +193,7 @@ def useful_vertices(arcs, start: int, ends) -> frozenset[int]:
 
 def useful_states(a: Nfa) -> frozenset[int]:
     """States on some walk from the start to a final state."""
-    return useful_vertices(a.arcs(), a.start, a.finals)
+    return useful_vertices(a._arcs, a.start, a.finals)
 
 
 def successors(arcs) -> dict[int, list[tuple[int, int, Word, Word]]]:
@@ -253,11 +254,13 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep) 
     Arcs leaving a vertex outside ``keep``, or entering one, are dropped,
     so those rows and columns stay empty; columns past the last row (the
     grammar's sink) are never dropped.  Cells are created in arc order,
-    and start out checked: their labels come from ``canonicalize``.
+    and start out checked: their labels come from ``canonicalize``, once
+    per distinct arc word.
     No cap applies: a cell holds at most one label per arc, and the set
     cap bounds only the sets the closure computes.
     """
     cells: dict = {}
+    labels: dict = {}  # arc witness -> its label
     key = cell_type.witness_key
     for src, dst, left, right in arcs:
         if src not in keep or (dst <= rows and dst not in keep):
@@ -266,7 +269,9 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep) 
         if cell is None:
             cell = cells[src, dst] = cell_type(backend, None, True)
         wit = cell_type.arc_witness(left, right)
-        label = cell_type.evaluate(backend, wit)
+        label = labels.get(wit)
+        if label is None:
+            label = labels[wit] = cell_type.evaluate(backend, wit)
         old = cell.elements.get(label)
         if old is None or key(wit) < key(old):
             cell.elements[label] = wit
@@ -480,7 +485,7 @@ def build_initial_matrix(
     """
     require_rank("automaton", a.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, a.states + 1))
-    return build_matrix(backend, a.arcs(), GroupSet, a.states, a.states, keep)
+    return build_matrix(backend, a._arcs, GroupSet, a.states, a.states, keep)
 
 
 def _singleton_exit(i: int, j: int, cell: GroupSet) -> None:

@@ -28,8 +28,6 @@ production wraps text around both sides of a nonterminal.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import BackendMismatch, CapExceeded
 from .groups import Backend, Word, inverse_word
 
@@ -86,12 +84,6 @@ class _LabelSet:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.elements!r})"
 
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def witness(self, label):
-        return self.elements[label]
-
     def sorted_items(self) -> list:
         return sorted(self.elements.items(), key=lambda kv: self.witness_key(kv[1]))
 
@@ -108,13 +100,6 @@ class _LabelSet:
             self.check_label(check, label)
         self.checked = True
 
-    def check_witnesses(self) -> None:
-        """Assert that every stored witness evaluates to its label."""
-        for label, wit in self.elements.items():
-            got = self.evaluate(self.backend, wit)
-            if got != label:
-                raise AssertionError(f"witness {wit!r} evaluates to {got!r}, not {label!r}")
-
 
 class GroupSet(_LabelSet):
     """Finite set of canonical group elements, each with one witness word."""
@@ -124,14 +109,6 @@ class GroupSet(_LabelSet):
     @classmethod
     def identity(cls, backend: Backend) -> "GroupSet":
         return cls(backend, {backend.identity: ()}, True)
-
-    @classmethod
-    def from_witness_words(cls, backend: Backend, words: Iterable[Word]) -> "GroupSet":
-        out: dict = {}
-        for w in words:
-            w = tuple(w)
-            _merge(out, backend.canonicalize(w), w)
-        return cls(backend, out, True)
 
     @staticmethod
     def check_label(check, label) -> None:

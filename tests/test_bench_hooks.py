@@ -13,7 +13,7 @@ from pathlib import Path
 
 import grouplang.linear
 import grouplang.regular
-from grouplang import FreeGroup, OpCounters
+from grouplang import FreeGroup, LinearGrammar, OpCounters, Production
 from grouplang.linear import load_grammar
 from grouplang.regular import load_nfa
 
@@ -21,8 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_inputs"
 
 
-def _traced_sample_checks(monkeypatch):
-    """Run two automata and one grammar under the tracer; return it and the checks' counters."""
+def _traced_checks(monkeypatch, automata, grammars):
+    """Check the languages over FreeGroup(1) under the tracer; return it and the checks' counters."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
     originals = [getattr(module, attr) for module, attr, _name in tracing.SPANS]
@@ -31,14 +31,23 @@ def _traced_sample_checks(monkeypatch):
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        for language in (load_nfa(SAMPLES / "nfa_cancel.json"), load_nfa(SAMPLES / "nfa_star.json")):
+        for language in automata:
             grouplang.regular.check_regular_inclusion(language, backend, None, counters)
-        grammar = load_grammar(SAMPLES / "grammar_balanced.json")
-        grouplang.linear.check_linear_inclusion(grammar, backend, None, counters)
+        for language in grammars:
+            grouplang.linear.check_linear_inclusion(language, backend, None, counters)
     finally:
         tracer.uninstall()
     assert [getattr(module, attr) for module, attr, _name in tracing.SPANS] == originals
     return tracer, counters
+
+
+def _traced_sample_checks(monkeypatch):
+    """Two automata (nfa_cancel holds, nfa_star fails) and one holding grammar."""
+    return _traced_checks(
+        monkeypatch,
+        [load_nfa(SAMPLES / "nfa_cancel.json"), load_nfa(SAMPLES / "nfa_star.json")],
+        [load_grammar(SAMPLES / "grammar_balanced.json")],
+    )
 
 
 def test_tracer_installs_and_sees_both_checks(monkeypatch, no_potential):
@@ -56,4 +65,37 @@ def test_tracer_sees_the_closure_only_on_failures(monkeypatch):
     assert tracer.completed["regular.closure"] == 0
     assert tracer.raised["regular.closure", "SingletonViolation"] == 1
     assert tracer.completed["linear.closure"] == 0
+    assert tracer.opcounter_view() == counters.as_dict()
+
+
+# Every span the default check enters on some holding or failing language.
+DEFAULT_PATH_SPANS = (
+    "regular.useful_states",
+    "regular.build",
+    "regular.closure",
+    "regular.witness",
+    "regular.tests",
+    "linear.useful",
+    "linear.build",
+    "linear.closure",
+    "linear.tests",
+    "semiring.product",
+    "semiring.union",
+    "semiring.diamond",
+)
+
+
+def test_the_default_path_enters_every_span(monkeypatch):
+    # S -> x1 A, A -> x1 generates x1 x1: the closure's one diamond step
+    # fills the start-to-sink cell, whose test then fails.
+    fails_late = LinearGrammar(
+        nonterminals=2, rank=1, productions=(Production(1, (1,), 2), Production(2, (1,)))
+    )
+    tracer, counters = _traced_checks(
+        monkeypatch,
+        [load_nfa(SAMPLES / "nfa_cancel.json"), load_nfa(SAMPLES / "nfa_even.json")],
+        [load_grammar(SAMPLES / "grammar_balanced.json"), fails_late],
+    )
+    entered = set(tracer.completed) | {name for name, _exc in tracer.raised}
+    assert [name for name in DEFAULT_PATH_SPANS if name not in entered] == []
     assert tracer.opcounter_view() == counters.as_dict()

@@ -74,9 +74,9 @@ def test_invert_cayley_identity(s3):
 
 
 def test_is_identity():
-    assert FreeGroup(1).is_identity(())
-    assert not Cyclic(2).is_identity(1)
-    assert FreeAbelian(2).is_identity((0, 0))
+    assert FreeGroup(1).identity == ()
+    assert Cyclic(2).identity != 1
+    assert FreeAbelian(2).identity == (0, 0)
 
 
 def test_word_in_group_language():

@@ -41,7 +41,20 @@ FG4 = FreeGroup(4)
 
 
 def gset(backend, *witness_words):
-    return GroupSet.from_witness_words(backend, [tuple(w) for w in witness_words])
+    out = GroupSet(backend, None, True)
+    for w in witness_words:
+        w = tuple(w)
+        key = backend.canonicalize(w)
+        old = out.elements.get(key)
+        if old is None or GroupSet.witness_key(w) < GroupSet.witness_key(old):
+            out.elements[key] = w
+    return out
+
+
+def check_witnesses(s):
+    """Every stored witness evaluates to its label."""
+    for label, wit in s.elements.items():
+        assert s.evaluate(s.backend, wit) == label, (wit, label)
 
 
 def pset(backend, *witness_pairs):
@@ -67,21 +80,21 @@ def test_union_dedupes_canonically():
     x = gset(FG1, [1])
     also_x = gset(FG1, [1, 1, -1])  # same element, longer witness
     merged = union(x, also_x)
-    assert merged.element_set() == {(1,)}
-    assert merged.witness((1,)) == (1,)
+    assert frozenset(merged.elements) == {(1,)}
+    assert merged.elements[(1,)] == (1,)
 
 
 def test_union_keeps_distinct_elements():
     merged = union(gset(FG1, [1]), GroupSet.identity(FG1))
-    assert merged.element_set() == {(1,), ()}
+    assert frozenset(merged.elements) == {(1,), ()}
 
 
 def test_union_tie_break_is_lexicographic():
     ab = FreeAbelian(2)
     merged = union(gset(ab, [2, 1]), gset(ab, [1, 2]))
-    assert merged.witness((1, 1)) == (1, 2)
+    assert merged.elements[(1, 1)] == (1, 2)
     # Same result regardless of operand order.
-    assert union(gset(ab, [1, 2]), gset(ab, [2, 1])).witness((1, 1)) == (1, 2)
+    assert union(gset(ab, [1, 2]), gset(ab, [2, 1])).elements[(1, 1)] == (1, 2)
 
 
 def test_union_rejects_mixed_backends():
@@ -98,7 +111,7 @@ def test_union_cap():
 
 
 def test_product_cancels():
-    assert product(gset(FG1, [1]), gset(FG1, [-1])).element_set() == {()}
+    assert frozenset(product(gset(FG1, [1]), gset(FG1, [-1])).elements) == {()}
 
 
 def test_product_identity_is_unit():
@@ -117,20 +130,20 @@ def test_product_empty_annihilates():
 
 def test_star_conjugates():
     result = star(gset(FG2, [1]), gset(FG2, [2]))
-    assert result.element_set() == {(1, 2, -1)}
-    assert result.witness((1, 2, -1)) == (1, 2, -1)
+    assert frozenset(result.elements) == {(1, 2, -1)}
+    assert result.elements[(1, 2, -1)] == (1, 2, -1)
 
 
 def test_star_of_identity_collapses():
     x = gset(FG2, [1], [2, 2])
-    assert star(x, GroupSet.identity(FG2)).element_set() == {()}
+    assert frozenset(star(x, GroupSet.identity(FG2)).elements) == {()}
 
 
 def test_star_is_trivial_in_abelian_groups():
     ab = FreeAbelian(2)
     x = gset(ab, [1], [2])
     y = gset(ab, [1, 2], [-1])
-    assert star(x, y).element_set() == y.element_set()
+    assert frozenset(star(x, y).elements) == frozenset(y.elements)
 
 
 # diamond
@@ -140,8 +153,8 @@ def test_diamond_composes_with_reversed_right():
     p = pset(FG4, ([1], [2]))
     q = pset(FG4, ([3], [4]))
     result = diamond(p, q)
-    assert result.element_set() == {((1, 3), (4, 2))}
-    assert result.witness(((1, 3), (4, 2))) == ((1, 3), (4, 2))
+    assert frozenset(result.elements) == {((1, 3), (4, 2))}
+    assert result.elements[((1, 3), (4, 2))] == ((1, 3), (4, 2))
 
 
 def test_diamond_identity_is_unit():
@@ -151,7 +164,7 @@ def test_diamond_identity_is_unit():
 
 def test_diamond_squares_balanced_pair():
     p = pset(FG1, ([1], [-1]))
-    assert diamond(p, p).element_set() == {((1, 1), (-1, -1))}
+    assert frozenset(diamond(p, p).elements) == {((1, 1), (-1, -1))}
 
 
 # projections
@@ -159,22 +172,22 @@ def test_diamond_squares_balanced_pair():
 
 def test_proj_product_multiplies_components():
     p = pset(FG4, ([1], [2]))
-    assert proj_product(p).element_set() == {(1, 2)}
+    assert frozenset(proj_product(p).elements) == {(1, 2)}
 
 
 def test_proj_product_of_balanced_pair_is_identity():
     p = pset(FG2, ([1, 2], [-2, -1]))
-    assert proj_product(p).element_set() == {()}
+    assert frozenset(proj_product(p).elements) == {()}
 
 
 def test_proj_left_of_identity_pair():
-    assert proj_left(PairSet.identity(FG1)).element_set() == {()}
+    assert frozenset(proj_left(PairSet.identity(FG1)).elements) == {()}
 
 
 def test_proj_left_right_witnesses():
     p = pset(FG2, ([1], [2]))
-    assert proj_left(p).witness((1,)) == (1,)
-    assert proj_right(p).witness((2,)) == (2,)
+    assert proj_left(p).elements[(1,)] == (1,)
+    assert proj_right(p).elements[(2,)] == (2,)
 
 
 # triples
@@ -182,24 +195,24 @@ def test_proj_left_right_witnesses():
 
 def test_triple_literal_with_identity_middle():
     x, y, z = gset(FG2, [1]), GroupSet.identity(FG2), gset(FG2, [2])
-    assert triple_literal(x, y, z).element_set() == {(1, 2)}
+    assert frozenset(triple_literal(x, y, z).elements) == {(1, 2)}
 
 
 def test_triple_literal_conjugating_identity():
     x, y, z = GroupSet.identity(FG1), gset(FG1, [1]), GroupSet.identity(FG1)
-    assert triple_literal(x, y, z).element_set() == {()}
+    assert frozenset(triple_literal(x, y, z).elements) == {()}
 
 
 def test_triple_literal_commutative_case():
     ab = FreeAbelian(1)
     x, y, z = gset(ab, [1]), gset(ab, [1, 1]), gset(ab, [-1])
-    assert triple_literal(x, y, z).element_set() == {(0,)}
+    assert frozenset(triple_literal(x, y, z).elements) == {(0,)}
 
 
 def test_triple_paired_balanced():
     p = pset(FG1, ([1], [-1]))
     v = GroupSet.identity(FG1)
-    assert triple_paired(p, v).element_set() == {()}
+    assert frozenset(triple_paired(p, v).elements) == {()}
 
 
 def test_triple_paired_vs_literal_discrepancy():
@@ -207,26 +220,26 @@ def test_triple_paired_vs_literal_discrepancy():
     p = pset(FG1, ([1], [-1]), ([1, 1], [-1, -1]))
     v = GroupSet.identity(FG1)
     paired = triple_paired(p, v)
-    assert paired.element_set() == {()}
+    assert frozenset(paired.elements) == {()}
 
     literal = triple_literal(proj_left(p), v, proj_right(p))
     # Independent verification by enumerating all cross combinations.
     expected = set()
-    for a in proj_left(p).element_set():
-        for b in v.element_set():
-            for c in proj_right(p).element_set():
+    for a in proj_left(p).elements:
+        for b in v.elements:
+            for c in proj_right(p).elements:
                 expected.add(
                     FG1.multiply(FG1.multiply(FG1.multiply(a, b), c), FG1.invert(b))
                 )
     assert expected == {(), (1,), (-1,)}
-    assert literal.element_set() == expected
+    assert frozenset(literal.elements) == expected
 
 
 def test_triple_paired_in_cyclic_two():
     c2 = Cyclic(2)
     p = pset(c2, ([1], [1]))
     v = GroupSet.identity(c2)
-    assert triple_paired(p, v).element_set() == {0}
+    assert frozenset(triple_paired(p, v).elements) == {0}
 
 
 # properties
@@ -238,7 +251,7 @@ def _sets_for(backend):
     letters = [s * i for i in range(1, backend.rank + 1) for s in (1, -1)]
     word = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
     return st.lists(word, max_size=3).map(
-        lambda ws: GroupSet.from_witness_words(backend, ws)
+        lambda ws: gset(backend, *ws)
     )
 
 
@@ -270,7 +283,7 @@ def test_semiring_laws(case):
 def test_cardinality_bounds_and_witness_soundness(case):
     backend, x, y, _ = case
     for result in (product(x, y), star(x, y), union(x, y)):
-        result.check_witnesses()
+        check_witnesses(result)
     if x and y:
         assert len(product(x, y)) <= len(x) * len(y)
         assert len(star(x, y)) <= len(x) * len(y)
@@ -299,11 +312,11 @@ def test_diamond_laws(case):
     # different intermediate stages.
     left = diamond(diamond(x, y), z)
     right = diamond(x, diamond(y, z))
-    assert left.element_set() == right.element_set()
+    assert frozenset(left.elements) == frozenset(right.elements)
     assert diamond(one, x) == x
     assert diamond(x, one) == x
     for result in (diamond(x, y), union(x, y), left, right):
-        result.check_witnesses()
+        check_witnesses(result)
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,7 +326,7 @@ def test_pair_inverse_composes_to_identity(case):
     for (left, right), (wl, wr) in x.elements.items():
         inv = pset(backend, (inverse_word(wl), inverse_word(wr)))
         composed = diamond(pset(backend, (wl, wr)), inv)
-        assert composed.element_set() == {(backend.identity, backend.identity)}
+        assert frozenset(composed.elements) == {(backend.identity, backend.identity)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +342,7 @@ def test_projection_identity(case):
             right = product(
                 proj_left(ps_p), product(proj_product(ps_q), proj_right(ps_p))
             )
-            assert left.element_set() == right.element_set()
+            assert frozenset(left.elements) == frozenset(right.elements)
 
 
 def test_product_cap_exceeded_reports_cardinality():
@@ -352,7 +365,7 @@ def _words(backend, max_size):
 
 def _groupsets(backend):
     return st.lists(_words(backend, 3), max_size=4).map(
-        lambda ws: GroupSet.from_witness_words(backend, ws)
+        lambda ws: gset(backend, *ws)
     )
 
 
