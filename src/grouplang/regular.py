@@ -12,7 +12,8 @@ element, so a failed check always names a concrete accepted word that
 does not multiply out to the identity.  With the early exit on, the
 same pass of the potential also guides that closure: a pivot step
 whose product it fixes makes no semiring call, and only the steps that
-can break the potential run ``product`` and ``union``.
+can break the potential run ``product`` and ``union``.  When the first
+of those steps is the exit, the closure finds it without the pivot loop.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
@@ -368,7 +369,10 @@ def pivot_closure(
     never binds there, and ``on_cell`` does not see it.  Every other step
     calls ``multiply`` and ``union``, and a cell they change is no longer
     known.  Without ``broken`` (the linear closure, and the regular one
-    with the early exit off), every step runs the semiring.
+    with the early exit off), every step runs the semiring.  Before this
+    loop, :func:`closure` looks for the guided loop's exit at its first
+    semiring step, and runs the loop only when that step does not exit;
+    its docstring says why that search is exact.
     """
     if mat.level != 0:
         raise ValueError("closure expects a level-0 matrix")
@@ -526,6 +530,21 @@ def closure(
     ``early_fail=False`` runs the paper's closure unguided, whatever
     ``broken`` is.
 
+    With ``broken``, the closure first finds its exit without the pivot
+    loop when it can (:func:`_first_step_exit`).  Until the guided loop's
+    first semiring step, every cell is a singleton, and every cell
+    outside ``broken`` holds the shortlex-least walk over the known
+    level-0 cells whose interior lies in the pivots done.  Shortlex is
+    compatible with concatenation, so the least walk through pivot k is
+    the least walk to k followed by the least walk from k; a walk through
+    a broken cell needs a semiring step.  Within pivot k no operand's
+    witness changes, since a walk through K[k][k] is strictly longer.
+    So the first step (k, i, j) that calls the semiring, and its three
+    cells, are read off reachability and least walks over the pivots
+    before k.  When that step leaves K[i][j] with two labels, the
+    closure raises the loop's exit and counts its one product and union;
+    otherwise the loop runs from level 0 as if no search had been made.
+
     >>> from grouplang import Cyclic
     >>> loop = Nfa(states=1, rank=1, transitions=frozenset({(1, 1, 1)}), finals=frozenset({1}))
     >>> closure(build_initial_matrix(loop, Cyclic(2)))
@@ -535,6 +554,8 @@ def closure(
     >>> closure(build_initial_matrix(loop, Cyclic(2)), early_fail=False).cell(1, 1)
     GroupSet({1: (1,), 0: (1, 1)})
     """
+    if early_fail and broken is not None and mat.level == 0:
+        _first_step_exit(mat, broken, cap, counters)
     return pivot_closure(
         mat,
         product,
@@ -545,6 +566,90 @@ def closure(
         on_cell=_singleton_exit if early_fail else None,
         broken=broken if early_fail else None,
     )
+
+
+def _first_step_exit(
+    mat: LabelMatrix, broken: set, cap: int | None, counters: OpCounters | None
+) -> None:
+    """Raise the guided closure's exit if it comes at a level-0 cell or at its first semiring step.
+
+    Returns, with ``mat`` and ``counters`` unchanged, when neither exits;
+    :func:`closure` says why the step and its cells are exact.
+    """
+    cells = mat.cells
+    useful = mat.useful
+    at = {v: n for n, v in enumerate(useful)}
+    known = [0] * len(useful)
+    bad = [0] * len(useful)
+    arcs: dict[int, list] = {}  # the known cells as arcs, for ``shortest_walk``
+    for (i, j), cell in cells.items():
+        _singleton_exit(i, j, cell)
+        if (i, j) in broken:
+            bad[at[i]] |= 1 << at[j]
+        else:
+            known[at[i]] |= 1 << at[j]
+            arcs.setdefault(i, []).append((i, j, next(iter(cell.elements.values())), ()))
+    step = _first_semiring_step(known, bad)
+    if step is None:
+        return
+    pk, pi, pj = step
+    k, i, j = useful[pk], useful[pi], useful[pj]
+    backend = mat.backend
+    # Interior vertices of the least walks: the pivots before k.
+    interior = {v: arcs[v] for v in useful[:pk] if v in arcs}
+
+    def before_k(a: int, b: int) -> GroupSet:
+        """K[a][b] before pivot k: its level-0 cell if broken, else its least known walk."""
+        if (a, b) in broken:
+            return cells[a, b]
+        if not known[at[a]] >> at[b] & 1:
+            return mat.empty
+        interior[0] = arcs[a]  # vertex 0, no state, starts the walk: so a cycle cell works too
+        wit = shortest_walk(interior, 0, {b})[0]
+        return GroupSet(backend, {GroupSet.evaluate(backend, wit): wit}, True)
+
+    left, right, target = before_k(i, k), before_k(k, j), before_k(i, j)
+    (x,), (y,) = left.elements, right.elements
+    if not target or backend._mul(x, y) in target:
+        return  # the step fills K[i][j] or keeps its one label: no exit
+    multiplied = unions = 0
+    try:
+        prod = product(left, right, cap=cap)
+        multiplied = 1
+        merged = union(target, prod, cap=cap)
+        unions = 1
+    except CapExceeded as exc:
+        exc.cell = (i, j)
+        raise
+    finally:
+        if counters is not None:
+            counters.products += multiplied
+            counters.unions += unions
+    _singleton_exit(i, j, merged)
+
+
+def _first_semiring_step(known: list[int], bad: list[int]) -> tuple[int, int, int] | None:
+    """Positions (k, i, j) of the guided loop's first step that calls the semiring, or None.
+
+    ``known[i]`` and ``bad[i]`` are bitsets over the positions of the
+    useful vertices: row i's non-empty cells outside and inside the
+    broken set.  The loop of :func:`pivot_closure` is run on them up to
+    that step, so ``known`` ends as the loop's known cells there.
+    """
+    for pk, (known_k, bad_k) in enumerate(zip(known, bad)):
+        bit = 1 << pk
+        row_k = known_k | bad_k
+        for pi, (known_i, bad_i) in enumerate(zip(known, bad)):
+            if known_i & bit:
+                steps = bad_k | (bad_i & row_k)  # a broken K[k][j] or K[i][j]
+            elif bad_i & bit:
+                steps = row_k  # a broken K[i][k]: every step of the row
+            else:
+                continue  # K[i][k] is empty
+            if steps:
+                return pk, pi, (steps & -steps).bit_length() - 1
+            known[pi] = known_i | known_k  # every step settled: row i reaches row k's cells
+    return None
 
 
 def shortest_word_path(a: Nfa, source: int, targets: frozenset[int] | set[int]) -> Word | None:

@@ -3,10 +3,12 @@
 Given the cells ``potential`` finds broken, ``closure(..., broken=...)``
 knows the other level-0 singleton cells, whose one label agrees with
 the potential tau, and settles from them the pivot steps whose outcome
-tau already fixes, with no semiring call.  The guided closure
-must end exactly as the unguided one: the same
-``SingletonViolation``, the same ``CapExceeded``, or the same closed
-matrix.
+tau already fixes, with no semiring call.  Before it runs that guided
+pivot loop, it looks for the loop's first semiring step directly, and
+raises that step's exit without the loop when the step makes one.
+The direct search, the guided loop alone and the unguided closure must
+all end alike: the same ``SingletonViolation``, the same
+``CapExceeded``, or the same closed matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from grouplang import (
     build_initial_matrix,
     check_regular_inclusion,
     closure,
+    inverse_word,
     useful_states,
 )
 from grouplang.corpus import random_nfa
-from grouplang.regular import pivot_closure, potential
+from grouplang.regular import _singleton_exit, pivot_closure, potential
 from grouplang.semiring import product, union
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,7 +74,21 @@ def path_nfa(rng: random.Random, backend, states: int, loop_at: int) -> Nfa:
     return Nfa(states=states, rank=backend.rank, transitions=frozenset(arcs), finals=finals)
 
 
-def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool):
+def guided_loop(mat, *, early_fail, cap, counters, broken):
+    """``closure`` with the early exit, but the guided pivot loop alone: no direct search."""
+    return pivot_closure(
+        mat,
+        product,
+        union,
+        cap=cap,
+        counters=counters,
+        counted="products",
+        on_cell=_singleton_exit,
+        broken=broken,
+    )
+
+
+def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool, close=closure):
     """('violation', ...), ('cap', ...) or ('closed', level, cells), and the counters."""
     useful = useful_states(a)
     finals = sorted(a.finals & useful)
@@ -79,7 +96,7 @@ def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool):
     broken = potential(mat, finals)[1] if guided else None
     counters = OpCounters()
     try:
-        closure(mat, early_fail=early_fail, cap=cap, counters=counters, broken=broken)
+        close(mat, early_fail=early_fail, cap=cap, counters=counters, broken=broken)
     except SingletonViolation as sv:
         return ("violation", sv.i, sv.j, sv.witness_a, sv.witness_b), counters
     except CapExceeded as exc:
@@ -120,6 +137,99 @@ def test_guided_closure_ends_as_the_unguided_one(seed, pick, shape, cap, early_f
     assert guided_counters.products <= plain_counters.products
     unpaired = guided_counters.products - guided_counters.unions
     assert unpaired == plain_counters.products - plain_counters.unions
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(BACKENDS) - 1),
+    shape=st.sampled_from(("random", "paired", "path")),
+    cap=st.sampled_from((None, 1, 2)),
+)
+def test_the_direct_exit_ends_as_the_guided_loop(seed, pick, shape, cap):
+    rng = random.Random(seed)
+    backend = BACKENDS[pick]
+    states = rng.randint(2, 32)
+    if shape == "path":
+        a = path_nfa(rng, backend, states, rng.randint(1, states))
+    else:
+        a = random_nfa(
+            rng,
+            max_states=states,
+            rank=backend.rank,
+            density=rng.choice((1, 2, 4)) / states,
+            inverse_paired=shape == "paired",
+        )
+    direct, direct_counters = run_closure(a, backend, cap, True, guided=True)
+    loop, loop_counters = run_closure(a, backend, cap, True, guided=True, close=guided_loop)
+    assert direct == loop
+    assert direct_counters == loop_counters
+    assert direct == run_closure(a, backend, cap, True, guided=False)[0]
+
+
+def test_a_long_failing_path_never_runs_the_pivot_loop(monkeypatch):
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the pivot loop ran")
+
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", no_loop)
+    a = path_nfa(random.Random(0), FreeGroup(2), 512, 500)
+    forward = {src: letter for src, letter, dst in a.transitions if dst == src + 1}
+    to_loop = tuple(forward[q] for q in range(1, 500))
+    assert a.finals == {1} and (500, 2, 500) in a.transitions
+    counters = OpCounters()
+    verdict = check_regular_inclusion(a, FreeGroup(2), None, counters)
+    # There and back, with the loop x2 in the middle: the exit is at
+    # (500, 500), where the loop meets the walk 500 -> 499 -> 500.
+    assert verdict == Fails(
+        witness=to_loop + (2,) + inverse_word(to_loop), reason="distinct-labels", state=500
+    )
+    assert counters.products == counters.unions == 1
+
+
+def test_the_direct_exit_reads_cells_that_settled_steps_filled(monkeypatch):
+    # Over Z3, with finals 5 and 6: 1 -X1-> 2 -x1-> 4 and 1 -x1-> 3 -X1-> 4
+    # fill K[1][4] at pivots 2 and 3, least witness X1 x1.  The potential
+    # breaks only (4, 5), so the first semiring step is (4, 1, 5), where
+    # X1 x1 X1 meets the arc 1 -x1-> 5; row 2's step comes after it.
+    arcs = frozenset(
+        {(1, -1, 2), (2, 1, 4), (1, 1, 3), (3, -1, 4), (4, 1, 6), (4, -1, 5), (1, 1, 5), (2, -1, 5)}
+    )
+    a = Nfa(states=6, rank=1, transitions=arcs, finals=frozenset({5, 6}))
+    backend = Cyclic(3)
+    mat = build_initial_matrix(a, backend, useful=useful_states(a))
+    assert potential(mat, [5, 6])[1] == {(4, 5)}
+    loop = run_closure(a, backend, None, True, guided=True, close=guided_loop)
+    assert loop[0] == run_closure(a, backend, None, True, guided=False)[0]
+    assert loop[0] == ("violation", 1, 5, (1,), (-1, 1, -1))
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the pivot loop ran")
+
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", no_loop)
+    assert run_closure(a, backend, None, True, guided=True) == loop
+
+
+def test_a_first_step_into_an_empty_cell_falls_back_to_the_loop(monkeypatch):
+    # 1 -x1-> 2 -x1-> 3 and 1 -x1-> 4 -x2-> 3 over F2, with 3 final: the
+    # potential breaks (1, 2), and the first semiring step, at pivot 2,
+    # fills the empty K[1][3].  The loop then exits at pivot 4.
+    arcs = frozenset({(1, 1, 2), (2, 1, 3), (1, 1, 4), (4, 2, 3)})
+    a = Nfa(states=4, rank=2, transitions=arcs, finals=frozenset({3}))
+    backend = FreeGroup(2)
+    mat = build_initial_matrix(a, backend, useful=useful_states(a))
+    assert potential(mat, [3])[1] == {(1, 2)}
+    loops = []
+
+    def counted(*args, **kwargs):
+        loops.append(kwargs["broken"])
+        return pivot_closure(*args, **kwargs)
+
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
+    direct, counters = run_closure(a, backend, None, True, guided=True)
+    assert loops == [{(1, 2)}]
+    assert direct == run_closure(a, backend, None, True, guided=False)[0]
+    assert direct[:3] == ("violation", 1, 3)
+    assert counters.products == counters.unions == 2
 
 
 def pinned_path() -> Nfa:
