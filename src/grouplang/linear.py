@@ -11,7 +11,11 @@ a violation, and always in literal mode, it closes the pair-label
 matrix with the same pivot recurrence as the regular case, multiplied
 with the diamond operation.
 It tests the start-to-sink labels whenever that cell changes and, per
-vertex, the cycle pairs wrapped around the tails that leave it.
+vertex, the cycle pairs wrapped around the tails that leave it.  It
+reads only the diagonal, the start row and the sink column, so its
+closure skips the steps into the other cells that no later step reads
+(``pivot_closure``'s ``read_row``): those three are exact at every
+level, and the rest of the matrix is left partly closed.
 """
 
 from __future__ import annotations
@@ -325,6 +329,7 @@ def closure_pairs(
     counters: OpCounters | None = None,
     watch_final: tuple[int, int] | None = None,
     level_scan=None,
+    read_row: int | None = None,
 ) -> LabelMatrix:
     """Pivot recurrence over pair sets with ``diamond``; pivots never include the sink column.
 
@@ -336,6 +341,10 @@ def closure_pairs(
     ``watch_final`` names a cell whose entries are checked for
     non-identity products on every update, and ``level_scan`` is called
     on the matrix before the first pivot and after each one.
+
+    Without ``read_row`` every cell is closed.  With it, the closure
+    keeps exact only the cells the linear check reads: the diagonal, the
+    sink column and row ``read_row``; see ``pivot_closure``.
     """
     return pivot_closure(
         mat,
@@ -346,6 +355,7 @@ def closure_pairs(
         counted="diamonds",
         on_cell=None if watch_final is None else _final_cell_scan(watch_final),
         on_level=level_scan,
+        read_row=read_row,
     )
 
 
@@ -355,7 +365,11 @@ def check_linear_inclusion(
     config: RunConfig | None = None,
     counters: OpCounters | None = None,
 ) -> Verdict:
-    """Decide whether every word the grammar generates maps to the group identity."""
+    """Decide whether every word the grammar generates maps to the group identity.
+
+    A ``ResourceExceeded`` names a cell the check needed: the closure
+    skips the cells it never reads, so no cap fires in one of those.
+    """
     config = config if config is not None else DEFAULT_CONFIG
     require_rank("grammar", g.rank, backend)
     useful = useful_nonterminals(g)
@@ -378,6 +392,7 @@ def check_linear_inclusion(
             # The cycle scan implements the paired reading; keep it off in
             # literal mode so that mode shows the unpaired test verbatim.
             level_scan=None if config.literal_omega10 else _cycle_scan(g, backend),
+            read_row=g.start,
         )
     except _EarlyViolation as exc:
         witness = first_failing_word(backend, exc.candidates)

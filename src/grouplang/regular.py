@@ -342,6 +342,7 @@ def pivot_closure(
     on_cell=None,
     on_level=None,
     broken: set | None = None,
+    read_row: int | None = None,
 ) -> LabelMatrix:
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
@@ -373,6 +374,20 @@ def pivot_closure(
     loop, :func:`closure` looks for the guided loop's exit at its first
     semiring step, and runs the loop only when that step does not exit;
     its docstring says why that search is exact.
+
+    ``read_row`` (the linear check passes its start) names the one row
+    the caller reads after the closure besides the diagonal and the
+    columns past the rows.  With pos the position in ``mat.useful``, the
+    loop then skips the step (k, i, j) when pos(i) < pos(k), pos(j) <=
+    pos(k), i != j and i != ``read_row``.  This is exact for every cell
+    left to read: a later pivot k' reads only row and column k', and a
+    skipped cell has both indices at or before k; during pivot k, a row
+    reads its own K[i][k] before any of its steps, and row k, which is
+    never skipped.  A skipped cell is skipped again at every later pivot.
+    The live steps keep their order, so ``on_cell`` and ``on_level`` see
+    the same diagonal, the same columns past the rows and the same
+    ``read_row`` at the same steps as without it, and a cap fires only
+    in a cell that the caller or a later step reads.
     """
     if mat.level != 0:
         raise ValueError("closure expects a level-0 matrix")
@@ -402,12 +417,22 @@ def pivot_closure(
             # Only a non-empty K[k][j] is ever multiplied, so the
             # non-empty columns of row k stay the same during pivot k.
             row_k = [(j, p) for p, j in enumerate(columns) if get((k, j), empty).elements]
+            pruned = None
+            if read_row is not None:
+                # Each row before k but ``read_row`` keeps its cycle cell
+                # and the columns after k (the docstring's skip rule).
+                live = [(j, p) for j, p in row_k if p > at_k]
+                pruned = dict.fromkeys(useful[:at_k], live)
+                for j, p in row_k:
+                    if p < at_k:
+                        pruned[j] = [(j, p), *live]
+                pruned.pop(read_row, None)
             entries = None
             for i in useful:
                 left = get((i, k), empty)
                 if not left.elements:
                     continue
-                steps = row_k
+                steps = row_k if pruned is None else pruned.get(i, row_k)
                 if broken is not None:
                     ln_i = ln[i]
                     left_len = ln_i[at_k]
@@ -474,7 +499,8 @@ def pivot_closure(
             counters.unions += unions
             setattr(counters, counted, getattr(counters, counted) + multiplied)
     # Pivots outside the useful set have empty rows and columns, so
-    # skipping them never changes a cell; the matrix is fully closed.
+    # skipping them never changes a cell: the matrix is fully closed,
+    # or with ``read_row`` closed in the cells the docstring names.
     mat.level = mat.rows
     return mat
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ import grouplang.linear
 from conftest import symmetric_group
 from grouplang import (
     BackendMismatch,
+    CapExceeded,
     Cyclic,
     Fails,
     FreeAbelian,
@@ -29,13 +31,16 @@ from grouplang import (
     check_regular_inclusion,
     closure_pairs,
     grammar_to_dict,
+    inverse_word,
     load_grammar,
     nfa_to_right_linear,
     parse_grammar,
     useful_nonterminals,
 )
+from grouplang.corpus import random_linear_grammar
 from grouplang.linear import _wrapped_failure
-from grouplang.semiring import PairSet
+from grouplang.regular import pivot_closure, potential
+from grouplang.semiring import PairSet, diamond, union
 
 FG1 = FreeGroup(1)
 
@@ -380,3 +385,136 @@ def test_wrapped_failure_matches_the_conjugation_test(data, pick, with_passed):
         passed = set(data.draw(st.lists(st.sampled_from(sorted(cycles.elements, key=repr)))))
     expected = _conjugation_failure(backend, cycles, tails, passed)
     assert _wrapped_failure(backend, cycles, tails, passed) == expected
+
+
+# The check's closure skips the steps into cells it never reads
+
+
+def chain_grammar(rng: random.Random, backend, n: int, where: float | None = None) -> LinearGrammar:
+    """A chain A_i -> a A_(i+1) b, and on each A_i a loop, an arc two steps back and an end.
+
+    ``tau[i]`` is a word for the value every word derived from A_i takes:
+    the chain draws a and b and sets tau[i+1] = a^-1 tau[i] b^-1, the
+    other productions draw their left letter and solve for their right
+    word, and tau[1] is empty, so the language holds.  With ``where``,
+    one more letter on the chain production that far along breaks it.
+    """
+    letters = [s * i for i in range(1, backend.rank + 1) for s in (1, -1)]
+    tau = [None, ()]
+    prods = []
+    for i in range(1, n):
+        a, b = (rng.choice(letters),), (rng.choice(letters),)
+        tau.append(inverse_word(a) + tau[i] + inverse_word(b))
+        prods.append(Production(lhs=i, alpha=a, rhs=i + 1, beta=b))
+    for i in range(1, n + 1):
+        for j in (i, i - 2) if i > 2 else (i,):
+            c = (rng.choice(letters),)
+            prods.append(Production(lhs=i, alpha=c, rhs=j, beta=inverse_word(c + tau[j]) + tau[i]))
+        prods.append(Production(lhs=i, alpha=tau[i]))
+    if where is not None:
+        at = max(1, round(where * (n - 1)))
+        p = prods[at - 1]
+        prods[at - 1] = Production(lhs=p.lhs, alpha=p.alpha, rhs=p.rhs, beta=p.beta + (rng.choice(letters),))
+    return LinearGrammar(nonterminals=n, rank=backend.rank, productions=tuple(prods))
+
+
+CLOSURE_BACKENDS = (FreeGroup(1), FreeGroup(2), FreeAbelian(2), Cyclic(3), symmetric_group(3))
+
+
+def _closed_cells(g: LinearGrammar, backend, cap, read_row):
+    """The diagonal, the start row and the sink column at every level, and the cap that stopped the closure.
+
+    With ``read_row`` the check's closure runs; without, the paper's
+    ``pivot_closure`` on every cell.  The cap is None, or (cell,
+    cardinality, the pivot's position).
+    """
+    mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
+    levels = []
+
+    def record(m):
+        cells = [(i, i) for i in m.useful] + [(g.start, j) for j in range(1, g.sink + 1)]
+        cells += [(i, g.sink) for i in m.useful]
+        levels.append({at: dict(m.cell(*at).elements) for at in cells})
+
+    try:
+        if read_row is None:
+            pivot_closure(mat, diamond, union, cap=cap, counters=None, counted="diamonds", on_level=record)
+        else:
+            closure_pairs(mat, cap=cap, level_scan=record, read_row=read_row)
+    except CapExceeded as exc:
+        return levels, (exc.cell, exc.cardinality, mat.level), mat.useful
+    return levels, None, mat.useful
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(CLOSURE_BACKENDS) - 1),
+    shape=st.sampled_from(("random", "paired", "chain")),
+    cap=st.sampled_from((None, 1, 2)),
+    literal=st.booleans(),
+)
+def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, literal):
+    rng = random.Random(seed)
+    backend = CLOSURE_BACKENDS[pick]
+    n = rng.randint(2, 10)
+    if shape == "chain":
+        g = chain_grammar(rng, backend, n, rng.choice((None, 0.5, 0.9, 1.0)))
+    else:
+        g = random_linear_grammar(
+            rng, max_nonterminals=n, rank=backend.rank, max_productions=4 * n, mirrored=shape == "paired"
+        )
+        g = LinearGrammar(g.nonterminals, g.rank, g.productions, start=rng.randint(1, g.nonterminals))
+    if g.start not in useful_nonterminals(g):
+        return
+    if cap is None and isinstance(backend, (FreeGroup, FreeAbelian)):
+        cap = 64  # pair sets over these groups grow without bound
+    levels, capped, useful = _closed_cells(g, backend, cap, g.start)
+    full_levels, full_capped, _ = _closed_cells(g, backend, cap, None)
+    # A cap in the full closure may fire in a cell the check skips; it
+    # stops the full run before the check's, which only computes cells
+    # that the full run computes too.
+    assert levels[: len(full_levels)] == full_levels
+    if full_capped is None:
+        assert (levels, capped) == (full_levels, None)
+    else:
+        (i, j), _, at_k = full_capped
+        at = {v: p for p, v in enumerate(useful)}
+        if j > g.nonterminals or not (at[i] < at_k and at[j] <= at_k and i not in (j, g.start)):
+            assert capped == full_capped  # the full run capped in a cell the check computes
+
+    config = RunConfig(literal_omega10=literal) if cap is None else RunConfig(set_cap=cap, literal_omega10=literal)
+    verdict = check_linear_inclusion(g, backend, config)
+
+    def full_closure(mat, *, read_row=None, **kwargs):
+        return closure_pairs(mat, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(grouplang.linear, "closure_pairs", full_closure)
+        reference = check_linear_inclusion(g, backend, config)
+    if not isinstance(reference, ResourceExceeded):
+        assert verdict == reference
+    elif not isinstance(verdict, ResourceExceeded):
+        # The full closure capped in a skipped cell; the check decides.
+        mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
+        tau, broken = potential(mat, (g.sink,))
+        holds = not broken and tau[g.start] == backend.identity
+        if not (isinstance(verdict, Fails) and verdict.spurious):
+            assert isinstance(verdict, Holds) == holds
+        if verdict.witness is not None:
+            assert g.generates(verdict.witness)
+            assert not backend.word_in_group_language(verdict.witness)
+
+
+# Nine nonterminals over S3, with the chain arc A_8 -> A_9 broken.
+SAVED_WORK = chain_grammar(random.Random(18), symmetric_group(3), 9, 1.0)
+
+
+def test_the_check_closure_skips_the_cells_it_never_reads():
+    counters = OpCounters()
+    verdict = check_linear_inclusion(SAVED_WORK, symmetric_group(3), counters=counters)
+    witness = (-1, -2, -1, -2, -1, 2, 2, 2, -2, -2, -2, 1, 2, 1, 2, 1, -1)
+    witness += (-2, 1, 2, 2, 2, 1, -1, 1, -2, -1, -2, -2, -2, -1, 2, 1)
+    assert verdict == Fails(witness=witness, reason="conjugate", state=9)
+    # The full closure makes 363 of each.
+    assert counters.diamonds == counters.unions == 251
