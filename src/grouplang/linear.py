@@ -240,11 +240,8 @@ class _EarlyViolation(Exception):
 def _final_cell_scan(watch: tuple[int, int]):
     """``on_cell`` test of the cell ``watch``, run each time it changes: every pair must multiply to e.
 
-    Cells only grow and a pair's product never changes, so the pairs
-    that passed are kept and only new ones are tested; the failing pair
-    named is still the one with the smallest witness.
+    The failing pair named is the one with the smallest witness.
     """
-    passed: set = set()
 
     def scan(i: int, j: int, cell: PairSet) -> None:
         if (i, j) != watch:
@@ -254,21 +251,19 @@ def _final_cell_scan(watch: tuple[int, int]):
         backend = cell.backend
         ident = backend.identity
         mul = backend._mul
-        bad = cell.best(lambda pair: pair not in passed and mul(*pair) != ident)
+        bad = cell.best(lambda pair: mul(*pair) != ident)
         if bad is not None:
             raise _EarlyViolation(SIMPLE_PATH, None, [bad[1][0] + bad[1][1]])
-        passed.update(cell.elements)
 
     return scan
 
 
-def _wrapped_failure(backend: Backend, cycles: PairSet, tails, passed=frozenset()) -> tuple | None:
+def _wrapped_failure(backend: Backend, cycles: PairSet, tails) -> tuple | None:
     """The first (cycle witness, tail witness) whose u v w differs from v, or None.
 
     ``tails`` are (v, witness word) in witness order; cycle pairs (u, w)
-    count in witness order, tails after them, and pairs in ``passed``
-    are known to pass and are not tested.  u v w is ``PairSet.wrap``, the
-    rule :func:`potential` applies to every cell, unchecked since the
+    count in witness order, tails after them.  u v w is ``PairSet.wrap``,
+    the rule :func:`potential` applies to every cell, unchecked since the
     elements come out of the kernels.  Every cycle pair labels a real
     walk, so the generated words with and without it then differ in value.
     """
@@ -276,7 +271,7 @@ def _wrapped_failure(backend: Backend, cycles: PairSet, tails, passed=frozenset(
     def failing_tail(pair):
         return next((wit for v, wit in tails if PairSet.wrap(backend, pair, v) != v), None)
 
-    bad = cycles.best(lambda pair: pair not in passed and failing_tail(pair) is not None)
+    bad = cycles.best(lambda pair: failing_tail(pair) is not None)
     return None if bad is None else (bad[1], failing_tail(bad[0]))
 
 
@@ -292,32 +287,24 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
     fills in; on inclusions that hold the scan never fires.  A vertex's
     tail walk and value are computed once, when its cycle cell first
     becomes non-empty, and its access walk only when a pair fails.
-    Cells only grow and a pair that passed against the vertex's one tail
-    passes again, so each pair is tested once, and a cycle cell that is
-    still the object scanned at the last level is skipped.
     """
     out = g._successors
-    probes: dict[int, tuple] = {}
-    scanned: dict[int, PairSet] = {}
+    tails: dict[int, list] = {}
 
     def scan(mat: LabelMatrix) -> None:
         for i in mat.useful:
             cycles = mat.cell(i, i)
-            if not cycles or scanned.get(i) is cycles:
+            if not cycles:
                 continue
-            if i not in probes:
+            if i not in tails:
                 # i is useful, so its tail and access walks exist.
                 tail_left, tail_right = shortest_walk(out, i, {g.sink})
                 tail = tail_left + tail_right
-                v = backend.canonicalize(tail)
-                probes[i] = ([(v, tail)], set())
-            tails, passed = probes[i]
-            found = _wrapped_failure(backend, cycles, tails, passed)
+                tails[i] = [(backend.canonicalize(tail), tail)]
+            found = _wrapped_failure(backend, cycles, tails[i])
             if found is not None:
                 access = shortest_walk(out, g.start, {i})
                 raise _EarlyViolation(CONJUGATE, i, _wrapped_words(access, *found))
-            passed.update(cycles.elements)
-            scanned[i] = cycles
 
     return scan
 

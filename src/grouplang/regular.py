@@ -379,9 +379,11 @@ def pivot_closure(
     the caller reads after the closure besides the diagonal and the
     columns past the rows.  With pos the position in ``mat.useful``, the
     loop then skips the step (k, i, j) when pos(i) < pos(k), pos(j) <=
-    pos(k), i != j and i != ``read_row``.  This is exact for every cell
-    left to read: a later pivot k' reads only row and column k', and a
-    skipped cell has both indices at or before k; during pivot k, a row
+    pos(k), i != j and i != ``read_row``: such a row i filters row k's
+    non-empty columns down to its cycle cell (i, i) and the columns
+    after k, in row k's order.  This is exact for every cell left to
+    read: a later pivot k' reads only row and column k', and a skipped
+    cell has both indices at or before k; during pivot k, a row
     reads its own K[i][k] before any of its steps, and row k, which is
     never skipped.  A skipped cell is skipped again at every later pivot.
     The live steps keep their order, so ``on_cell`` and ``on_level`` see
@@ -417,22 +419,15 @@ def pivot_closure(
             # Only a non-empty K[k][j] is ever multiplied, so the
             # non-empty columns of row k stay the same during pivot k.
             row_k = [(j, p) for p, j in enumerate(columns) if get((k, j), empty).elements]
-            pruned = None
-            if read_row is not None:
-                # Each row before k but ``read_row`` keeps its cycle cell
-                # and the columns after k (the docstring's skip rule).
-                live = [(j, p) for j, p in row_k if p > at_k]
-                pruned = dict.fromkeys(useful[:at_k], live)
-                for j, p in row_k:
-                    if p < at_k:
-                        pruned[j] = [(j, p), *live]
-                pruned.pop(read_row, None)
             entries = None
-            for i in useful:
+            for at_i, i in enumerate(useful):
                 left = get((i, k), empty)
                 if not left.elements:
                     continue
-                steps = row_k if pruned is None else pruned.get(i, row_k)
+                steps = row_k
+                if read_row is not None and at_i < at_k and i != read_row:
+                    # The docstring's skip rule: the cycle cell and the columns after k.
+                    steps = [(j, p) for j, p in row_k if p > at_k or j == i]
                 if broken is not None:
                     ln_i = ln[i]
                     left_len = ln_i[at_k]

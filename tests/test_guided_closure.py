@@ -74,6 +74,13 @@ def path_nfa(rng: random.Random, backend, states: int, loop_at: int) -> Nfa:
     return Nfa(states=states, rank=backend.rank, transitions=frozenset(arcs), finals=finals)
 
 
+def with_random_arcs(rng: random.Random, a: Nfa, count: int) -> Nfa:
+    """``a`` with ``count`` more arcs, each between random states with a random letter."""
+    letters = [s * i for i in range(1, a.rank + 1) for s in (1, -1)]
+    extra = {(rng.randint(1, a.states), rng.choice(letters), rng.randint(1, a.states)) for _ in range(count)}
+    return Nfa(states=a.states, rank=a.rank, transitions=a.transitions | extra, finals=a.finals)
+
+
 def guided_loop(mat, *, early_fail, cap, counters, broken):
     """``closure`` with the early exit, but the guided pivot loop alone: no direct search."""
     return pivot_closure(
@@ -109,7 +116,7 @@ def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool, close=clos
 @given(
     seed=st.integers(0, 2**32 - 1),
     pick=st.integers(0, len(BACKENDS) - 1),
-    shape=st.sampled_from(("random", "paired", "path")),
+    shape=st.sampled_from(("random", "paired", "path", "path-plus")),
     cap=st.sampled_from((None, 1, 2)),
     early_fail=st.booleans(),
 )
@@ -119,6 +126,13 @@ def test_guided_closure_ends_as_the_unguided_one(seed, pick, shape, cap, early_f
     if shape == "path":
         states = rng.randint(2, 32)  # the sizes of the regular-closure benchmark pool
         a = path_nfa(rng, backend, states, rng.randint(1, states))
+    elif shape == "path-plus":
+        # A path fails at its first semiring step; with a few more arcs,
+        # about half the checks fall back to the guided loop, which only
+        # the early exit runs.
+        states = rng.randint(8, 24)
+        a = with_random_arcs(rng, path_nfa(rng, backend, states, rng.randint(1, states)), rng.randint(1, 3))
+        early_fail = True
     else:
         a = random_nfa(
             rng,
@@ -287,6 +301,46 @@ def test_guided_closure_at_the_benchmark_size():
     guided = run_closure(a, backend, None, True, guided=True)[0]
     assert guided == run_closure(a, backend, None, True, guided=False)[0]
     assert guided[:3] == ("violation", 28, 28)
+
+
+def fallback_path() -> Nfa:
+    """A 46-state inverse-paired path over F2 with the extra arc 8 -X1-> 13.
+
+    The path value is the identity at state 1 only.  The potential
+    breaks only the extra arc's cell (8, 13), and the guided loop's first
+    semiring step does not exit, so the check falls back to the loop.
+    """
+    letters = (2, 2, -1, -1, 1, 2, -2, 1, 2, 1, -2, -1, -2, -2, -1, -1, -1, 1, 1, -1, 1, -2, 1)
+    letters += (2, -1, -1, -2, 1, 2, -1, -2, 2, 2, 1, -1, 1, -2, 1, -2, -2, -1, 1, -1, -2, 1)
+    arcs = {(q, a, q + 1) for q, a in enumerate(letters, 1)}
+    arcs |= {(q + 1, -a, q) for q, a in enumerate(letters, 1)}
+    arcs.add((8, -1, 13))
+    return Nfa(states=46, rank=2, transitions=frozenset(arcs), finals=frozenset({1}))
+
+
+def test_guided_loop_at_size_on_a_fallback(monkeypatch):
+    loops = []
+
+    def counted(*args, **kwargs):
+        loops.append(kwargs["broken"])
+        return pivot_closure(*args, **kwargs)
+
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
+    a = fallback_path()
+    backend = FreeGroup(2)
+    counters, reference_counters = OpCounters(), OpCounters()
+    verdict = check_regular_inclusion(a, backend, None, counters)
+    assert loops == [{(8, 13)}]
+    assert verdict == Fails(
+        witness=(2, 2, -1, -1, 1, 2, -2, -1, 1, -1, 1, 2, -1, -2, -1, 2, -2, -1, 1, 1, -2, -2),
+        reason="distinct-labels",
+        state=13,
+    )
+    assert counters == OpCounters(unions=42, products=42)
+    with closure_only():
+        reference = check_regular_inclusion(a, backend, None, reference_counters)
+    assert reference == verdict
+    assert counters.products <= reference_counters.products
 
 
 def settled_chain() -> Nfa:
