@@ -287,14 +287,20 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
     fills in; on inclusions that hold the scan never fires.  A vertex's
     tail walk and value are computed once, when its cycle cell first
     becomes non-empty, and its access walk only when a pair fails.
+
+    Level 0 tests every vertex; after pivot k only the cycle cells (i, i)
+    with K[i][k] and K[k][i] non-empty can have changed, and an unchanged
+    cell passes again.  Under the skip rule of ``pivot_closure`` row k is
+    exact, and K[i][k] is non-empty exactly when the full closure's is.
     """
     out = g._successors
     tails: dict[int, list] = {}
 
     def scan(mat: LabelMatrix) -> None:
+        k = mat.useful[mat.level - 1] if mat.level else None
         for i in mat.useful:
             cycles = mat.cell(i, i)
-            if not cycles:
+            if not cycles or k is not None and not (mat.cell(i, k) and mat.cell(k, i)):
                 continue
             if i not in tails:
                 # i is useful, so its tail and access walks exist.

@@ -327,7 +327,8 @@ def potential(mat: LabelMatrix, ends) -> tuple[dict, set[tuple[int, int]]]:
     return tau, broken
 
 
-# Longer than any witness: the length table's entry for an empty cell.
+# Longer than any witness: the length table's entry for an empty cell;
+# its negative marks a non-empty cell that is not known.
 _NO_CELL = 1 << 29
 
 
@@ -357,11 +358,14 @@ def pivot_closure(
     ``broken`` (element sets only), the cells :func:`potential` found
     broken, guides the closure.  A level-0 cell outside it is *known*: a
     singleton (two labels c of one cell cannot both have ``wrap(c, tau(j))
-    == tau(i)``) whose label is tau(i) tau(j)^-1.  Two tables per useful
-    row, indexed by a column's position ``at[j]``, hold what the guide
-    reads: ``ln[i][at[j]]`` is the witness length of a known cell, -1 for
-    any other non-empty cell and ``_NO_CELL`` for an empty one, and
-    ``kn[i][at[j]]`` is a known cell's (label, witness).
+    == tau(i)``) whose label is tau(i) tau(j)^-1.  One table per useful
+    row, indexed by a column's position ``at[j]``, holds what the guide
+    reads: ``ln[i][at[j]]`` is the witness length of a known cell,
+    ``_NO_CELL`` for an empty one and ``-_NO_CELL`` for any other, so a
+    step that reads an unknown K[k][j] passes no length test.  A known
+    cell's label and witness are its one element, read only once the
+    length test passes.  Rows are read live: only row k's own steps
+    write row k during pivot k, and each step writes only its own column.
     A step from two known cells into an empty or known cell is settled
     with no semiring call: the product is tau(i) tau(j)^-1 again, so the
     step fills the empty cell with it or at most improves the known
@@ -403,11 +407,8 @@ def pivot_closure(
     if broken is not None:
         at = {j: n for n, j in enumerate(columns)}
         ln = {i: [_NO_CELL] * len(columns) for i in useful}
-        kn = {i: [None] * len(columns) for i in useful}
         for (i, j), cell in cells.items():
-            entry = None if (i, j) in broken else next(iter(cell.elements.items()))
-            kn[i][at[j]] = entry
-            ln[i][at[j]] = -1 if entry is None else len(entry[1])
+            ln[i][at[j]] = -_NO_CELL if (i, j) in broken else len(next(iter(cell.elements.values())))
     multiplied = unions = 0
     try:
         if on_cell is not None:
@@ -419,7 +420,6 @@ def pivot_closure(
             # Only a non-empty K[k][j] is ever multiplied, so the
             # non-empty columns of row k stay the same during pivot k.
             row_k = [(j, p) for p, j in enumerate(columns) if get((k, j), empty).elements]
-            entries = None
             for at_i, i in enumerate(useful):
                 left = get((i, k), empty)
                 if not left.elements:
@@ -432,37 +432,30 @@ def pivot_closure(
                     ln_i = ln[i]
                     left_len = ln_i[at_k]
                     if left_len >= 0:
-                        if entries is None:
-                            # (j, at[j], kn[k][at[j]], the witness length of a known
-                            # K[k][j] or else -_NO_CELL, which passes no length test).
-                            ln_k, kn_k = ln[k], kn[k]
-                            entries = [
-                                (j, p, kn_k[p], n if (n := ln_k[p]) >= 0 else -_NO_CELL)
-                                for j, p in row_k
-                            ]
                         # Settle first the steps tau fixes: the steps of one
                         # row write distinct cells and all read K[i][k] as it
                         # was, so the rest see the cells they would have seen.
                         steps = []
-                        kn_i = kn[i]
-                        left_label, left_wit = kn_i[at_k]
-                        for j, p, right, right_len in entries:
+                        ln_k = ln[k]
+                        [(left_label, left_wit)] = left.elements.items()
+                        for j, p in row_k:
                             old = ln_i[p]
                             if old >= 0:
+                                right_len = ln_k[p]
                                 new_len = left_len + right_len
                                 # ``union``'s witness order, without building
                                 # the new witness when it is longer.
                                 if new_len > old:
                                     continue
                                 if right_len >= 0:
-                                    wit = left_wit + right[1]
+                                    [(right_label, right_wit)] = cells[k, j].elements.items()
+                                    wit = left_wit + right_wit
                                     if old == _NO_CELL:
-                                        label = mul(left_label, right[0])
+                                        label = mul(left_label, right_label)
                                     else:
-                                        label, old_wit = kn_i[p]
+                                        [(label, old_wit)] = cells[i, j].elements.items()
                                         if new_len == old and not wit < old_wit:
                                             continue
-                                    kn_i[p] = (label, wit)
                                     ln_i[p] = new_len
                                     cells[i, j] = type(empty)(backend, {label: wit}, True)
                                     continue
@@ -481,11 +474,9 @@ def pivot_closure(
                         continue
                     cells[i, j] = merged
                     if broken is not None:
-                        ln_i[p] = -1
+                        ln_i[p] = -_NO_CELL
                     if on_cell is not None:
                         on_cell(i, j, merged)
-                if i == k:
-                    entries = None  # row k's own steps may have changed its cells
             mat.level += 1
             if on_level is not None:
                 on_level(mat)

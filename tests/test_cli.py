@@ -760,6 +760,17 @@ def test_unexpected_exception_is_an_internal_error_exit_two(monkeypatch, capsys,
     assert "Traceback" not in err
 
 
+def test_a_package_error_that_is_not_an_input_error_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise grouplang.InternalInconsistency("no counterexample among the candidates")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    pair = (SAMPLES / "group_cyclic3.json", SAMPLES / "nfa_even.json")
+    code, out, err = run(capsys, "check", *map(str, pair))
+    assert (code, out) == (2, "")
+    assert err == "internal error: no counterexample among the candidates\n"
+
+
 # -- fuzzing: mutated sample files never crash the CLI ------------------------
 
 # Small integers keep the oracle's enumeration small.

@@ -38,7 +38,7 @@ from grouplang import (
     useful_nonterminals,
 )
 from grouplang.corpus import random_linear_grammar
-from grouplang.linear import _wrapped_failure
+from grouplang.linear import _cycle_scan, _EarlyViolation, _final_cell_scan, _wrapped_failure
 from grouplang.regular import pivot_closure, potential
 from grouplang.semiring import PairSet, diamond, union
 
@@ -252,6 +252,31 @@ def test_check_cap_only_binds_when_the_closure_runs():
     assert check_linear_inclusion(CAPPED_FAILING, FG1) == Fails((1,), "simple-path")
 
 
+def test_literal_mode_caps_the_triple_after_the_closure():
+    # S -> X1 S x1 | eps: the closure leaves {(X1, x1), (X1 X1, x1 x1)} in
+    # (1, 1), within a cap of 2, but the unpaired triple {X1, X1 X1} e
+    # {x1, x1 x1} has three elements.
+    g = grammar(1, [(1, [-1], 1, [1]), (1, [])])
+    counters = OpCounters()
+    verdict = check_linear_inclusion(g, FG1, RunConfig(set_cap=2, literal_omega10=True), counters)
+    assert verdict == ResourceExceeded(cell=(1, 1), cardinality=3)
+    assert counters == OpCounters(unions=2, diamonds=2)
+    verdict = check_linear_inclusion(g, FG1, RunConfig(literal_omega10=True))
+    assert verdict == Fails(witness=None, reason="conjugate", state=1, spurious=True)
+
+
+def test_the_final_cell_scan_checks_a_hand_built_cell():
+    scan = _final_cell_scan((1, 2))
+    cell = PairSet(FG1, {((1,), ()): ((1,), ())})
+    assert not cell.checked
+    with pytest.raises(_EarlyViolation) as exc:
+        scan(1, 2, cell)
+    assert cell.checked and exc.value.candidates == [(1,)]
+    with pytest.raises(BackendMismatch):
+        scan(1, 2, PairSet(FG1, {((1, -1), ()): ((1, -1), ())}))
+    scan(2, 2, PairSet(FG1, {((1, -1), ()): ((1, -1), ())}))  # another cell: not read
+
+
 def test_check_conjugate_violation_has_valid_witness():
     # A1 -> x A2 XX, A2 -> x A2 | x: the no-cycle word x x XX cancels and
     # the closure's start-to-sink cell only ever materializes that walk
@@ -343,6 +368,44 @@ def test_cycle_tests_name_the_word_with_the_cycle(monkeypatch):
     verdict = check_linear_inclusion(g, Cyclic(2))
     assert verdict == Fails(witness=(-1, -1, -1), reason="conjugate", state=1)
     assert g.generates(verdict.witness)
+
+
+# A1 -> X2 A2 X1 | eps, A2 -> A4, A4 -> x2 X2 A1 | x1 X1 A4 over F2, from
+# a seeded search.  Pivot 2 closes the cycle A4 -> A1 -> A2 -> A4, whose
+# pair (x2 X2 X2, X1) changes the value of A4's tail x2 X2.
+SCAN_PIN = grammar(
+    4, [(1, []), (2, [], 4, []), (4, [2, -2], 1, []), (4, [1, -1], 4, []), (1, [-2], 2, [-1])], rank=2
+)
+
+
+def test_the_cycle_scan_tests_the_cycle_cells_the_pivot_changed(monkeypatch):
+    backend = FreeGroup(2)
+    mat = build_grammar_matrix(SCAN_PIN, backend, useful=useful_nonterminals(SCAN_PIN))
+    tested = []  # per level, the vertices whose cycle cell the scan tested
+    original = grouplang.linear._wrapped_failure
+
+    def recorded(backend, cycles, tails):
+        tested[-1].append(next(i for (i, j), cell in mat.cells.items() if i == j and cell is cycles))
+        return original(backend, cycles, tails)
+
+    monkeypatch.setattr(grouplang.linear, "_wrapped_failure", recorded)
+    scan = _cycle_scan(SCAN_PIN, backend)
+
+    def level_scan(m):
+        tested.append([])
+        scan(m)
+
+    with pytest.raises(_EarlyViolation) as exc:
+        closure_pairs(mat, level_scan=level_scan, watch_final=(1, SCAN_PIN.sink), read_row=1)
+    # The cycle cell (4, 4) is a level-0 cell.  Pivot 1 leaves it as it
+    # was, since K[1][4] is empty; pivot 2 changes it, at a vertex other
+    # than the pivot, and the scan fails there.
+    assert (mat.useful, mat.level, exc.value.state) == ((1, 2, 4), 2, 4)
+    assert tested == [[4], [], [4]]
+    monkeypatch.undo()
+    witness = (-2, 2, -2, -2, 2, -2, -1, -1)
+    assert check_linear_inclusion(SCAN_PIN, backend) == Fails(witness, "conjugate", state=4)
+    assert SCAN_PIN.generates(witness)
 
 
 WRAP_BACKENDS = (FreeGroup(2), FreeAbelian(2), symmetric_group(3), Cyclic(3))

@@ -225,12 +225,30 @@ def test_check_conjugate_violation_mid_cycle():
     # Words x (x)^n x^-1: the simple path x x^-1 cancels, but the cycle at
     # state 2 does not, so only the conjugate test can catch it.
     a = nfa(3, [(1, 1, 2), (2, 1, 2), (2, -1, 3)], [3], rank=1)
+    counters = OpCounters()
     with paper_closure():
-        verdict = check_regular_inclusion(a, Cyclic(3))
+        verdict = check_regular_inclusion(a, Cyclic(3), None, counters)
     assert isinstance(verdict, Fails)
     assert verdict.reason == "conjugate"
     assert a.accepts(verdict.witness)
     assert not Cyclic(3).word_in_group_language(verdict.witness)
+    # The test ran at state 2 only, the one state with an access, a cycle and an exit.
+    assert counters == OpCounters(unions=4, products=4, stars=1)
+
+
+def test_the_paper_closure_caps_the_conjugate_set():
+    # 1 -X1-> 2 -x1-> 1 with the loops x1 and X2 at 2, from a seeded
+    # search: the paper's closure reads only e from 1 to 1 and leaves six
+    # cycle labels at 2, within a cap of 8, but their conjugates by the
+    # access labels of 2 number 9.  The conjugate test at 1 passes first.
+    a = nfa(2, [(1, -1, 2), (2, 1, 1), (2, 1, 2), (2, -2, 2)], [1], rank=2)
+    counters = OpCounters()
+    with paper_closure():
+        verdict = check_regular_inclusion(a, FreeGroup(2), RunConfig(set_cap=8), counters)
+        assert verdict == ResourceExceeded(cell=(2, 2), cardinality=9)
+        assert counters == OpCounters(unions=5, products=5, stars=1)
+        verdict = check_regular_inclusion(a, FreeGroup(2))
+    assert verdict == Fails(witness=(-1, -2, 1), reason="conjugate", state=2)
 
 
 # extract_witness
