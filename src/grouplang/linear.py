@@ -5,11 +5,12 @@ plus a sink, an arc i -> j labeled (alpha, beta) for each production
 A_i -> alpha A_j beta, and an arc i -> sink labeled (alpha, empty) for
 each A_i -> alpha.  A walk from the start to the sink spells a derived
 word: the left labels in order, then the right labels in reverse.  The
-check first reads the potential of the level-0 pair matrix
-(``regular.potential``), which decides every inclusion that holds.  On
-a violation, and always in literal mode, it closes the pair-label
-matrix with the same pivot recurrence as the regular case, multiplied
-with the diamond operation.
+check first reads the potential on the arcs (``regular.potential``),
+before any matrix exists: it finds the useful nonterminals and decides
+every inclusion that holds.  Only on a violation, and always in literal
+mode, does it build the level-0 pair matrix on the useful nonterminals
+and close it with the same pivot recurrence as the regular case,
+multiplied with the diamond operation.
 It tests the start-to-sink labels whenever that cell changes and, per
 vertex, the cycle pairs wrapped around the tails that leave it.  It
 reads only the diagonal, the start row and the sink column, so its
@@ -210,17 +211,22 @@ def useful_nonterminals(g: LinearGrammar) -> frozenset[int]:
 
 
 def build_grammar_matrix(
-    g: LinearGrammar, backend: Backend, *, useful: frozenset[int] | None = None
+    g: LinearGrammar,
+    backend: Backend,
+    *,
+    useful: frozenset[int] | None = None,
+    labels: dict | None = None,
 ) -> LabelMatrix:
     """Level-0 pair matrix: cell (i, j) holds the images of the arcs i -> j.
 
     Rows run over nonterminals, columns additionally over the sink.
     When ``useful`` is given, arcs touching other nonterminals are
-    dropped, so their rows and columns stay empty.
+    dropped, so their rows and columns stay empty.  ``labels`` is the
+    arc-label map of ``potential``, as ``build_matrix`` reads it.
     """
     require_rank("grammar", g.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, g.nonterminals + 1))
-    return build_matrix(backend, g._arcs, PairSet, g.nonterminals, g.sink, keep)
+    return build_matrix(backend, g._arcs, PairSet, g.nonterminals, g.sink, keep, labels)
 
 
 class _EarlyViolation(Exception):
@@ -365,17 +371,15 @@ def check_linear_inclusion(
     """
     config = config if config is not None else DEFAULT_CONFIG
     require_rank("grammar", g.rank, backend)
-    useful = useful_nonterminals(g)
-    if g.start not in useful:
-        return Holds()  # no terminal derivation exists, so the language is empty
     sink = g.sink
-    mat = build_grammar_matrix(g, backend, useful=useful)
+    tau, broken, labels = potential(g, (sink,), backend, PairSet)
+    if g.start not in tau:
+        return Holds()  # no terminal derivation exists, so the language is empty
     # Literal mode shows what the unpaired closure test says, spurious
-    # failures included, so it runs the closure alone.
-    if not config.literal_omega10:
-        tau, broken = potential(mat, (sink,))
-        if not broken and tau.get(g.start) == backend.identity:
-            return Holds()
+    # failures included, so it reads only the useful nonterminals, tau's keys.
+    if not config.literal_omega10 and not broken and tau[g.start] == backend.identity:
+        return Holds()
+    mat = build_grammar_matrix(g, backend, useful=frozenset(tau) - {sink}, labels=labels)
     try:
         closure_pairs(
             mat,
@@ -394,7 +398,7 @@ def check_linear_inclusion(
         return ResourceExceeded(cell=exc.cell, cardinality=exc.cardinality)
 
     # No start-to-sink test here: watch_final saw that cell at level 0 and on every change.
-    for i in sorted(useful):
+    for i in mat.useful:
         access = mat.cell(g.start, i)
         cycles = mat.cell(i, i)
         exits = mat.cell(i, sink)

@@ -1,10 +1,12 @@
 """Finite automata and the inclusion check of their languages in a group's identity language.
 
 The check labels each automaton arc with the group image of its letter
-and first reads the potential (:func:`potential`), which decides every
-inclusion that holds.  When it finds a violation, the check closes the
-label matrix with the all-pairs pivot recurrence
-``K[i][j] = K[i][j] | K[i][k] * K[k][j]``, and then tests two things:
+and first reads the potential (:func:`potential`) on the arcs, before
+any label matrix exists; it finds the useful states and decides every
+inclusion that holds.  Only when it finds a violation does the check
+build the level-0 label matrix on the useful states and close it with
+the all-pairs pivot recurrence
+``K[i][j] = K[i][j] | K[i][k] * K[k][j]``, and then test two things:
 no start-to-final cell may contain a non-identity element, and for
 every state the conjugates of its cycle labels by its access labels
 must collapse to the identity.  Witness words ride along with every
@@ -249,19 +251,23 @@ class LabelMatrix(Record):
         return self.cells.get((i, j), self.empty)
 
 
-def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep) -> LabelMatrix:
+def build_matrix(
+    backend: Backend, arcs, cell_type, rows: int, cols: int, keep, labels: dict | None = None
+) -> LabelMatrix:
     """Level-0 matrix: cell (i, j) holds the labels of the arcs i -> j.
 
     Arcs leaving a vertex outside ``keep``, or entering one, are dropped,
     so those rows and columns stay empty; columns past the last row (the
     grammar's sink) are never dropped.  Cells are created in arc order,
     and start out checked: their labels come from ``canonicalize``, once
-    per distinct arc word.
+    per distinct arc word.  ``labels`` maps arc witnesses to labels
+    already evaluated (:func:`potential` returns it); the builder reads
+    it first and adds what it evaluates.
     No cap applies: a cell holds at most one label per arc, and the set
     cap bounds only the sets the closure computes.
     """
     cells: dict = {}
-    labels: dict = {}  # arc witness -> its label
+    labels = {} if labels is None else labels  # arc witness -> its label
     key = cell_type.witness_key
     for src, dst, left, right in arcs:
         if src not in keep or (dst <= rows and dst not in keep):
@@ -279,52 +285,70 @@ def build_matrix(backend: Backend, arcs, cell_type, rows: int, cols: int, keep) 
     return LabelMatrix(backend, rows, cols, tuple(sorted(keep)), cells, cell_type(backend))
 
 
-def potential(mat: LabelMatrix, ends) -> tuple[dict, set[tuple[int, int]]]:
-    """The vertex values tau of the level-0 matrix ``mat`` and the cells that break them.
+def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, dict]:
+    """The vertex values tau of ``language``'s diagram, the cells that break them, and the arc labels.
 
-    On useful vertices, every walk of ``mat`` from the start to an end
-    has value e exactly when each vertex v has one value tau(v) that
-    every walk from v to an end takes: tau(end) = e, every label c of
-    every cell (i, j) has ``wrap(c, tau(j)) == tau(i)``, and
-    tau(start) = e.  (If the inclusion holds, a walk from v to an end
-    takes the inverse of the value of any walk from the start to v, so
-    tau is well defined.)  So the inclusion holds exactly when
-    ``broken`` is empty and tau(start) is e.
+    On useful vertices, every walk from the start to an end has value e
+    exactly when each vertex v has one value tau(v) that every walk from
+    v to an end takes: tau(end) = e, every label c of every arc i -> j
+    has ``wrap(c, tau(j)) == tau(i)``, and tau(start) = e.  (If the
+    inclusion holds, a walk from v to an end takes the inverse of the
+    value of any walk from the start to v, so tau is well defined.)  So
+    the inclusion holds exactly when ``broken`` is empty and tau(start)
+    is e, and the start has no value exactly when the language is empty.
 
-    tau is read off backwards from the ends, each vertex taking the first
-    value seen; every useful vertex reaches an end, so every one gets
-    one.  A break does not stop the walk: ``broken`` holds every cell with
-    a label that disagrees.  O(labels) multiplications with the unchecked
-    ``_mul``, since level-0 labels are canonical; ``mat`` is not changed.
+    The test runs on the arcs, before any label matrix exists.  One sweep
+    forward from the start finds the vertices it reaches; tau is then
+    read off backwards from the ends it reached, over the arcs whose
+    source it reached, in arc order, each vertex taking the first value
+    seen.  So tau has a value for exactly the useful vertices (the ends
+    reached included), the vertices :func:`useful_vertices` finds.  A
+    break does not stop the walk: ``broken`` holds every cell (i, j) with
+    an arc whose label disagrees.  Each distinct arc word of the useful
+    arcs is evaluated once, with ``cell_type.evaluate``; ``labels`` maps
+    it to its label, and :func:`build_matrix` reuses that map when a
+    violation needs the matrix.  Then O(arcs) multiplications with the
+    unchecked ``_mul``, since the labels are canonical.
 
     >>> from grouplang import Cyclic
     >>> arcs = frozenset({(1, 1, 2), (2, 1, 2)})  # 1 -x-> 2, and a loop x at the final 2
     >>> a = Nfa(states=2, rank=1, transitions=arcs, finals=frozenset({2}))
-    >>> potential(build_initial_matrix(a, Cyclic(2)), [2])
-    ({2: 0, 1: 1}, {(2, 2)})
+    >>> potential(a, a.finals, Cyclic(2), GroupSet)
+    ({2: 0, 1: 1}, {(2, 2)}, {(1,): 1})
     """
-    backend = mat.backend
-    wrap = type(mat.empty).wrap
+    out = language._successors
+    reached = {language.start}
+    todo = [language.start]
+    while todo:
+        for _src, dst, _left, _right in out.get(todo.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                todo.append(dst)
     into: dict[int, list] = {}
-    for (i, j), cell in mat.cells.items():
-        into.setdefault(j, []).append((i, cell))
-    tau = {end: backend.identity for end in ends}
+    for arc in language._arcs:
+        if arc[0] in reached:
+            into.setdefault(arc[1], []).append(arc)
+    wrap, evaluate, arc_witness = cell_type.wrap, cell_type.evaluate, cell_type.arc_witness
+    tau = {end: backend.identity for end in sorted(ends) if end in reached}
     todo = list(tau)
     broken = set()
+    labels: dict = {}
     while todo:
         j = todo.pop()
         rest = tau[j]
-        for i, cell in into.get(j, ()):
-            for label in cell.elements:
-                value = wrap(backend, label, rest)
-                seen = tau.get(i)
-                if seen is None:
-                    tau[i] = value
-                    todo.append(i)
-                elif value != seen:
-                    broken.add((i, j))
-                    break
-    return tau, broken
+        for i, _j, left, right in into.get(j, ()):
+            wit = arc_witness(left, right)
+            label = labels.get(wit)
+            if label is None:
+                label = labels[wit] = evaluate(backend, wit)
+            value = wrap(backend, label, rest)
+            seen = tau.get(i)
+            if seen is None:
+                tau[i] = value
+                todo.append(i)
+            elif value != seen:
+                broken.add((i, j))
+    return tau, broken, labels
 
 
 # Longer than any witness: the length table's entry for an empty cell;
@@ -492,16 +516,17 @@ def pivot_closure(
 
 
 def build_initial_matrix(
-    a: Nfa, backend: Backend, *, useful: frozenset[int] | None = None
+    a: Nfa, backend: Backend, *, useful: frozenset[int] | None = None, labels: dict | None = None
 ) -> LabelMatrix:
     """Level-0 matrix: cell (i, j) holds the images of the single arcs i -> j.
 
     When ``useful`` is given, arcs touching other states are dropped, so
-    their rows and columns stay empty.
+    their rows and columns stay empty.  ``labels`` is the arc-label map
+    of :func:`potential`, as :func:`build_matrix` reads it.
     """
     require_rank("automaton", a.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, a.states + 1))
-    return build_matrix(backend, a._arcs, GroupSet, a.states, a.states, keep)
+    return build_matrix(backend, a._arcs, GroupSet, a.states, a.states, keep, labels)
 
 
 def _singleton_exit(i: int, j: int, cell: GroupSet) -> None:
@@ -699,15 +724,13 @@ def check_regular_inclusion(
     """Decide whether every word the automaton accepts maps to the group identity."""
     config = config if config is not None else DEFAULT_CONFIG
     require_rank("automaton", a.rank, backend)
-    useful = useful_states(a)
+    tau, broken, labels = potential(a, a.finals, backend, GroupSet)
+    if a.start not in tau or not broken and tau[a.start] == backend.identity:
+        return Holds()  # the language is empty, or the potential holds
+    # A violation: the closure on the useful states finds it again and names its witness.
+    useful = frozenset(tau)
     finals_useful = sorted(a.finals & useful)
-    if not finals_useful:
-        return Holds()  # empty language; nothing to violate
-    mat = build_initial_matrix(a, backend, useful=useful)
-    tau, broken = potential(mat, finals_useful)
-    if not broken and tau.get(a.start) == backend.identity:
-        return Holds()
-    # A violation: the closure finds it again and names its witness.
+    mat = build_initial_matrix(a, backend, useful=useful, labels=labels)
     try:
         closure(mat, cap=config.set_cap, counters=counters, broken=broken)
     except SingletonViolation as sv:
@@ -727,12 +750,10 @@ def check_regular_inclusion(
 
     if all(len(cell) == 1 for cell in mat.cells.values()):
         return Holds()  # every cycle cell is identity-only: see ``closure``
-    for j in sorted(useful):
+    for j in mat.useful:
         access = mat.cell(start, j)
         cycles = mat.cell(j, j)
         if not access or not cycles:
-            continue
-        if not any(mat.cell(j, t) for t in finals_useful):
             continue
         try:
             conjugates = star(access, cycles, cap=config.set_cap)
@@ -762,5 +783,10 @@ def _failing_conjugate_witnesses(access: GroupSet, cycles: GroupSet) -> tuple[Wo
 
 
 def _best_exit_witness(mat: LabelMatrix, j: int, finals_useful: list[int]) -> Word:
+    """The smallest witness of a walk from ``j`` to a final, on the fully closed matrix.
+
+    There is one: after the full closure a useful j with a cycle reaches
+    a final, and when j is itself final its cycle cell is the exit.
+    """
     exits = (wit for t in finals_useful for wit in mat.cell(j, t).elements.values())
-    return min(exits, key=GroupSet.witness_key)  # non-empty: guarded by the caller
+    return min(exits, key=GroupSet.witness_key)

@@ -63,9 +63,10 @@ class RunConfig(Record, frozen=True):
     """Knobs for one inclusion check.
 
     ``set_cap`` bounds the label sets the pivot closure computes, never
-    the input's level-0 cells.  The closure runs only when the potential
-    test finds a violation, or in literal mode; a language that holds is
-    decided without label sets and never reaches the cap.
+    the input's level-0 cells.  The potential test runs on the arcs
+    first; the label matrix is built and closed only when it finds a
+    violation, or in literal mode.  A language that holds is decided
+    without a matrix or label sets and never reaches the cap.
     ``literal_omega10`` switches the linear check's cycle test to the
     independent-projection form, kept only to demonstrate that it can
     reject valid inclusions.

@@ -11,6 +11,7 @@ import pytest
 import grouplang.linear
 import grouplang.regular
 from grouplang import FiniteCayley
+from grouplang.regular import useful_vertices
 
 _CRITERIA_REPORT: list[tuple[int, str]] = []
 
@@ -66,12 +67,16 @@ def s3():
 def closure_only():
     """Both checks without the potential: the unguided pivot closure decides every language.
 
-    ``potential`` reads no vertex value and calls every cell broken, so
-    it never holds and the regular closure knows no cell.
+    ``potential`` keys tau by the useful vertices, as the real one does,
+    but gives none of them a value and calls every useful cell broken, so
+    it never holds and the regular closure knows no cell.  It evaluates
+    no arc label, so the builder evaluates them all.
     """
 
-    def broken_everywhere(mat, ends):
-        return {}, set(mat.cells)
+    def broken_everywhere(language, ends, backend, cell_type):
+        useful = useful_vertices(language._arcs, language.start, ends)
+        broken = {(i, j) for i, j, _left, _right in language._arcs if i in useful and j in useful}
+        return dict.fromkeys(useful), broken, {}
 
     saved = [(module, module.potential) for module in (grouplang.regular, grouplang.linear)]
     grouplang.regular.potential = grouplang.linear.potential = broken_everywhere

@@ -69,13 +69,13 @@ def test_tracer_sees_the_closure_only_on_failures(monkeypatch):
 
 
 # Every span the default check enters on some holding or failing language.
+# The useful-vertex spans are not among them: the potential finds those
+# vertices on its own sweep, inside ``*.tests``.
 DEFAULT_PATH_SPANS = (
-    "regular.useful_states",
     "regular.build",
     "regular.closure",
     "regular.witness",
     "regular.tests",
-    "linear.useful",
     "linear.build",
     "linear.closure",
     "linear.tests",
@@ -99,3 +99,17 @@ def test_the_default_path_enters_every_span(monkeypatch):
     entered = set(tracer.completed) | {name for name, _exc in tracer.raised}
     assert [name for name in DEFAULT_PATH_SPANS if name not in entered] == []
     assert tracer.opcounter_view() == counters.as_dict()
+
+
+def test_a_holding_check_enters_no_useful_vertex_or_build_span(monkeypatch):
+    # The potential decides nfa_cancel and grammar_balanced on their arcs.
+    tracer, counters = _traced_checks(
+        monkeypatch,
+        [load_nfa(SAMPLES / "nfa_cancel.json")],
+        [load_grammar(SAMPLES / "grammar_balanced.json")],
+    )
+    entered = set(tracer.completed) | {name for name, _exc in tracer.raised}
+    assert {"regular.tests", "linear.tests"} <= entered
+    skipped = {"regular.useful_states", "regular.build", "linear.useful", "linear.build"}
+    assert entered & skipped == set()
+    assert counters == OpCounters()

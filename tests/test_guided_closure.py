@@ -40,7 +40,7 @@ from grouplang import (
 )
 from grouplang.corpus import random_nfa
 from grouplang.regular import _singleton_exit, pivot_closure, potential
-from grouplang.semiring import product, union
+from grouplang.semiring import GroupSet, product, union
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,10 +110,8 @@ def guided_loop(mat, *, early_fail, cap, counters, broken):
 
 def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool, close=closure):
     """('violation', ...), ('cap', ...) or ('closed', level, cells), and the counters."""
-    useful = useful_states(a)
-    finals = sorted(a.finals & useful)
-    mat = build_initial_matrix(a, backend, useful=useful)
-    broken = potential(mat, finals)[1] if guided else None
+    mat = build_initial_matrix(a, backend, useful=useful_states(a))
+    broken = potential(a, a.finals, backend, GroupSet)[1] if guided else None
     counters = OpCounters()
     try:
         close(mat, early_fail=early_fail, cap=cap, counters=counters, broken=broken)
@@ -223,8 +221,7 @@ def test_the_direct_exit_reads_cells_that_settled_steps_filled(monkeypatch):
     )
     a = Nfa(states=6, rank=1, transitions=arcs, finals=frozenset({5, 6}))
     backend = Cyclic(3)
-    mat = build_initial_matrix(a, backend, useful=useful_states(a))
-    assert potential(mat, [5, 6])[1] == {(4, 5)}
+    assert potential(a, a.finals, backend, GroupSet)[1] == {(4, 5)}
     loop = run_closure(a, backend, None, True, guided=True, close=guided_loop)
     assert loop[0] == run_closure(a, backend, None, True, guided=False)[0]
     assert loop[0] == ("violation", 1, 5, (1,), (-1, 1, -1))
@@ -243,8 +240,7 @@ def test_a_first_step_into_an_empty_cell_falls_back_to_the_loop(monkeypatch):
     arcs = frozenset({(1, 1, 2), (2, 1, 3), (1, 1, 4), (4, 2, 3)})
     a = Nfa(states=4, rank=2, transitions=arcs, finals=frozenset({3}))
     backend = FreeGroup(2)
-    mat = build_initial_matrix(a, backend, useful=useful_states(a))
-    assert potential(mat, [3])[1] == {(1, 2)}
+    assert potential(a, a.finals, backend, GroupSet)[1] == {(1, 2)}
     loops = []
 
     def counted(*args, **kwargs):
@@ -382,7 +378,7 @@ def test_guided_closure_with_every_step_settled():
     a = settled_chain()
     backend = FreeGroup(2)
     mat = build_initial_matrix(a, backend, useful=useful_states(a))
-    tau, broken = potential(mat, [4])
+    tau, broken, _labels = potential(a, a.finals, backend, GroupSet)
     assert not broken and tau[1] != backend.identity
     counters = OpCounters()
     verdict = check_regular_inclusion(a, backend, None, counters)

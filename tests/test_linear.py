@@ -556,8 +556,7 @@ def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, lit
         assert verdict == reference
     elif not isinstance(verdict, ResourceExceeded):
         # The full closure capped in a skipped cell; the check decides.
-        mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
-        tau, broken = potential(mat, (g.sink,))
+        tau, broken, _labels = potential(g, (g.sink,), backend, PairSet)
         holds = not broken and tau[g.start] == backend.identity
         if not (isinstance(verdict, Fails) and verdict.spurious):
             assert isinstance(verdict, Holds) == holds

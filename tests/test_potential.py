@@ -2,8 +2,9 @@
 
 On useful vertices a language lies in the identity language exactly
 when every vertex has one group value that every arc respects and the
-start's value is the identity.  The checks return ``Holds`` when it
-does; otherwise the pivot closure runs as before and names the witness.
+start's value is the identity.  The checks run that test on the arcs
+and return ``Holds`` when it holds, with no label matrix built;
+otherwise they build the matrix and the pivot closure names the witness.
 So every verdict, and every ``OpCounters`` of a failing language, must
 match the closure-only check (``conftest.closure_only``), except that a
 holding language the closure capped now holds.  On a failing automaton
@@ -16,11 +17,14 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouplang.linear
+import grouplang.regular
 from conftest import closure_only, paper_closure, symmetric_group_3
 from grouplang import (
     Cyclic,
@@ -48,10 +52,16 @@ from grouplang import (
     useful_nonterminals,
     useful_states,
 )
+from grouplang.cli import main
 from grouplang.corpus import random_linear_grammar, random_nfa
-from grouplang.regular import potential
-from test_guided_closure import BACKENDS
+from grouplang.groups import load_group
+from grouplang.linear import load_grammar
+from grouplang.regular import load_nfa, potential
+from grouplang.semiring import GroupSet, PairSet
+from test_guided_closure import BACKENDS, path_nfa
+from test_linear import chain_grammar
 
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 FG1 = FreeGroup(1)
 BACKENDS_BY_RANK = {
     1: (FreeGroup(1), Cyclic(2), Cyclic(3)),
@@ -83,39 +93,39 @@ def grammar(n, prods, start=1):
     )
 
 
-def _snapshot(mat):
-    return {at: (cell, dict(cell.elements)) for at, cell in mat.cells.items()}
+def checked_potential(language, backend):
+    """Whether the potential holds, after checking ``potential``'s contract against references.
 
-
-def checked_potential(mat, start, ends):
-    """Whether the potential holds, after checking ``potential``'s contract on ``mat``.
-
-    tau has a value for exactly the useful vertices and the ends, a cell
-    is broken exactly when one of its labels disagrees with tau, and
-    ``mat`` is not changed.
+    tau has a value for exactly the useful vertices (``useful_states``,
+    or ``useful_nonterminals`` and the sink), and every end among them
+    has the value e.  A cell is broken exactly when one of its labels
+    disagrees with tau in the level-0 matrix built without the label map.
+    The label map holds exactly the arc words of the arcs between useful
+    vertices, each with ``evaluate`` of it.
     """
-    before = _snapshot(mat)
-    tau, broken = potential(mat, ends)
-    assert _snapshot(mat) == before and mat.level == 0
-    assert set(tau) == set(mat.useful) | set(ends)
-    wrap = type(mat.empty).wrap
+    if isinstance(language, Nfa):
+        ends, cell_type = language.finals, GroupSet
+        useful = useful_states(language)
+        mat = build_initial_matrix(language, backend, useful=useful)
+    else:
+        ends, cell_type = (language.sink,), PairSet
+        nonterminals = useful_nonterminals(language)
+        mat = build_grammar_matrix(language, backend, useful=nonterminals)
+        useful = nonterminals | {language.sink} if nonterminals else nonterminals
+    tau, broken, labels = potential(language, ends, backend, cell_type)
+    assert set(tau) == useful
+    assert all(tau[end] == backend.identity for end in ends if end in tau)
+    wrap = cell_type.wrap
     assert broken == {
         (i, j)
         for (i, j), cell in mat.cells.items()
-        if any(wrap(mat.backend, c, tau[j]) != tau[i] for c in cell.elements)
+        if any(wrap(backend, c, tau[j]) != tau[i] for c in cell.elements)
     }
-    return not broken and tau.get(start) == mat.backend.identity
-
-
-def regular_potential(a, backend):
-    useful = useful_states(a)
-    mat = build_initial_matrix(a, backend, useful=useful)
-    return checked_potential(mat, a.start, sorted(a.finals & useful))
-
-
-def linear_potential(g, backend):
-    mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
-    return checked_potential(mat, g.start, (g.sink,))
+    words = {cell_type.arc_witness(left, right) for i, j, left, right in language._arcs if {i, j} <= useful}
+    assert set(labels) == words
+    assert all(label == cell_type.evaluate(backend, wit) for wit, label in labels.items())
+    start = language.start
+    return start in tau and not broken and tau[start] == backend.identity
 
 
 def both_paths(check, language, backend, config=None):
@@ -184,13 +194,14 @@ REGULAR_CASES = {
 @pytest.mark.parametrize("case", sorted(REGULAR_CASES))
 def test_regular_potential_cases(case):
     a, backend, expected, verdict_type = REGULAR_CASES[case]
-    assert regular_potential(a, backend) is expected
+    assert checked_potential(a, backend) is expected
     verdict = assert_same_as_closure(check_regular_inclusion, a, backend)
     assert isinstance(verdict, verdict_type)
 
 
-def test_regular_empty_language_holds_before_the_potential():
+def test_regular_empty_language_leaves_the_start_without_a_value():
     for a in (nfa(2, [(1, X, 2)], []), nfa(2, [(2, X, 1)], [2])):
+        assert a.start not in potential(a, a.finals, FG1, GroupSet)[0]
         assert assert_same_as_closure(check_regular_inclusion, a, FG1) == Holds()
 
 
@@ -228,13 +239,14 @@ LINEAR_CASES = {
 @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
 def test_linear_potential_cases(case):
     g, backend, expected, verdict_type = LINEAR_CASES[case]
-    assert linear_potential(g, backend) is expected
+    assert checked_potential(g, backend) is expected
     verdict = assert_same_as_closure(check_linear_inclusion, g, backend)
     assert isinstance(verdict, verdict_type)
 
 
-def test_linear_empty_language_holds_before_the_potential():
+def test_linear_empty_language_leaves_the_start_without_a_value():
     for g in (grammar(1, [(1, [X], 1, [])]), grammar(1, [])):
+        assert g.start not in potential(g, (g.sink,), FG1, PairSet)[0]
         assert assert_same_as_closure(check_linear_inclusion, g, FG1) == Holds()
 
 
@@ -305,10 +317,10 @@ def test_default_verdict_matches_the_closure(seed, linear, paired, rank, pick, c
         assert verdict == reference
     # The cap bounds only what the closure computes: at every cap, a
     # language the potential finds holding is decided before the closure.
-    potential = (linear_potential if linear else regular_potential)(language, backend)
+    potential = checked_potential(language, backend)
     if potential and not config.literal_omega10:
         assert verdict == Holds()
-    # Literal mode only concerns the linear check, which then skips the potential.
+    # Literal mode only concerns the linear check, which the closure then decides alone.
     if isinstance(verdict, Holds) and not (linear and config.literal_omega10):
         assert counters == OpCounters()
     else:
@@ -327,13 +339,13 @@ def test_potential_contract_on_every_backend(seed, pick, linear, paired):
     backend = BACKENDS[pick]
     if linear:
         language = random_linear_grammar(rng, rank=backend.rank, mirrored=paired)
-        holds = linear_potential(language, backend)
+        holds = checked_potential(language, backend)
         empty = language.start not in useful_nonterminals(language)
         check = check_linear_inclusion
     else:
         density = rng.choice((0.1, 0.2, 0.3, 0.5))
         language = random_nfa(rng, rank=backend.rank, density=density, inverse_paired=paired)
-        holds = regular_potential(language, backend)
+        holds = checked_potential(language, backend)
         empty = not language.finals & useful_states(language)
         check = check_regular_inclusion
     # The potential decides every non-empty language as the closure does.
@@ -341,3 +353,98 @@ def test_potential_contract_on_every_backend(seed, pick, linear, paired):
         reference = check(language, backend)
     if not isinstance(reference, ResourceExceeded):
         assert holds == (isinstance(reference, Holds) and not empty)
+
+
+def test_closure_only_calls_every_useful_cell_broken():
+    # The dead end 4 and the unreachable 5 stay out, as in the real sweep.
+    a = REGULAR_CASES["non-useful-arcs-ignored"][0]
+    with closure_only():
+        tau, broken, labels = grouplang.regular.potential(a, a.finals, FG1, GroupSet)
+    assert tau == {1: None, 2: None, 3: None} and labels == {}
+    assert broken == {(1, 2), (2, 3)}
+
+
+def _check(language, backend, config=None):
+    check = check_regular_inclusion if isinstance(language, Nfa) else check_linear_inclusion
+    return check(language, backend, config)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a holding check built a label matrix")
+
+
+def _holds_without_a_matrix(language, backend, config=None) -> bool:
+    """Whether ``language`` holds; if so, the check must also hold with both matrix builders refusing."""
+    if _check(language, backend, config) != Holds():
+        return False
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(grouplang.regular, "build_initial_matrix", _refuse)
+        patched.setattr(grouplang.linear, "build_grammar_matrix", _refuse)
+        assert _check(language, backend, config) == Holds()
+    return True
+
+
+def test_holding_sample_pairs_build_no_matrix():
+    held = 0
+    languages = [load_nfa(path) for path in sorted(SAMPLES.glob("nfa_*.json"))]
+    languages += [load_grammar(path) for path in sorted(SAMPLES.glob("grammar_*.json"))]
+    for language in languages:
+        for group_path in sorted(SAMPLES.glob("group_*.json")):
+            backend = load_group(group_path)
+            if backend.rank == language.rank:
+                held += _holds_without_a_matrix(language, backend)
+    assert held == 14
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(BACKENDS) - 1),
+    shape=st.sampled_from(("path", "chain", "random-nfa", "random-grammar")),
+    cap=st.sampled_from((None, 1)),
+)
+def test_holding_languages_build_no_matrix(seed, pick, shape, cap):
+    # Paths without their loop and unbroken chains always hold; a random
+    # language counts when it holds.  A cap of 1 binds no holding check.
+    rng = random.Random(seed)
+    backend = BACKENDS[pick]
+    if shape == "path":
+        a = path_nfa(rng, backend, rng.randint(1, 12), 1)
+        language = Nfa(
+            states=a.states,
+            rank=a.rank,
+            transitions=frozenset(arc for arc in a.transitions if arc[0] != arc[2]),
+            finals=a.finals,
+        )
+    elif shape == "chain":
+        language = chain_grammar(rng, backend, rng.randint(2, 8))
+    elif shape == "random-nfa":
+        language = random_nfa(rng, rank=backend.rank, density=0.3, inverse_paired=True)
+    else:
+        language = random_linear_grammar(rng, rank=backend.rank, mirrored=True)
+    config = None if cap is None else RunConfig(set_cap=cap)
+    held = _holds_without_a_matrix(language, backend, config)
+    assert held or shape.startswith("random")
+
+
+# ``canonicalize`` calls of ``check`` on two failing sample pairs: each
+# distinct arc word is evaluated once, then the witness is tested.
+PINNED_CANONICALIZE = {
+    ("group_cyclic2.json", "nfa_star.json"): 2,
+    ("group_cyclic3.json", "grammar_squares.json"): 6,
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_CANONICALIZE))
+def test_check_canonicalize_calls_are_pinned(monkeypatch, capsys, pair):
+    calls = []
+    original = Cyclic.canonicalize
+
+    def counted(self, word):
+        calls.append(word)
+        return original(self, word)
+
+    monkeypatch.setattr(Cyclic, "canonicalize", counted)
+    assert main(["check", *(str(SAMPLES / name) for name in pair)]) == 1
+    capsys.readouterr()
+    assert len(calls) == PINNED_CANONICALIZE[pair]
