@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
@@ -178,6 +177,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
+    import random
+
     from .corpus import random_linear_grammar, random_nfa
 
     if not 0 <= args.density <= 1:

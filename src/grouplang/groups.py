@@ -22,7 +22,6 @@ import json
 import operator
 import warnings
 from pathlib import Path
-from typing import Union
 
 from .errors import BackendMismatch, CayleyTableError, InputError, LetterOutOfRange
 from .records import Record
@@ -412,7 +411,7 @@ class FiniteCayley(GroupBackend, Record, frozen=True):
             raise BackendMismatch(f"{a!r} is not an element index below {self.size}")
 
 
-Backend = Union[FreeGroup, FreeAbelian, Cyclic, FiniteCayley]
+Backend = FreeGroup | FreeAbelian | Cyclic | FiniteCayley
 
 _GROUP_FIELDS = {
     "free": {"kind", "rank"},

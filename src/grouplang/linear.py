@@ -9,8 +9,9 @@ check first reads the potential on the arcs (``regular.potential``),
 before any matrix exists: it finds the useful nonterminals and decides
 every inclusion that holds.  Only on a violation, and always in literal
 mode, does it build the level-0 pair matrix on the useful nonterminals
-and close it with the same pivot recurrence as the regular case,
-multiplied with the diamond operation.
+and the sink, the matrix's last vertex, and close it with the same
+pivot recurrence as the regular case, multiplied with the diamond
+operation.
 It tests the start-to-sink labels whenever that cell changes and, per
 vertex, the cycle pairs wrapped around the tails that leave it.  It
 reads only the diagonal, the start row and the sink column, so its
@@ -219,14 +220,14 @@ def build_grammar_matrix(
 ) -> LabelMatrix:
     """Level-0 pair matrix: cell (i, j) holds the images of the arcs i -> j.
 
-    Rows run over nonterminals, columns additionally over the sink.
-    When ``useful`` is given, arcs touching other nonterminals are
-    dropped, so their rows and columns stay empty.  ``labels`` is the
-    arc-label map of ``potential``, as ``build_matrix`` reads it.
+    Its vertices are the nonterminals, or only ``useful`` when given, and
+    the sink, which comes last and has no arcs out.  Arcs touching other
+    nonterminals are dropped.  ``labels`` is the arc-label map of
+    ``potential``, as ``build_matrix`` reads it.
     """
     require_rank("grammar", g.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, g.nonterminals + 1))
-    return build_matrix(backend, g._arcs, PairSet, g.nonterminals, g.sink, keep, labels)
+    return build_matrix(backend, g._arcs, PairSet, keep | {g.sink}, labels)
 
 
 class _EarlyViolation(Exception):
@@ -330,7 +331,7 @@ def closure_pairs(
     level_scan=None,
     read_row: int | None = None,
 ) -> LabelMatrix:
-    """Pivot recurrence over pair sets with ``diamond``; pivots never include the sink column.
+    """Pivot recurrence over pair sets with ``diamond``; the sink's pivot, the last, makes no step.
 
     No early singleton exit here: distinct pairs at one vertex happily
     coexist with an inclusion that holds (their products under common
@@ -376,10 +377,10 @@ def check_linear_inclusion(
     if g.start not in tau:
         return Holds()  # no terminal derivation exists, so the language is empty
     # Literal mode shows what the unpaired closure test says, spurious
-    # failures included, so it reads only the useful nonterminals, tau's keys.
+    # failures included, so it reads only tau's keys: the useful nonterminals and the sink.
     if not config.literal_omega10 and not broken and tau[g.start] == backend.identity:
         return Holds()
-    mat = build_grammar_matrix(g, backend, useful=frozenset(tau) - {sink}, labels=labels)
+    mat = build_grammar_matrix(g, backend, useful=frozenset(tau), labels=labels)
     try:
         closure_pairs(
             mat,

@@ -233,15 +233,14 @@ def shortest_walk(out, source: int, targets) -> tuple[Word, Word] | None:
 
 
 class LabelMatrix(Record):
-    """Grid of label sets indexed by 1-based vertices; the check's workspace.
+    """Grid of label sets over the vertices ``useful``, in increasing order; the check's workspace.
 
     ``level`` counts how many pivots the closure has applied; builders
-    produce level 0.  Absent cells read as ``empty``.
+    produce level 0, and a completed closure ends at ``len(useful)``.
+    Absent cells read as ``empty``.
     """
 
     backend: Backend
-    rows: int
-    cols: int
     useful: tuple[int, ...]
     cells: dict[tuple[int, int], GroupSet | PairSet]
     empty: GroupSet | PairSet
@@ -251,16 +250,13 @@ class LabelMatrix(Record):
         return self.cells.get((i, j), self.empty)
 
 
-def build_matrix(
-    backend: Backend, arcs, cell_type, rows: int, cols: int, keep, labels: dict | None = None
-) -> LabelMatrix:
-    """Level-0 matrix: cell (i, j) holds the labels of the arcs i -> j.
+def build_matrix(backend: Backend, arcs, cell_type, keep, labels: dict | None = None) -> LabelMatrix:
+    """Level-0 matrix on the vertices ``keep``: cell (i, j) holds the labels of the arcs i -> j.
 
-    Arcs leaving a vertex outside ``keep``, or entering one, are dropped,
-    so those rows and columns stay empty; columns past the last row (the
-    grammar's sink) are never dropped.  Cells are created in arc order,
-    and start out checked: their labels come from ``canonicalize``, once
-    per distinct arc word.  ``labels`` maps arc witnesses to labels
+    An arc is kept only when both of its ends are in ``keep``; the
+    matrix's vertices are ``keep`` in increasing order.  Cells are
+    created in arc order, and start out checked: their labels come from
+    ``canonicalize``, once per distinct arc word.  ``labels`` maps arc witnesses to labels
     already evaluated (:func:`potential` returns it); the builder reads
     it first and adds what it evaluates.
     No cap applies: a cell holds at most one label per arc, and the set
@@ -270,7 +266,7 @@ def build_matrix(
     labels = {} if labels is None else labels  # arc witness -> its label
     key = cell_type.witness_key
     for src, dst, left, right in arcs:
-        if src not in keep or (dst <= rows and dst not in keep):
+        if src not in keep or dst not in keep:
             continue
         cell = cells.get((src, dst))
         if cell is None:
@@ -282,7 +278,7 @@ def build_matrix(
         old = cell.elements.get(label)
         if old is None or key(wit) < key(old):
             cell.elements[label] = wit
-    return LabelMatrix(backend, rows, cols, tuple(sorted(keep)), cells, cell_type(backend))
+    return LabelMatrix(backend, tuple(sorted(keep)), cells, cell_type(backend))
 
 
 def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, dict]:
@@ -371,8 +367,7 @@ def pivot_closure(
 ) -> LabelMatrix:
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
-    Pivots and rows run over ``mat.useful``; columns run over them too,
-    then over the columns past the last row (a pair matrix's sink).
+    Pivots, rows and columns run over ``mat.useful``.
     ``on_cell(i, j, cell)`` sees every level-0 cell and every change a
     semiring step makes, and ``on_level(mat)`` sees the matrix before the
     first pivot and after each; either may raise to stop the closure.
@@ -404,18 +399,20 @@ def pivot_closure(
     its docstring says why that search is exact.
 
     ``read_row`` (the linear check passes its start) names the one row
-    the caller reads after the closure besides the diagonal and the
-    columns past the rows.  With pos the position in ``mat.useful``, the
-    loop then skips the step (k, i, j) when pos(i) < pos(k), pos(j) <=
-    pos(k), i != j and i != ``read_row``: such a row i filters row k's
-    non-empty columns down to its cycle cell (i, i) and the columns
-    after k, in row k's order.  This is exact for every cell left to
+    the caller reads after the closure besides the diagonal and the last
+    column (a pair matrix's sink).  With pos the position in
+    ``mat.useful``, the loop then skips the step (k, i, j) when pos(i) <
+    pos(k), pos(j) <= pos(k), i != j and i != ``read_row``: such a row i
+    filters row k's non-empty columns down to its cycle cell (i, i) and
+    the columns after k, in row k's order.  This is exact for every cell left to
     read: a later pivot k' reads only row and column k', and a skipped
     cell has both indices at or before k; during pivot k, a row
     reads its own K[i][k] before any of its steps, and row k, which is
     never skipped.  A skipped cell is skipped again at every later pivot.
-    The live steps keep their order, so ``on_cell`` and ``on_level`` see
-    the same diagonal, the same columns past the rows and the same
+    A step into the last column is skipped only at the last pivot, which
+    makes no step when the last vertex has no arcs out, as the sink has
+    none.  The live steps keep their order, so ``on_cell`` and
+    ``on_level`` see the same diagonal, the same sink column and the same
     ``read_row`` at the same steps as without it, and a cap fires only
     in a cell that the caller or a later step reads.
     """
@@ -427,10 +424,9 @@ def pivot_closure(
     useful = mat.useful
     backend = mat.backend
     mul = backend._mul
-    columns = useful + tuple(range(mat.rows + 1, mat.cols + 1))
     if broken is not None:
-        at = {j: n for n, j in enumerate(columns)}
-        ln = {i: [_NO_CELL] * len(columns) for i in useful}
+        at = {j: n for n, j in enumerate(useful)}
+        ln = {i: [_NO_CELL] * len(useful) for i in useful}
         for (i, j), cell in cells.items():
             ln[i][at[j]] = -_NO_CELL if (i, j) in broken else len(next(iter(cell.elements.values())))
     multiplied = unions = 0
@@ -440,10 +436,10 @@ def pivot_closure(
                 on_cell(i, j, cell)
         if on_level is not None:
             on_level(mat)
-        for at_k, k in enumerate(useful):  # the columns start with ``useful``
+        for at_k, k in enumerate(useful):
             # Only a non-empty K[k][j] is ever multiplied, so the
             # non-empty columns of row k stay the same during pivot k.
-            row_k = [(j, p) for p, j in enumerate(columns) if get((k, j), empty).elements]
+            row_k = [(j, p) for p, j in enumerate(useful) if get((k, j), empty).elements]
             for at_i, i in enumerate(useful):
                 left = get((i, k), empty)
                 if not left.elements:
@@ -508,10 +504,6 @@ def pivot_closure(
         if counters is not None:
             counters.unions += unions
             setattr(counters, counted, getattr(counters, counted) + multiplied)
-    # Pivots outside the useful set have empty rows and columns, so
-    # skipping them never changes a cell: the matrix is fully closed,
-    # or with ``read_row`` closed in the cells the docstring names.
-    mat.level = mat.rows
     return mat
 
 
@@ -520,13 +512,13 @@ def build_initial_matrix(
 ) -> LabelMatrix:
     """Level-0 matrix: cell (i, j) holds the images of the single arcs i -> j.
 
-    When ``useful`` is given, arcs touching other states are dropped, so
-    their rows and columns stay empty.  ``labels`` is the arc-label map
+    When ``useful`` is given, the matrix's vertices are those states, and
+    arcs touching other states are dropped.  ``labels`` is the arc-label map
     of :func:`potential`, as :func:`build_matrix` reads it.
     """
     require_rank("automaton", a.rank, backend)
     keep = useful if useful is not None else frozenset(range(1, a.states + 1))
-    return build_matrix(backend, a._arcs, GroupSet, a.states, a.states, keep, labels)
+    return build_matrix(backend, a._arcs, GroupSet, keep, labels)
 
 
 def _singleton_exit(i: int, j: int, cell: GroupSet) -> None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import InputError
 from .groups import Word
 from .records import Record
@@ -39,7 +37,7 @@ class ResourceExceeded(Record, frozen=True):
     cardinality: int
 
 
-Verdict = Union[Holds, Fails, ResourceExceeded]
+Verdict = Holds | Fails | ResourceExceeded
 
 
 class OpCounters(Record):

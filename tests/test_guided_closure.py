@@ -255,6 +255,30 @@ def test_a_first_step_into_an_empty_cell_falls_back_to_the_loop(monkeypatch):
     assert counters.products == counters.unions == 2
 
 
+def test_a_first_step_that_keeps_its_target_falls_back_to_the_loop(monkeypatch):
+    # 1 -x1-> 2 -x1-> 3, 1 -X1-> 3 and 1 -x1-> 4 over Z3, with 3 and 4
+    # final: the potential takes tau(1) from 4 and breaks (1, 2) and
+    # (1, 3).  The first semiring step, at pivot 2, multiplies x1 x1 into
+    # K[1][3], which already holds that label, so nothing exits; the
+    # loop makes the step once and closes the matrix.
+    arcs = frozenset({(1, 1, 2), (2, 1, 3), (1, -1, 3), (1, 1, 4)})
+    a = Nfa(states=4, rank=1, transitions=arcs, finals=frozenset({3, 4}))
+    backend = Cyclic(3)
+    assert potential(a, a.finals, backend, GroupSet)[1] == {(1, 2), (1, 3)}
+    loops = []
+
+    def counted(*args, **kwargs):
+        loops.append(kwargs["broken"])
+        return pivot_closure(*args, **kwargs)
+
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
+    direct, counters = run_closure(a, backend, None, True, guided=True)
+    assert loops == [{(1, 2), (1, 3)}]
+    assert direct == run_closure(a, backend, None, True, guided=False)[0]
+    assert direct[:2] == ("closed", 4) and direct[2][1, 3] == {2: (-1,)}
+    assert counters.products == counters.unions == 1
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, len(BACKENDS) - 1))
 def test_a_guided_closure_that_only_settles_ends_as_the_unguided_one(seed, pick):

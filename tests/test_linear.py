@@ -400,7 +400,7 @@ def test_the_cycle_scan_tests_the_cycle_cells_the_pivot_changed(monkeypatch):
     # The cycle cell (4, 4) is a level-0 cell.  Pivot 1 leaves it as it
     # was, since K[1][4] is empty; pivot 2 changes it, at a vertex other
     # than the pivot, and the scan fails there.
-    assert (mat.useful, mat.level, exc.value.state) == ((1, 2, 4), 2, 4)
+    assert (mat.useful, mat.level, exc.value.state) == ((1, 2, 4, 5), 2, 4)
     assert tested == [[4], [], [4]]
     monkeypatch.undo()
     witness = (-2, 2, -2, -2, 2, -2, -1, -1)
@@ -563,6 +563,30 @@ def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, lit
         if verdict.witness is not None:
             assert g.generates(verdict.witness)
             assert not backend.word_in_group_language(verdict.witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, len(CLOSURE_BACKENDS) - 1), prune=st.booleans())
+def test_the_sink_is_the_last_vertex_and_no_cell_leaves_it(seed, pick, prune):
+    rng = random.Random(seed)
+    backend = CLOSURE_BACKENDS[pick]
+    n = rng.randint(1, 8)
+    g = random_linear_grammar(rng, max_nonterminals=n, rank=backend.rank, max_productions=3 * n)
+    g = LinearGrammar(g.nonterminals, g.rank, g.productions, start=rng.randint(1, g.nonterminals))
+    useful = useful_nonterminals(g) if prune else None
+    cap = 64 if isinstance(backend, (FreeGroup, FreeAbelian)) else None  # their pair sets grow without bound
+    for read_row in (None, g.start):
+        mat = build_grammar_matrix(g, backend, useful=useful)
+        assert mat.useful[-1] == g.sink
+        assert mat.useful[:-1] == tuple(sorted(useful if prune else range(1, g.sink)))
+        assert all(i != g.sink for i, _j in mat.cells)
+        try:
+            closure_pairs(mat, cap=cap, read_row=read_row)
+        except CapExceeded:
+            assert mat.level < len(mat.useful)
+        else:
+            assert mat.level == len(mat.useful)
+        assert all(i != g.sink for i, _j in mat.cells)
 
 
 # Nine nonterminals over S3, with the chain arc A_8 -> A_9 broken.

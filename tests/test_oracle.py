@@ -432,7 +432,7 @@ def test_counters_and_matrices_stay_mutable_and_unhashable():
     counters.products += 2
     assert counters == OpCounters(products=2)
     assert repr(counters) == "OpCounters(unions=0, products=2, stars=0, diamonds=0, triples=0)"
-    matrix = LabelMatrix(FG1, 1, 1, (1,), {}, None)
+    matrix = LabelMatrix(FG1, (1,), {}, None)
     matrix.level = 3
     assert matrix.level == 3
     for value in (counters, matrix):
