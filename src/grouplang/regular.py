@@ -3,10 +3,9 @@
 The check labels each automaton arc with the group image of its letter
 and first reads the potential (:func:`potential`) on the arcs, before
 any label matrix exists; it finds the useful states and decides every
-inclusion that holds.  Only when it finds a violation does the check
-build the level-0 label matrix on the useful states and close it with
-the all-pairs pivot recurrence
-``K[i][j] = K[i][j] | K[i][k] * K[k][j]``, and then test two things:
+inclusion that holds.  The paper's check builds the level-0 label matrix
+on the useful states and closes it with the all-pairs pivot recurrence
+``K[i][j] = K[i][j] | K[i][k] * K[k][j]``, and then tests two things:
 no start-to-final cell may contain a non-identity element, and for
 every state the conjugates of its cycle labels by its access labels
 must collapse to the identity.  Witness words ride along with every
@@ -14,8 +13,11 @@ element, so a failed check always names a concrete accepted word that
 does not multiply out to the identity.  With the early exit on, the
 same pass of the potential also guides that closure: a pivot step
 whose product it fixes makes no semiring call, and only the steps that
-can break the potential run ``product`` and ``union``.  When the first
-of those steps is the exit, the closure finds it without the pivot loop.
+can break the potential run ``product`` and ``union``.  When the
+potential finds a violation, the check first looks for the closure's
+exit on the arcs (:func:`_arc_exit`), at a level-0 cell or at the first
+of those steps; a failing automaton builds its matrix and runs the
+pivot loop only when neither exits.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
@@ -393,10 +395,11 @@ def pivot_closure(
     never binds there, and ``on_cell`` does not see it.  Every other step
     calls ``multiply`` and ``union``, and a cell they change is no longer
     known.  Without ``broken`` (the linear closure, and the regular one
-    with the early exit off), every step runs the semiring.  Before this
-    loop, :func:`closure` looks for the guided loop's exit at its first
-    semiring step, and runs the loop only when that step does not exit;
-    its docstring says why that search is exact.
+    with the early exit off), every step runs the semiring.  Before the
+    matrix exists, :func:`check_regular_inclusion` looks for the guided
+    loop's exit at its first semiring step on the automaton's arcs, and
+    runs the loop only when that step does not exit; :func:`_arc_exit`
+    says why that search is exact.
 
     ``read_row`` (the linear check passes its start) names the one row
     the caller reads after the closure besides the diagonal and the last
@@ -557,22 +560,8 @@ def closure(
     whose product tau fixes, as :func:`pivot_closure` describes; the
     closure, its exit and every witness stay those of the unguided one.
     ``early_fail=False`` runs the paper's closure unguided, whatever
-    ``broken`` is.
-
-    With ``broken``, the closure first finds its exit without the pivot
-    loop when it can (:func:`_first_step_exit`).  Until the guided loop's
-    first semiring step, every cell is a singleton, and every cell
-    outside ``broken`` holds the shortlex-least walk over the known
-    level-0 cells whose interior lies in the pivots done.  Shortlex is
-    compatible with concatenation, so the least walk through pivot k is
-    the least walk to k followed by the least walk from k; a walk through
-    a broken cell needs a semiring step.  Within pivot k no operand's
-    witness changes, since a walk through K[k][k] is strictly longer.
-    So the first step (k, i, j) that calls the semiring, and its three
-    cells, are read off reachability and least walks over the pivots
-    before k.  When that step leaves K[i][j] with two labels, the
-    closure raises the loop's exit and counts its one product and union;
-    otherwise the loop runs from level 0 as if no search had been made.
+    ``broken`` is.  The check calls the closure only when
+    :func:`_arc_exit` finds no exit on the arcs.
 
     >>> from grouplang import Cyclic
     >>> loop = Nfa(states=1, rank=1, transitions=frozenset({(1, 1, 1)}), finals=frozenset({1}))
@@ -583,8 +572,6 @@ def closure(
     >>> closure(build_initial_matrix(loop, Cyclic(2)), early_fail=False).cell(1, 1)
     GroupSet({1: (1,), 0: (1, 1)})
     """
-    if early_fail and broken is not None and mat.level == 0:
-        _first_step_exit(mat, broken, cap, counters)
     return pivot_closure(
         mat,
         product,
@@ -597,44 +584,86 @@ def closure(
     )
 
 
-def _first_step_exit(
-    mat: LabelMatrix, broken: set, cap: int | None, counters: OpCounters | None
+def _arc_exit(
+    a: Nfa,
+    backend: Backend,
+    useful: frozenset[int],
+    broken: set,
+    labels: dict,
+    cap: int | None,
+    counters: OpCounters | None,
 ) -> None:
     """Raise the guided closure's exit if it comes at a level-0 cell or at its first semiring step.
 
-    Returns, with ``mat`` and ``counters`` unchanged, when neither exits;
-    :func:`closure` says why the step and its cells are exact.
+    Reads the automaton's arcs; no label matrix is built.  Returns, with
+    ``counters`` unchanged, when neither exits, and the check then builds
+    the matrix and runs :func:`closure` with ``broken``.  ``labels`` is
+    the arc-label map of :func:`potential`; labels it lacks are added.
+
+    One pass over the useful arcs, in the builder's order, collects the
+    label sets of the broken cells and each known cell's least witness.
+    A known cell is a singleton, so a level-0 cell with two labels is
+    broken, and the first one in the order the builder creates cells is
+    the loop's exit before its first pivot.  Otherwise every cell is a
+    singleton until the guided loop's first semiring step, and every cell
+    outside ``broken`` holds the shortlex-least walk over the known
+    level-0 cells whose interior lies in the pivots done.  Shortlex is
+    compatible with concatenation, so the least walk through pivot k is
+    the least walk to k followed by the least walk from k; a walk through
+    a broken cell needs a semiring step.  Within pivot k no operand's
+    witness changes, since a walk through K[k][k] is strictly longer.
+    So the first step (k, i, j) that calls the semiring
+    (:func:`_first_step_on_arcs`), and its three cells, are read off
+    reachability and least walks over the pivots before k.  When that
+    step leaves K[i][j] with two labels, this raises the loop's exit and
+    counts its one product and union, as the loop would.
     """
-    cells = mat.cells
-    useful = mat.useful
-    at = {v: n for n, v in enumerate(useful)}
-    known = [0] * len(useful)
-    bad = [0] * len(useful)
-    arcs: dict[int, list] = {}  # the known cells as arcs, for ``shortest_walk``
-    for (i, j), cell in cells.items():
-        _singleton_exit(i, j, cell)
-        if (i, j) in broken:
-            bad[at[i]] |= 1 << at[j]
-        else:
-            known[at[i]] |= 1 << at[j]
-            arcs.setdefault(i, []).append((i, j, next(iter(cell.elements.values())), ()))
-    step = _first_semiring_step(known, bad)
+    order = sorted(useful)
+    at = {v: n for n, v in enumerate(order)}
+    known: list[list[int]] = [[] for _ in order]  # per row position, the columns of its known cells
+    bad: list[list[int]] = [[] for _ in order]  # and of its broken cells
+    least: dict = {}  # known cell -> its least witness
+    bad_cells: dict = {}  # broken cell -> its labels' least witnesses, in the builder's cell order
+    for src, dst, wit, _right in a._arcs:  # one-letter words, in letter order per cell
+        p, q = at.get(src), at.get(dst)
+        if p is None or q is None:
+            continue
+        cell = (src, dst)
+        if cell in broken:
+            elements = bad_cells.get(cell)
+            if elements is None:
+                elements = bad_cells[cell] = {}
+                bad[p].append(q)
+            label = labels.get(wit)
+            if label is None:
+                label = labels[wit] = GroupSet.evaluate(backend, wit)
+            elements.setdefault(label, wit)
+        elif cell not in least:
+            least[cell] = wit
+            known[p].append(q)
+    for (i, j), elements in bad_cells.items():
+        if len(elements) >= 2:
+            _singleton_exit(i, j, GroupSet(backend, elements, True))
+    step = _first_step_on_arcs(known, bad)
     if step is None:
         return
     pk, pi, pj = step
-    k, i, j = useful[pk], useful[pi], useful[pj]
-    backend = mat.backend
+    k, i, j = order[pk], order[pi], order[pj]
+    arcs: dict[int, list] = {}  # the known cells as arcs, for ``shortest_walk``
+    for (src, dst), wit in least.items():
+        arcs.setdefault(src, []).append((src, dst, wit, ()))
     # Interior vertices of the least walks: the pivots before k.
-    interior = {v: arcs[v] for v in useful[:pk] if v in arcs}
+    interior = {v: arcs[v] for v in order[:pk] if v in arcs}
 
-    def before_k(a: int, b: int) -> GroupSet:
-        """K[a][b] before pivot k: its level-0 cell if broken, else its least known walk."""
-        if (a, b) in broken:
-            return cells[a, b]
-        if not known[at[a]] >> at[b] & 1:
-            return mat.empty
-        interior[0] = arcs[a]  # vertex 0, no state, starts the walk: so a cycle cell works too
-        wit = shortest_walk(interior, 0, {b})[0]
+    def before_k(s: int, t: int) -> GroupSet:
+        """K[s][t] before pivot k: its level-0 cell if broken, else its least known walk, if any."""
+        if (s, t) in bad_cells:
+            return GroupSet(backend, bad_cells[s, t], True)
+        interior[0] = arcs.get(s, ())  # vertex 0, no state, starts the walk: so a cycle cell works too
+        walk = shortest_walk(interior, 0, {t})
+        if walk is None:
+            return GroupSet(backend)
+        wit = walk[0]
         return GroupSet(backend, {GroupSet.evaluate(backend, wit): wit}, True)
 
     left, right, target = before_k(i, k), before_k(k, j), before_k(i, j)
@@ -657,28 +686,94 @@ def _first_step_exit(
     _singleton_exit(i, j, merged)
 
 
-def _first_semiring_step(known: list[int], bad: list[int]) -> tuple[int, int, int] | None:
+def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[int, int, int] | None:
     """Positions (k, i, j) of the guided loop's first step that calls the semiring, or None.
 
-    ``known[i]`` and ``bad[i]`` are bitsets over the positions of the
-    useful vertices: row i's non-empty cells outside and inside the
-    broken set.  The loop of :func:`pivot_closure` is run on them up to
-    that step, so ``known`` ends as the loop's known cells there.
+    ``known[p]`` and ``bad[p]`` list the columns of row p's level-0 cells
+    outside and inside the broken set, all by position.  Until that step,
+    K[i][k] before pivot k is non-empty exactly when a level-0 cell (i, k)
+    is broken or a walk of known cells leads from i to k through pivots
+    before k; K[k][j] likewise.  So a step into the semiring at pivot k
+    exists exactly when
+
+    (a) row k has a broken cell and some known cell enters k;
+    (b) a broken cell enters k and row k has any cell; or
+    (c) a broken cell (i, j) first gets a known walk through k whose
+        other interior vertices all come before k: the least largest
+        interior vertex of a known walk from i to j is k.
+
+    The sweep runs the pivots in order, (a) and (b) on flags and (c) per
+    broken row: the row's reach grows by the walks through pivot k once it
+    reaches k, and a vertex it reaches before the current pivot is
+    expanded at once, so every vertex is expanded at most once per row.
+    A row's reach is built when the sweep first expands a vertex for it.
+    At the first such k, a backward and a forward search through the
+    vertices before k give the rows with a known K[i][k] and the columns
+    of row k, and the loop's order picks i, then the least j.
     """
-    for pk, (known_k, bad_k) in enumerate(zip(known, bad)):
-        bit = 1 << pk
-        row_k = known_k | bad_k
-        for pi, (known_i, bad_i) in enumerate(zip(known, bad)):
-            if known_i & bit:
-                steps = bad_k | (bad_i & row_k)  # a broken K[k][j] or K[i][j]
-            elif bad_i & bit:
-                steps = row_k  # a broken K[i][k]: every step of the row
-            else:
-                continue  # K[i][k] is empty
-            if steps:
-                return pk, pi, (steps & -steps).bit_length() - 1
-            known[pi] = known_i | known_k  # every step settled: row i reaches row k's cells
-    return None
+    entered_known = set().union(*known)
+    entered_bad = set().union(*bad)
+    waiting: list[list[int]] = [[] for _ in known]  # per vertex, the broken rows that reach it
+    for i, cols in enumerate(bad):
+        if cols:
+            for q in known[i]:
+                waiting[q].append(i)
+    reach: dict[int, tuple[set, set]] = {}  # broken row -> (vertices it reaches, its broken columns)
+
+    def walks_break(k: int) -> bool:
+        """Expand vertex k in each broken row that reaches it; whether one reaches a broken column."""
+        for i in waiting[k]:
+            row = reach.get(i)
+            if row is None:
+                row = reach[i] = (set(known[i]), set(bad[i]))
+            seen, targets = row
+            todo = [k]
+            while todo:
+                for y in known[todo.pop()]:
+                    if y not in seen:
+                        if y in targets:
+                            return True
+                        seen.add(y)
+                        if y < k:
+                            todo.append(y)
+                        else:
+                            waiting[y].append(i)
+        return False
+
+    for k in range(len(known)):
+        if bad[k] and k in entered_known or k in entered_bad and (known[k] or bad[k]):
+            break  # (a) or (b)
+        if waiting[k] and walks_break(k):
+            break  # (c)
+    else:
+        return None
+    into: list[list[int]] = [[] for _ in known]
+    for i, cols in enumerate(known):
+        for q in cols:
+            into[q].append(i)
+    rows = _ends_before(into, k)  # rows i with a known K[i][k]
+    row_k = _ends_before(known, k).union(bad[k])
+    for i in sorted(rows.union(i for i, cols in enumerate(bad) if k in cols)):
+        if i in rows:
+            steps = row_k.intersection(bad[i]).union(bad[k])  # a broken K[i][j] or K[k][j]
+        else:
+            steps = row_k  # a broken K[i][k]: every step of the row
+        if steps:
+            return k, i, min(steps)
+    raise InternalInconsistency(f"pivot {k} has a semiring step, but no row makes it")
+
+
+def _ends_before(edges: list[list[int]], k: int) -> set[int]:
+    """Ends of the walks from ``k`` along ``edges`` whose interior vertices all come before ``k``."""
+    seen: set[int] = set()
+    todo = [k]
+    while todo:
+        for y in edges[todo.pop()]:
+            if y not in seen:
+                seen.add(y)
+                if y < k:
+                    todo.append(y)
+    return seen
 
 
 def shortest_word_path(a: Nfa, source: int, targets: frozenset[int] | set[int]) -> Word | None:
@@ -719,11 +814,13 @@ def check_regular_inclusion(
     tau, broken, labels = potential(a, a.finals, backend, GroupSet)
     if a.start not in tau or not broken and tau[a.start] == backend.identity:
         return Holds()  # the language is empty, or the potential holds
-    # A violation: the closure on the useful states finds it again and names its witness.
+    # A violation: the exit on the arcs, or else the closure on the useful states, finds it again
+    # and names its witness.
     useful = frozenset(tau)
     finals_useful = sorted(a.finals & useful)
-    mat = build_initial_matrix(a, backend, useful=useful, labels=labels)
     try:
+        _arc_exit(a, backend, useful, broken, labels, config.set_cap, counters)
+        mat = build_initial_matrix(a, backend, useful=useful, labels=labels)
         closure(mat, cap=config.set_cap, counters=counters, broken=broken)
     except SingletonViolation as sv:
         u = shortest_word_path(a, a.start, {sv.i})

@@ -7,6 +7,7 @@ import itertools
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import Phase, settings
 
 import grouplang.linear
 import grouplang.regular
@@ -14,6 +15,10 @@ from grouplang import FiniteCayley
 from grouplang.regular import useful_vertices
 
 _CRITERIA_REPORT: list[tuple[int, str]] = []
+
+# ``tests/mutants.py`` runs under this profile: a killed mutant needs a
+# failing example, not the smallest one, so it skips the shrink phase.
+settings.register_profile("mutants", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)])
 
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:
@@ -91,15 +96,17 @@ def closure_only():
 def paper_closure():
     """The regular check on the paper's full closure: unguided, with no early exit.
 
-    The closure then runs to the end and the check runs the paper's
-    start-to-final and conjugate tests on the closed matrix.
+    The check skips its exit on the arcs, the closure then runs to the
+    end and the check runs the paper's start-to-final and conjugate tests
+    on the closed matrix.
     """
-    original = grouplang.regular.closure
+    original, arc_exit = grouplang.regular.closure, grouplang.regular._arc_exit
     grouplang.regular.closure = functools.partial(original, early_fail=False)
+    grouplang.regular._arc_exit = lambda *args: None
     try:
         yield
     finally:
-        grouplang.regular.closure = original
+        grouplang.regular.closure, grouplang.regular._arc_exit = original, arc_exit
 
 
 @pytest.fixture

@@ -10,7 +10,9 @@ script first runs all the named test files on an unmutated copy of
 ``src/``, which must pass.  Then, per mutant, it copies ``src/`` to a
 temporary directory, applies the replacement and runs the mutant's test
 files on that copy with ``--hypothesis-seed=0`` and a fresh Hypothesis
-database, so a mutant's fate does not depend on earlier draws.  A mutant
+database, so a mutant's fate does not depend on earlier draws, and with
+the ``mutants`` Hypothesis profile of ``tests/conftest.py``, which skips
+shrinking: a failing example kills a mutant, whatever its size.  A mutant
 must make those files fail; an expected survivor, an equivalent mutant,
 must leave them passing.  The old text must occur exactly once: when a
 refactor moves it, the script stops and the list must be updated.  The
@@ -47,19 +49,19 @@ GUIDED = ("test_guided_closure.py",)
 LINEAR = ("test_linear.py",)
 
 MUTANTS = (
-    # The direct exit: the guided loop's first semiring step found on bitsets.
+    # The direct exit: the guided loop's first semiring step found on the arcs.
     Mutant(
         "exit-no-broken-target",
         "regular.py",
-        "steps = bad_k | (bad_i & row_k)  # a broken K[k][j] or K[i][j]",
-        "steps = bad_k",
+        "steps = row_k.intersection(bad[i]).union(bad[k])  # a broken K[i][j] or K[k][j]",
+        "steps = set(bad[k])",
         GUIDED,
     ),
     Mutant(
         "exit-no-broken-left",
         "regular.py",
-        "elif bad_i & bit:",
-        "elif False:",
+        "for i in sorted(rows.union(i for i, cols in enumerate(bad) if k in cols)):",
+        "for i in sorted(rows):",
         GUIDED,
     ),
     Mutant(
@@ -84,10 +86,39 @@ MUTANTS = (
         GUIDED,
     ),
     Mutant(
-        "exit-skips-bitset-update",
+        "exit-skips-reach-update",
         "regular.py",
-        "known[pi] = known_i | known_k  # every step settled: row i reaches row k's cells",
-        "pass",
+        "                        else:\n                            waiting[y].append(i)\n",
+        "",
+        GUIDED,
+    ),
+    # The sweep over the pivots: its three conditions and its searches.
+    Mutant(
+        "sweep-drops-a",
+        "regular.py",
+        "if bad[k] and k in entered_known or k in entered_bad and (known[k] or bad[k]):",
+        "if k in entered_bad and (known[k] or bad[k]):",
+        GUIDED,
+    ),
+    Mutant(
+        "sweep-drops-b",
+        "regular.py",
+        "if bad[k] and k in entered_known or k in entered_bad and (known[k] or bad[k]):",
+        "if bad[k] and k in entered_known:",
+        GUIDED,
+    ),
+    Mutant(
+        "sweep-skips-vertices-below-k",
+        "regular.py",
+        "                        if y < k:\n                            todo.append(y)\n                        else:\n",
+        "                        if y > k:\n",
+        GUIDED,
+    ),
+    Mutant(
+        "sweep-searches-pass-k",
+        "regular.py",
+        "                if y < k:\n                    todo.append(y)\n    return seen\n",
+        "                if y != k:\n                    todo.append(y)\n    return seen\n",
         GUIDED,
     ),
     # The skip rule of ``read_row``: the steps into cells no later step reads.
@@ -189,8 +220,8 @@ SURVIVORS = (
     Mutant(
         "exit-walks-through-pivot-k",
         "regular.py",
-        "interior = {v: arcs[v] for v in useful[:pk] if v in arcs}",
-        "interior = {v: arcs[v] for v in useful[: pk + 1] if v in arcs}",
+        "interior = {v: arcs[v] for v in order[:pk] if v in arcs}",
+        "interior = {v: arcs[v] for v in order[: pk + 1] if v in arcs}",
         GUIDED,
     ),
 )
@@ -224,7 +255,7 @@ def run_tests(src: Path, cwd: Path, tests) -> tuple[bool, list[str]]:
         sys.exit(f"the tests would import {probe.stdout.strip()}, not the copy under {src}")
     command = [
         sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-        "--hypothesis-seed=0", f"--rootdir={ROOT}",
+        "--hypothesis-seed=0", "--hypothesis-profile=mutants", f"--rootdir={ROOT}",
         *(str(ROOT / "tests" / name) for name in tests),
     ]
     try:

@@ -3,12 +3,14 @@
 Given the cells ``potential`` finds broken, ``closure(..., broken=...)``
 knows the other level-0 singleton cells, whose one label agrees with
 the potential tau, and settles from them the pivot steps whose outcome
-tau already fixes, with no semiring call.  Before it runs that guided
-pivot loop, it looks for the loop's first semiring step directly, and
-raises that step's exit without the loop when the step makes one.
-The direct search, the guided loop alone and the unguided closure must
-all end alike: the same ``SingletonViolation``, the same
-``CapExceeded``, or the same closed matrix.
+tau already fixes, with no semiring call.  Before the check builds the
+matrix for that guided pivot loop, it looks for the loop's first
+semiring step on the automaton's arcs (``_arc_exit``), and raises that
+step's exit without the matrix when the step makes one.  The exit on
+the arcs, the guided loop alone and the unguided closure must all end
+alike: the same ``SingletonViolation``, the same ``CapExceeded``, or the
+same closed matrix.  The sweep that finds the first step must find the
+step a replay of the guided loop on per-row bitsets finds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 import tracemalloc
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grouplang.regular
@@ -39,7 +41,7 @@ from grouplang import (
     useful_states,
 )
 from grouplang.corpus import random_nfa
-from grouplang.regular import _singleton_exit, pivot_closure, potential
+from grouplang.regular import _arc_exit, _first_step_on_arcs, _singleton_exit, pivot_closure, potential
 from grouplang.semiring import GroupSet, product, union
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,12 +110,100 @@ def guided_loop(mat, *, early_fail, cap, counters, broken):
     )
 
 
-def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool, close=closure):
-    """('violation', ...), ('cap', ...) or ('closed', level, cells), and the counters."""
-    mat = build_initial_matrix(a, backend, useful=useful_states(a))
-    broken = potential(a, a.finals, backend, GroupSet)[1] if guided else None
+def replay_first_semiring_step(known: list[int], bad: list[int]) -> tuple[int, int, int] | None:
+    """Positions (k, i, j) of the guided loop's first step that calls the semiring, or None.
+
+    The reference for ``_first_step_on_arcs``.  ``known[i]`` and
+    ``bad[i]`` are bitsets over the positions of the useful vertices: row
+    i's non-empty cells outside and inside the broken set.  The loop of
+    ``pivot_closure`` is replayed on them up to that step, at one visit
+    per row and pivot, so ``known`` ends as the loop's known cells there.
+    """
+    for pk, (known_k, bad_k) in enumerate(zip(known, bad)):
+        bit = 1 << pk
+        row_k = known_k | bad_k
+        for pi, (known_i, bad_i) in enumerate(zip(known, bad)):
+            if known_i & bit:
+                steps = bad_k | (bad_i & row_k)  # a broken K[k][j] or K[i][j]
+            elif bad_i & bit:
+                steps = row_k  # a broken K[i][k]: every step of the row
+            else:
+                continue  # K[i][k] is empty
+            if steps:
+                return pk, pi, (steps & -steps).bit_length() - 1
+            known[pi] = known_i | known_k  # every step settled: row i reaches row k's cells
+    return None
+
+
+@st.composite
+def random_layouts(draw):
+    """1-12 vertices; each cell is known, broken or empty at random densities."""
+    n = draw(st.integers(1, 12))
+    known, broken = draw(st.floats(0.05, 0.4)), draw(st.floats(0, 0.1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cells = {}
+    for p in range(n):
+        for q in range(n):
+            r = rng.random()
+            if r < broken + known:
+                cells[p, q] = r < broken
+    return n, cells, rng
+
+
+@st.composite
+def two_way_paths(draw):
+    """A path of 2-40 vertices with known cells both ways, in order or shuffled, and 0-3 broken cells."""
+    n = draw(st.integers(2, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    order = list(range(n))
+    if draw(st.booleans()):
+        rng.shuffle(order)
+    cells = {}
+    for p, q in zip(order, order[1:]):
+        cells[p, q] = cells[q, p] = False
+    for _ in range(draw(st.integers(0, 3))):
+        cells[rng.randrange(n), rng.randrange(n)] = True
+    return n, cells, rng
+
+
+@settings(max_examples=1000, deadline=None)
+@given(layout=st.one_of(random_layouts(), two_way_paths()))
+# Known 0 -> 1 -> 2 -> 3 and the broken (0, 3): row 0 reaches 2 at pivot 1,
+# and must expand it at pivot 2, where the first step is (2, 0, 3).
+@example(layout=(4, {(0, 1): False, (1, 2): False, (2, 3): False, (0, 3): True}, random.Random(0)))
+# Known 3 -> 2 -> 0 -> 4 and the broken (3, 4): at pivot 2, row 3 reaches 0
+# through 2 and must expand 0 at once, before its pivot would come.
+@example(layout=(5, {(3, 2): False, (2, 0): False, (0, 4): False, (3, 4): True}, random.Random(0)))
+def test_the_arc_sweep_finds_the_replays_first_step(layout):
+    n, cells, rng = layout
+    known, bad = [[] for _ in range(n)], [[] for _ in range(n)]
+    known_bits, bad_bits = [0] * n, [0] * n
+    listed = list(cells.items())
+    rng.shuffle(listed)  # the arc pass lists a row's columns in arc order, not by position
+    for (p, q), is_broken in listed:
+        (bad if is_broken else known)[p].append(q)
+        if is_broken:
+            bad_bits[p] |= 1 << q
+        else:
+            known_bits[p] |= 1 << q
+    assert _first_step_on_arcs(known, bad) == replay_first_semiring_step(known_bits, bad_bits)
+
+
+def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool, close=closure, on_arcs=False):
+    """('violation', ...), ('cap', ...) or ('closed', level, cells), and the counters.
+
+    With ``on_arcs`` (guided only), the check's exit on the arcs runs
+    first, and the matrix is built and closed only when it does not fire.
+    """
+    useful = useful_states(a)
+    broken = labels = None
+    if guided:
+        _tau, broken, labels = potential(a, a.finals, backend, GroupSet)
     counters = OpCounters()
     try:
+        if on_arcs:
+            _arc_exit(a, backend, useful, broken, labels, cap, counters)
+        mat = build_initial_matrix(a, backend, useful=useful)
         close(mat, early_fail=early_fail, cap=cap, counters=counters, broken=broken)
     except SingletonViolation as sv:
         return ("violation", sv.i, sv.j, sv.witness_a, sv.witness_b), counters
@@ -154,7 +244,7 @@ def test_guided_closure_ends_as_the_unguided_one(seed, pick, shape, cap, early_f
         )
     if not early_fail and cap is None:
         cap = 64  # without the early exit, free-group sets grow without bound
-    guided, guided_counters = run_closure(a, backend, cap, early_fail, guided=True)
+    guided, guided_counters = run_closure(a, backend, cap, early_fail, guided=True, on_arcs=early_fail)
     plain, plain_counters = run_closure(a, backend, cap, early_fail, guided=False)
     assert guided == plain
     # Settled steps make neither call; a cap hit in ``union`` leaves one
@@ -185,18 +275,23 @@ def test_the_direct_exit_ends_as_the_guided_loop(seed, pick, shape, cap):
             density=rng.choice((1, 2, 4)) / states,
             inverse_paired=shape == "paired",
         )
-    direct, direct_counters = run_closure(a, backend, cap, True, guided=True)
+    direct, direct_counters = run_closure(a, backend, cap, True, guided=True, on_arcs=True)
     loop, loop_counters = run_closure(a, backend, cap, True, guided=True, close=guided_loop)
     assert direct == loop
     assert direct_counters == loop_counters
     assert direct == run_closure(a, backend, cap, True, guided=False)[0]
 
 
-def test_a_long_failing_path_never_runs_the_pivot_loop(monkeypatch):
-    def no_loop(*args, **kwargs):
-        raise AssertionError("the pivot loop ran")
+def refuse(what: str):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
 
-    monkeypatch.setattr(grouplang.regular, "pivot_closure", no_loop)
+    return refused
+
+
+def test_a_long_failing_path_never_runs_the_pivot_loop(monkeypatch):
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", refuse("the pivot loop"))
+    monkeypatch.setattr(grouplang.regular, "build_initial_matrix", refuse("the matrix builder"))
     a = path_nfa(random.Random(0), FreeGroup(2), 512, 500)
     forward = {src: letter for src, letter, dst in a.transitions if dst == src + 1}
     to_loop = tuple(forward[q] for q in range(1, 500))
@@ -207,6 +302,28 @@ def test_a_long_failing_path_never_runs_the_pivot_loop(monkeypatch):
     # (500, 500), where the loop meets the walk 500 -> 499 -> 500.
     assert verdict == Fails(
         witness=to_loop + (2,) + inverse_word(to_loop), reason="distinct-labels", state=500
+    )
+    assert counters.products == counters.unions == 1
+
+
+def test_a_2000_state_failing_path_exits_on_its_arcs(monkeypatch):
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", refuse("the pivot loop"))
+    monkeypatch.setattr(grouplang.regular, "build_initial_matrix", refuse("the matrix builder"))
+    backend = symmetric_group(4)
+    a = path_nfa(random.Random(0), backend, 2000, 1800)
+    forward = {src: letter for src, letter, dst in a.transitions if dst == src + 1}
+    [loop] = [letter for src, letter, dst in a.transitions if src == dst]
+    # Over S4 the path value returns to e often: the nearest final state
+    # to the loop lies before it, closer than any after it.
+    back_to = max(q for q in a.finals if q < 1800)
+    assert 1800 - back_to < min(q for q in a.finals if q > 1800) - 1800
+    to_loop = tuple(forward[q] for q in range(1, 1800))
+    counters = OpCounters()
+    verdict = check_regular_inclusion(a, backend, None, counters)
+    # There, the loop, and back to the final state before it: the exit is
+    # at (1800, 1800), where the loop meets the walk 1800 -> 1799 -> 1800.
+    assert verdict == Fails(
+        witness=to_loop + (loop,) + inverse_word(to_loop[back_to - 1 :]), reason="distinct-labels", state=1800
     )
     assert counters.products == counters.unions == 1
 
@@ -225,12 +342,8 @@ def test_the_direct_exit_reads_cells_that_settled_steps_filled(monkeypatch):
     loop = run_closure(a, backend, None, True, guided=True, close=guided_loop)
     assert loop[0] == run_closure(a, backend, None, True, guided=False)[0]
     assert loop[0] == ("violation", 1, 5, (1,), (-1, 1, -1))
-
-    def no_loop(*args, **kwargs):
-        raise AssertionError("the pivot loop ran")
-
-    monkeypatch.setattr(grouplang.regular, "pivot_closure", no_loop)
-    assert run_closure(a, backend, None, True, guided=True) == loop
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", refuse("the pivot loop"))
+    assert run_closure(a, backend, None, True, guided=True, on_arcs=True) == loop
 
 
 def test_a_first_step_into_an_empty_cell_falls_back_to_the_loop(monkeypatch):
@@ -248,7 +361,7 @@ def test_a_first_step_into_an_empty_cell_falls_back_to_the_loop(monkeypatch):
         return pivot_closure(*args, **kwargs)
 
     monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
-    direct, counters = run_closure(a, backend, None, True, guided=True)
+    direct, counters = run_closure(a, backend, None, True, guided=True, on_arcs=True)
     assert loops == [{(1, 2)}]
     assert direct == run_closure(a, backend, None, True, guided=False)[0]
     assert direct[:3] == ("violation", 1, 3)
@@ -272,7 +385,7 @@ def test_a_first_step_that_keeps_its_target_falls_back_to_the_loop(monkeypatch):
         return pivot_closure(*args, **kwargs)
 
     monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
-    direct, counters = run_closure(a, backend, None, True, guided=True)
+    direct, counters = run_closure(a, backend, None, True, guided=True, on_arcs=True)
     assert loops == [{(1, 2), (1, 3)}]
     assert direct == run_closure(a, backend, None, True, guided=False)[0]
     assert direct[:2] == ("closed", 4) and direct[2][1, 3] == {2: (-1,)}
@@ -466,6 +579,8 @@ def test_tracer_counts_match_on_the_guided_closure(monkeypatch):
         check_regular_inclusion(pinned_path(), FreeGroup(2), None, counters)
     finally:
         tracer.uninstall()
-    assert tracer.raised["regular.closure", "SingletonViolation"] == 1
+    # The exit comes on the arcs: no matrix is built and no closure runs.
+    entered = set(tracer.completed) | {name for name, _exc in tracer.raised}
+    assert "semiring.product" in entered and entered & {"regular.build", "regular.closure"} == set()
     assert tracer.opcounter_view() == counters.as_dict()
     assert counters.products == PINNED_PRODUCTS[0]

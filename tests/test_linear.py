@@ -540,7 +540,7 @@ def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, lit
     else:
         (i, j), _, at_k = full_capped
         at = {v: p for p, v in enumerate(useful)}
-        if j > g.nonterminals or not (at[i] < at_k and at[j] <= at_k and i not in (j, g.start)):
+        if not (at[i] < at_k and at[j] <= at_k and i not in (j, g.start)):
             assert capped == full_capped  # the full run capped in a cell the check computes
 
     config = RunConfig(literal_omega10=literal) if cap is None else RunConfig(set_cap=cap, literal_omega10=literal)
