@@ -124,7 +124,7 @@ def cmd_oracle(args) -> int:
     elif kind == "automaton":
         bound_len = counterexample_bound_regular(language)
     else:
-        bound_len = max(1, counterexample_bound_linear(language))
+        bound_len = counterexample_bound_linear(language)
     bound = EnumerationBound(max_word_length=bound_len, max_words=args.max_words)
     words = _enumerate(kind, language, bound)
     started = time.perf_counter()

@@ -12,9 +12,10 @@ mode, does it build the level-0 pair matrix on the useful nonterminals
 and the sink, the matrix's last vertex, and close it with the same
 pivot recurrence as the regular case, multiplied with the diamond
 operation.
-It tests the start-to-sink labels whenever that cell changes and, per
-vertex, the cycle pairs wrapped around the tails that leave it.  It
-reads only the diagonal, the start row and the sink column, so its
+It tests the start-to-sink labels whenever that cell changes and, after
+every pivot, each vertex's cycle pairs wrapped around its fewest-letter
+tail; a closure that passes both proves the inclusion (``_cycle_scan``).
+It reads only the diagonal, the start row and the sink column, so its
 closure skips the steps into the other cells that no later step reads
 (``pivot_closure``'s ``read_row``): those three are exact at every
 level, and the rest of the matrix is left partly closed.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from pathlib import Path
 
-from .errors import CapExceeded, InputError, InternalInconsistency
+from .errors import CapExceeded, InputError
 from .groups import Backend, Word, read_json, require_int, validate_word
 from .records import Record
 from .regular import (
@@ -48,7 +49,7 @@ from .semiring import (
     proj_product,
     proj_right,
     triple_literal,
-    triple_paired,
+    triple_paired,  # no check calls it; a module attribute because bench/tracing.py wraps it
     union,
 )
 from .verdicts import (
@@ -265,21 +266,15 @@ def _final_cell_scan(watch: tuple[int, int]):
     return scan
 
 
-def _wrapped_failure(backend: Backend, cycles: PairSet, tails) -> tuple | None:
-    """The first (cycle witness, tail witness) whose u v w differs from v, or None.
+def _wrapped_failure(backend: Backend, cycles: PairSet, v) -> tuple[Word, Word] | None:
+    """The smallest witness of a cycle pair (u, w) with u v w != v, the tail's value, or None.
 
-    ``tails`` are (v, witness word) in witness order; cycle pairs (u, w)
-    count in witness order, tails after them.  u v w is ``PairSet.wrap``,
-    the rule :func:`potential` applies to every cell, unchecked since the
-    elements come out of the kernels.  Every cycle pair labels a real
-    walk, so the generated words with and without it then differ in value.
+    u v w is ``PairSet.wrap``, the rule :func:`potential` applies to every
+    cell, unchecked since the elements come out of the kernels.  Every
+    cycle pair labels a real walk, so the words with and without it differ in value.
     """
-
-    def failing_tail(pair):
-        return next((wit for v, wit in tails if PairSet.wrap(backend, pair, v) != v), None)
-
-    bad = cycles.best(lambda pair: failing_tail(pair) is not None)
-    return None if bad is None else (bad[1], failing_tail(bad[0]))
+    bad = cycles.best(lambda pair: PairSet.wrap(backend, pair, v) != v)
+    return None if bad is None else bad[1]
 
 
 def _wrapped_words(access: tuple[Word, Word], cycle: tuple[Word, Word], tail: Word) -> list[Word]:
@@ -299,9 +294,22 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
     with K[i][k] and K[k][i] non-empty can have changed, and an unchanged
     cell passes again.  Under the skip rule of ``pivot_closure`` row k is
     exact, and K[i][k] is non-empty exactly when the full closure's is.
+
+    The lemma: with ``watch_final`` on the start-to-sink cell, the scan
+    stops the closure of every failing grammar.  Let W be a start-to-sink
+    derivation whose word misses e, with the fewest letters, then arcs.
+    The recurrence puts a simple walk's pair into its cell by the pivot of
+    its largest interior vertex (level 0 for one arc), and the skip rule
+    keeps the start-to-sink cell and the diagonal exact.  So if W repeats
+    no vertex, ``watch_final`` sees it.  Else cut W = P C Q at its first
+    repeated vertex x, C a simple cycle at x.  C has letters, or P Q beats
+    W; so P Q and P t, t the fewest-letter tail of x, give e, and Q's
+    value is t's, v.  As W misses e, C's pair (u, w) has u v w != v, and
+    the scan tests K[x][x] after C's pivot.  So a completed closure proves
+    the inclusion.
     """
     out = g._successors
-    tails: dict[int, list] = {}
+    tails: dict[int, tuple] = {}
 
     def scan(mat: LabelMatrix) -> None:
         k = mat.useful[mat.level - 1] if mat.level else None
@@ -313,11 +321,12 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
                 # i is useful, so its tail and access walks exist.
                 tail_left, tail_right = shortest_walk(out, i, {g.sink})
                 tail = tail_left + tail_right
-                tails[i] = [(backend.canonicalize(tail), tail)]
-            found = _wrapped_failure(backend, cycles, tails[i])
-            if found is not None:
+                tails[i] = (backend.canonicalize(tail), tail)
+            v, tail = tails[i]
+            cycle = _wrapped_failure(backend, cycles, v)
+            if cycle is not None:
                 access = shortest_walk(out, g.start, {i})
-                raise _EarlyViolation(CONJUGATE, i, _wrapped_words(access, *found))
+                raise _EarlyViolation(CONJUGATE, i, _wrapped_words(access, cycle, tail))
 
     return scan
 
@@ -344,7 +353,8 @@ def closure_pairs(
 
     Without ``read_row`` every cell is closed.  With it, the closure
     keeps exact only the cells the linear check reads: the diagonal, the
-    sink column and row ``read_row``; see ``pivot_closure``.
+    sink column and row ``read_row``; see ``pivot_closure``.  As the
+    check runs it, a closure that completes proves the inclusion (``_cycle_scan``).
     """
     return pivot_closure(
         mat,
@@ -369,6 +379,7 @@ def check_linear_inclusion(
 
     A ``ResourceExceeded`` names a cell the check needed: the closure
     skips the cells it never reads, so no cap fires in one of those.
+    A completed closure proves the inclusion (``_cycle_scan``) outside literal mode.
     """
     config = config if config is not None else DEFAULT_CONFIG
     require_rank("grammar", g.rank, backend)
@@ -398,37 +409,25 @@ def check_linear_inclusion(
     except CapExceeded as exc:
         return ResourceExceeded(cell=exc.cell, cardinality=exc.cardinality)
 
-    # No start-to-sink test here: watch_final saw that cell at level 0 and on every change.
+    if not config.literal_omega10:
+        return Holds()  # the lemma in _cycle_scan
+    # Literal mode's unpaired test; watch_final saw the start-to-sink cell at every change.
     for i in mat.useful:
-        access = mat.cell(g.start, i)
-        cycles = mat.cell(i, i)
-        exits = mat.cell(i, sink)
-        if not access or not cycles or not exits:
+        cycles, exits = mat.cell(i, i), mat.cell(i, sink)
+        if not mat.cell(g.start, i) or not cycles or not exits:
             continue
-        tail_products = proj_product(exits)
         try:
-            if config.literal_omega10:
-                wrapped = triple_literal(
-                    proj_left(cycles), tail_products, proj_right(cycles), cap=config.set_cap
-                )
-            else:
-                wrapped = triple_paired(cycles, tail_products, cap=config.set_cap)
+            wrapped = triple_literal(
+                proj_left(cycles), proj_product(exits), proj_right(cycles), cap=config.set_cap
+            )
         except CapExceeded as exc:
             return ResourceExceeded(cell=(i, i), cardinality=exc.cardinality)
         if counters is not None:
             counters.triples += 1
-        if wrapped.best_non_identity() is None:
-            continue
-        if config.literal_omega10:
+        if wrapped.best_non_identity() is not None:
             # The independent-projection form can fire on valid inclusions,
             # so there may be no counterexample word to extract.
             return Fails(witness=None, reason=CONJUGATE, state=i, spurious=True)
-        found = _wrapped_failure(backend, cycles, tail_products.sorted_items())
-        if found is None:
-            raise InternalInconsistency("wrapped set had a non-identity element but no pair does")
-        best_access = min(access.elements.values(), key=PairSet.witness_key)
-        witness = first_failing_word(backend, _wrapped_words(best_access, *found))
-        return Fails(witness=witness, reason=CONJUGATE, state=i)
     return Holds()
 
 

@@ -228,6 +228,7 @@ def counterexample_bound_regular(a: Nfa) -> int:
 
 def counterexample_bound_linear(g: LinearGrammar) -> int:
     """Length bound for grammars: walk of <= n+1 arcs plus one simple cycle of <= n arcs,
-    each arc contributing at most the longest production's letter count."""
+    each arc contributing at most the longest production's letter count;
+    at least 1, the least length ``EnumerationBound`` takes."""
     longest = max((len(p.alpha) + len(p.beta) for p in g.productions), default=0)
-    return (2 * g.nonterminals + 1) * longest
+    return max(1, (2 * g.nonterminals + 1) * longest)

@@ -84,9 +84,6 @@ class _LabelSet:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.elements!r})"
 
-    def sorted_items(self) -> list:
-        return sorted(self.elements.items(), key=lambda kv: self.witness_key(kv[1]))
-
     def best(self, keep):
         """The (label, witness) with the smallest witness among labels ``keep`` accepts, or None."""
         key = self.witness_key

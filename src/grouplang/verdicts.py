@@ -45,6 +45,7 @@ class OpCounters(Record):
 
     The pivot steps of the regular closure that the potential settles
     (see ``regular.pivot_closure``) make no call and are not counted.
+    ``triples`` counts literal mode's triples, the only test after a linear closure.
     """
 
     unions: int = 0
@@ -67,7 +68,8 @@ class RunConfig(Record, frozen=True):
     without a matrix or label sets and never reaches the cap.
     ``literal_omega10`` switches the linear check's cycle test to the
     independent-projection form, kept only to demonstrate that it can
-    reject valid inclusions.
+    reject valid inclusions; it turns the cycle scan off and runs on the
+    closed matrix, the linear check's only test after its closure.
     """
 
     set_cap: int = 4096

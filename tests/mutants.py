@@ -194,6 +194,23 @@ MUTANTS = (
         "if not cycles or k is not None and not mat.cell(i, k):",
         LINEAR,
     ),
+    # The scan is what stops a failing closure: a completed one proves the inclusion.
+    Mutant(
+        "scan-off",
+        "linear.py",
+        "level_scan=None if config.literal_omega10 else _cycle_scan(g, backend),",
+        "level_scan=None,",
+        LINEAR,
+    ),
+    # The tail's value must read its right part last; only a tail with
+    # both parts over a non-abelian group tells the orders apart.
+    Mutant(
+        "scan-tail-right-part-first",
+        "linear.py",
+        "tails[i] = (backend.canonicalize(tail), tail)",
+        "tails[i] = (backend.canonicalize(tail_right + tail_left), tail)",
+        LINEAR,
+    ),
     # The tracer times ``diamond`` through ``grouplang.linear.diamond``; a
     # private alias of the same function escapes its span.
     Mutant(

@@ -90,9 +90,7 @@ def grammar_runs():
     runs: list[Run] = []
     for rank, grammars in corpora.items():
         for g in grammars:
-            bound = EnumerationBound(
-                max(1, counterexample_bound_linear(g)), max_words=MAX_ORACLE_WORDS
-            )
+            bound = EnumerationBound(counterexample_bound_linear(g), max_words=MAX_ORACLE_WORDS)
             for backend in BACKENDS_BY_RANK[rank]:
                 counters = OpCounters()
                 verdict = check_linear_inclusion(g, backend, counters=counters)

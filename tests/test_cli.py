@@ -660,7 +660,9 @@ def test_witness_tokens_feed_back_into_membership(capsys):
 # sample pair of matching rank, as the closure computed them before its
 # kernels were rewritten.  A kernel or loop change that drops or adds a
 # semiring call changes these.  ``check`` runs with early exit on, so the
-# regular check never reaches its conjugate test and makes no ``star`` call.
+# regular check never reaches its conjugate test and makes no ``star`` call,
+# and a completed paired closure proves a grammar's inclusion, so the linear
+# check makes no triple.
 PINNED_COUNTERS = {
     ("group_abelian2.json", "nfa_outback.json"): (22, 22, 0, 0, 0),
     ("group_free2.json", "nfa_outback.json"): (22, 22, 0, 0, 0),
@@ -674,13 +676,13 @@ PINNED_COUNTERS = {
     ("group_cyclic2.json", "nfa_star.json"): (1, 1, 0, 0, 0),
     ("group_cyclic3.json", "nfa_star.json"): (1, 1, 0, 0, 0),
     ("group_free1.json", "nfa_star.json"): (1, 1, 0, 0, 0),
-    ("group_cyclic2.json", "grammar_balanced.json"): (2, 0, 0, 2, 1),
-    ("group_cyclic3.json", "grammar_balanced.json"): (2, 0, 0, 2, 1),
-    ("group_free1.json", "grammar_balanced.json"): (2, 0, 0, 2, 1),
-    ("group_cyclic2.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 1),
-    ("group_cyclic3.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 1),
-    ("group_free1.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 1),
-    ("group_cyclic2.json", "grammar_squares.json"): (2, 0, 0, 2, 1),
+    ("group_cyclic2.json", "grammar_balanced.json"): (2, 0, 0, 2, 0),
+    ("group_cyclic3.json", "grammar_balanced.json"): (2, 0, 0, 2, 0),
+    ("group_free1.json", "grammar_balanced.json"): (2, 0, 0, 2, 0),
+    ("group_cyclic2.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 0),
+    ("group_cyclic3.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 0),
+    ("group_free1.json", "grammar_mixed_steps.json"): (2, 0, 0, 2, 0),
+    ("group_cyclic2.json", "grammar_squares.json"): (2, 0, 0, 2, 0),
     ("group_cyclic3.json", "grammar_squares.json"): (0, 0, 0, 0, 0),
     ("group_free1.json", "grammar_squares.json"): (0, 0, 0, 0, 0),
 }

@@ -37,7 +37,7 @@ from grouplang import (
     parse_grammar,
     useful_nonterminals,
 )
-from grouplang.corpus import random_linear_grammar
+from grouplang.corpus import random_linear_grammar, random_nfa
 from grouplang.linear import _cycle_scan, _EarlyViolation, _final_cell_scan, _wrapped_failure
 from grouplang.regular import pivot_closure, potential
 from grouplang.semiring import PairSet, diamond, union
@@ -355,19 +355,24 @@ def test_cross_algorithm_agreement_on_examples():
             assert not backend.word_in_group_language(vl.witness)
 
 
-def test_cycle_tests_name_the_word_with_the_cycle(monkeypatch):
+def test_cycle_tests_name_the_word_with_the_cycle():
     # A1 -> X1 A3 | x1 A1 X1, A3 -> A1 | X1.  In F1 the scan finds the
     # cycle at A3 wrapped around the tail X1, and both words it builds
     # (X1 X1 X1 with the cycle, X1 X1 without) miss the identity: the one
     # with the cycle is named.
     g = grammar(3, [(1, [-1], 3, []), (3, [], 1, []), (1, [1], 1, [-1]), (3, [-1])])
     assert check_linear_inclusion(g, FG1) == Fails(witness=(-1, -1, -1), reason="conjugate", state=3)
-    # With the per-level scan off, Z2 leaves the failure to the cycle test
-    # after the closure.
-    monkeypatch.setattr(grouplang.linear, "_cycle_scan", lambda g, backend: None)
-    verdict = check_linear_inclusion(g, Cyclic(2))
-    assert verdict == Fails(witness=(-1, -1, -1), reason="conjugate", state=1)
+    # Over Z2 only the scan sees the failure: without it the closure
+    # completes, and every start-to-sink pair multiplies to e.
+    z2 = Cyclic(2)
+    verdict = check_linear_inclusion(g, z2)
+    assert verdict == Fails(witness=(-1, -1, -1), reason="conjugate", state=3)
     assert g.generates(verdict.witness)
+    mat = build_grammar_matrix(g, z2, useful=useful_nonterminals(g))
+    closure_pairs(mat, watch_final=(g.start, g.sink), read_row=g.start)
+    assert mat.level == len(mat.useful)
+    assert mat.cell(g.start, g.sink)
+    assert all(z2._mul(*pair) == z2.identity for pair in mat.cell(g.start, g.sink).elements)
 
 
 # A1 -> X2 A2 X1 | eps, A2 -> A4, A4 -> x2 X2 A1 | x1 X1 A4 over F2, from
@@ -384,9 +389,9 @@ def test_the_cycle_scan_tests_the_cycle_cells_the_pivot_changed(monkeypatch):
     tested = []  # per level, the vertices whose cycle cell the scan tested
     original = grouplang.linear._wrapped_failure
 
-    def recorded(backend, cycles, tails):
+    def recorded(backend, cycles, v):
         tested[-1].append(next(i for (i, j), cell in mat.cells.items() if i == j and cell is cycles))
-        return original(backend, cycles, tails)
+        return original(backend, cycles, v)
 
     monkeypatch.setattr(grouplang.linear, "_wrapped_failure", recorded)
     scan = _cycle_scan(SCAN_PIN, backend)
@@ -411,23 +416,19 @@ def test_the_cycle_scan_tests_the_cycle_cells_the_pivot_changed(monkeypatch):
 WRAP_BACKENDS = (FreeGroup(2), FreeAbelian(2), symmetric_group(3), Cyclic(3))
 
 
-def _conjugation_failure(backend, cycles: PairSet, tails):
-    """The cycle search as u v w v^-1 != e, with each tail's inverse computed up front."""
+def _conjugation_failure(backend, cycles: PairSet, v):
+    """The cycle search as u v w v^-1 != e, with the tail's inverse computed up front."""
     ident = backend.identity
     mul = backend._mul
-    inverted = [(v, backend.invert(v), wit) for v, wit in tails]
-
-    def failing_tail(pair):
-        u, w = pair
-        return next((wit for v, v_inv, wit in inverted if mul(mul(mul(u, v), w), v_inv) != ident), None)
-
-    bad = cycles.best(lambda pair: failing_tail(pair) is not None)
-    return None if bad is None else (bad[1], failing_tail(bad[0]))
+    v_inv = backend.invert(v)
+    bad = cycles.best(lambda pair: mul(mul(mul(pair[0], v), pair[1]), v_inv) != ident)
+    return None if bad is None else bad[1]
 
 
-def _words(rank: int, max_size: int):
+def _words(rank: int, max_size: int, min_size: int = 0):
     letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
-    return st.lists(st.tuples(st.lists(letters, max_size=3), st.lists(letters, max_size=3)), max_size=max_size)
+    pairs = st.tuples(st.lists(letters, max_size=3), st.lists(letters, max_size=3))
+    return st.lists(pairs, min_size=min_size, max_size=max_size)
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,10 +442,9 @@ def test_wrapped_failure_matches_the_conjugation_test(data, pick):
         old = cycles.elements.get(label)
         if old is None or PairSet.witness_key(wit) < PairSet.witness_key(old):
             cycles.elements[label] = wit
-    tail_words = sorted({tuple(left + right) for left, right in data.draw(_words(backend.rank, 3))})
-    tails = sorted(((backend.canonicalize(w), w) for w in tail_words), key=lambda t: (len(t[1]), t[1]))
-    expected = _conjugation_failure(backend, cycles, tails)
-    assert _wrapped_failure(backend, cycles, tails) == expected
+    [(left, right)] = data.draw(_words(backend.rank, 1, min_size=1))
+    v = backend.canonicalize(tuple(left + right))
+    assert _wrapped_failure(backend, cycles, v) == _conjugation_failure(backend, cycles, v)
 
 
 # The check's closure skips the steps into cells it never reads
@@ -506,6 +506,11 @@ def _closed_cells(g: LinearGrammar, backend, cap, read_row):
     return levels, None, mat.useful
 
 
+def _potential_holds(g: LinearGrammar, backend) -> bool:
+    tau, broken, _labels = potential(g, (g.sink,), backend, PairSet)
+    return g.start in tau and not broken and tau[g.start] == backend.identity
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -556,13 +561,69 @@ def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, lit
         assert verdict == reference
     elif not isinstance(verdict, ResourceExceeded):
         # The full closure capped in a skipped cell; the check decides.
-        tau, broken, _labels = potential(g, (g.sink,), backend, PairSet)
-        holds = not broken and tau[g.start] == backend.identity
         if not (isinstance(verdict, Fails) and verdict.spurious):
-            assert isinstance(verdict, Holds) == holds
+            assert isinstance(verdict, Holds) == _potential_holds(g, backend)
         if verdict.witness is not None:
             assert g.generates(verdict.witness)
             assert not backend.word_in_group_language(verdict.witness)
+
+
+def _paired_closure_completes(g: LinearGrammar, backend) -> bool | None:
+    """Close the useful pair matrix as the check does: True if it completes, False if a test stops it.
+
+    None if a pair set outgrows the cap of 256.
+    """
+    mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
+    try:
+        closure_pairs(
+            mat, cap=256, watch_final=(g.start, g.sink), level_scan=_cycle_scan(g, backend), read_row=g.start
+        )
+    except _EarlyViolation:
+        return False
+    except CapExceeded:
+        return None
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(CLOSURE_BACKENDS) - 1),
+    family=st.sampled_from(("random", "mirrored", "automaton", "chain", "broken chain")),
+)
+def test_a_completed_paired_closure_proves_the_inclusion(seed, pick, family):
+    """The lemma of ``_cycle_scan``: the closure completes exactly when the language holds."""
+    rng = random.Random(seed)
+    backend = CLOSURE_BACKENDS[pick]
+    n = rng.randint(1, 6)  # up to 8 nonterminals made this test about three times slower
+    if family == "automaton":
+        a = random_nfa(
+            rng, max_states=n, rank=backend.rank, density=rng.choice((0.1, 0.2, 0.35)),
+            inverse_paired=rng.random() < 0.5,
+        )
+        g = nfa_to_right_linear(a)
+    elif family.endswith("chain"):
+        g = chain_grammar(rng, backend, n, rng.choice((0.5, 0.9, 1.0)) if family == "broken chain" else None)
+    else:
+        g = random_linear_grammar(
+            rng, max_nonterminals=n, rank=backend.rank, max_productions=4 * n, mirrored=family == "mirrored"
+        )
+    if g.start not in useful_nonterminals(g):
+        return  # the empty language: no matrix to close
+    completed = _paired_closure_completes(g, backend)
+    if completed is not None:
+        assert completed == _potential_holds(g, backend)
+
+
+# A1 -> A2 X2 X1, A2 -> x1 x2 A2 X2 X1 | x1 A3 x2, A3 -> eps over F2
+# holds.  A2's fewest-letter tail, x1 A3 x2, has a right part, and the
+# cycle pair (x1 x2, X2 X1) fixes the tail's value x1 x2 but not x2 x1.
+RIGHT_TAIL = grammar(3, [(1, [], 2, [-2, -1]), (2, [1, 2], 2, [-2, -1]), (2, [1], 3, [2]), (3, [])], rank=2)
+
+
+def test_the_cycle_scan_reads_a_tail_with_its_right_part_last():
+    assert _potential_holds(RIGHT_TAIL, FreeGroup(2))
+    assert _paired_closure_completes(RIGHT_TAIL, FreeGroup(2))
 
 
 @settings(max_examples=200, deadline=None)

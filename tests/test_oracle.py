@@ -28,6 +28,7 @@ from grouplang import (
     OracleHolds,
     Production,
     brute_force_inclusion,
+    check_linear_inclusion,
     check_regular_inclusion,
     counterexample_bound_linear,
     counterexample_bound_regular,
@@ -369,6 +370,24 @@ def test_counterexample_bound_linear_values():
     assert counterexample_bound_linear(g2) == 5
     g3 = grammar(3, [(1, [1, 1], 3, [1, -1]), (3, [])])
     assert counterexample_bound_linear(g3) == 28
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        grammar(1, [(1, [])]),  # S -> eps
+        grammar(1, [(1, [], 1, []), (1, [])]),  # S -> S | eps
+        grammar(2, [(1, [], 2, []), (2, [])]),  # S -> A, A -> eps
+        grammar(1, []),  # no production: the empty language
+        grammar(1, [(1, [], 1, [])]),  # S -> S: the empty language
+    ],
+)
+def test_the_linear_bound_admits_letter_free_grammars(g):
+    bound = EnumerationBound(counterexample_bound_linear(g))
+    assert bound.max_word_length == 1
+    for backend in (FG1, Cyclic(2)):
+        oracle = brute_force_inclusion(enumerate_grammar_words(g, bound), backend)
+        assert isinstance(oracle, OracleHolds) and check_linear_inclusion(g, backend) == Holds()
 
 
 def test_bound_is_sufficient_on_random_failing_instances():

@@ -270,7 +270,7 @@ def _oracle_holds(language, backend) -> bool:
         bound = EnumerationBound(counterexample_bound_regular(language), max_words=200_000)
         words = enumerate_nfa_words(language, bound)
     else:
-        bound = EnumerationBound(max(1, counterexample_bound_linear(language)), max_words=200_000)
+        bound = EnumerationBound(counterexample_bound_linear(language), max_words=200_000)
         words = enumerate_grammar_words(language, bound)
     return isinstance(brute_force_inclusion(words, backend), OracleHolds)
 
