@@ -10,14 +10,12 @@ no start-to-final cell may contain a non-identity element, and for
 every state the conjugates of its cycle labels by its access labels
 must collapse to the identity.  Witness words ride along with every
 element, so a failed check always names a concrete accepted word that
-does not multiply out to the identity.  With the early exit on, the
-same pass of the potential also guides that closure: a pivot step
-whose product it fixes makes no semiring call, and only the steps that
-can break the potential run ``product`` and ``union``.  When the
-potential finds a violation, the check first looks for the closure's
-exit on the arcs (:func:`_arc_exit`), at a level-0 cell or at the first
-of those steps; a failing automaton builds its matrix and runs the
-pivot loop only when neither exits.
+does not multiply out to the identity.  When the potential finds a
+violation, the check first reads what that closure would do off the
+arcs (:func:`_arc_exit`): its exit, at a level-0 cell or at the first
+step that reads a broken cell, or, when no step reads one, the start
+row that the check tests.  A failing automaton builds its matrix and
+runs the closure, with its early exit, only when neither decides.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
@@ -349,11 +347,6 @@ def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, d
     return tau, broken, labels
 
 
-# Longer than any witness: the length table's entry for an empty cell;
-# its negative marks a non-empty cell that is not known.
-_NO_CELL = 1 << 29
-
-
 def pivot_closure(
     mat: LabelMatrix,
     multiply,
@@ -364,42 +357,17 @@ def pivot_closure(
     counted: str,
     on_cell=None,
     on_level=None,
-    broken: set | None = None,
     read_row: int | None = None,
 ) -> LabelMatrix:
     """The recurrence K[i][j] |= multiply(K[i][k], K[k][j]); mutates ``mat`` in place.
 
-    Pivots, rows and columns run over ``mat.useful``.
+    Pivots, rows and columns run over ``mat.useful``, and every step
+    with a non-empty K[i][k] and K[k][j] calls ``multiply`` and ``union``.
     ``on_cell(i, j, cell)`` sees every level-0 cell and every change a
-    semiring step makes, and ``on_level(mat)`` sees the matrix before the
-    first pivot and after each; either may raise to stop the closure.
-    The semiring calls made are added to ``counters.unions`` and to the
+    step makes, and ``on_level(mat)`` sees the matrix before the first
+    pivot and after each; either may raise to stop the closure.  The
+    semiring calls made are added to ``counters.unions`` and to the
     ``counted`` field, also when the closure stops early.
-
-    ``broken`` (element sets only), the cells :func:`potential` found
-    broken, guides the closure.  A level-0 cell outside it is *known*: a
-    singleton (two labels c of one cell cannot both have ``wrap(c, tau(j))
-    == tau(i)``) whose label is tau(i) tau(j)^-1.  One table per useful
-    row, indexed by a column's position ``at[j]``, holds what the guide
-    reads: ``ln[i][at[j]]`` is the witness length of a known cell,
-    ``_NO_CELL`` for an empty one and ``-_NO_CELL`` for any other, so a
-    step that reads an unknown K[k][j] passes no length test.  A known
-    cell's label and witness are its one element, read only once the
-    length test passes.  Rows are read live: only row k's own steps
-    write row k during pivot k, and each step writes only its own column.
-    A step from two known cells into an empty or known cell is settled
-    with no semiring call: the product is tau(i) tau(j)^-1 again, so the
-    step fills the empty cell with it or at most improves the known
-    cell's witness, by the comparison ``union`` makes; most steps end at
-    one length test.  That cell stays a singleton, so a cap of at least 1
-    never binds there, and ``on_cell`` does not see it.  Every other step
-    calls ``multiply`` and ``union``, and a cell they change is no longer
-    known.  Without ``broken`` (the linear closure, and the regular one
-    with the early exit off), every step runs the semiring.  Before the
-    matrix exists, :func:`check_regular_inclusion` looks for the guided
-    loop's exit at its first semiring step on the automaton's arcs, and
-    runs the loop only when that step does not exit; :func:`_arc_exit`
-    says why that search is exact.
 
     ``read_row`` (the linear check passes its start) names the one row
     the caller reads after the closure besides the diagonal and the last
@@ -425,13 +393,6 @@ def pivot_closure(
     get = cells.get
     empty = mat.empty
     useful = mat.useful
-    backend = mat.backend
-    mul = backend._mul
-    if broken is not None:
-        at = {j: n for n, j in enumerate(useful)}
-        ln = {i: [_NO_CELL] * len(useful) for i in useful}
-        for (i, j), cell in cells.items():
-            ln[i][at[j]] = -_NO_CELL if (i, j) in broken else len(next(iter(cell.elements.values())))
     multiplied = unions = 0
     try:
         if on_cell is not None:
@@ -451,39 +412,7 @@ def pivot_closure(
                 if read_row is not None and at_i < at_k and i != read_row:
                     # The docstring's skip rule: the cycle cell and the columns after k.
                     steps = [(j, p) for j, p in row_k if p > at_k or j == i]
-                if broken is not None:
-                    ln_i = ln[i]
-                    left_len = ln_i[at_k]
-                    if left_len >= 0:
-                        # Settle first the steps tau fixes: the steps of one
-                        # row write distinct cells and all read K[i][k] as it
-                        # was, so the rest see the cells they would have seen.
-                        steps = []
-                        ln_k = ln[k]
-                        [(left_label, left_wit)] = left.elements.items()
-                        for j, p in row_k:
-                            old = ln_i[p]
-                            if old >= 0:
-                                right_len = ln_k[p]
-                                new_len = left_len + right_len
-                                # ``union``'s witness order, without building
-                                # the new witness when it is longer.
-                                if new_len > old:
-                                    continue
-                                if right_len >= 0:
-                                    [(right_label, right_wit)] = cells[k, j].elements.items()
-                                    wit = left_wit + right_wit
-                                    if old == _NO_CELL:
-                                        label = mul(left_label, right_label)
-                                    else:
-                                        [(label, old_wit)] = cells[i, j].elements.items()
-                                        if new_len == old and not wit < old_wit:
-                                            continue
-                                    ln_i[p] = new_len
-                                    cells[i, j] = type(empty)(backend, {label: wit}, True)
-                                    continue
-                            steps.append((j, p))
-                for j, p in steps:
+                for j, _p in steps:
                     current = get((i, j), empty)
                     try:
                         prod = multiply(left, cells[k, j], cap=cap)
@@ -496,8 +425,6 @@ def pivot_closure(
                     if merged is current:
                         continue
                     cells[i, j] = merged
-                    if broken is not None:
-                        ln_i[p] = -_NO_CELL
                     if on_cell is not None:
                         on_cell(i, j, merged)
             mat.level += 1
@@ -536,9 +463,8 @@ def closure(
     early_fail: bool = True,
     cap: int | None = None,
     counters: OpCounters | None = None,
-    broken: set | None = None,
 ) -> LabelMatrix:
-    """Pivot recurrence over the useful states with ``product``; mutates ``mat`` in place.
+    """The paper's pivot recurrence over the useful states with ``product``; mutates ``mat`` in place.
 
     With ``early_fail`` set, raises :class:`SingletonViolation` the
     moment any useful-to-useful cell holds two distinct elements: two
@@ -553,15 +479,10 @@ def closure(
     of its states the cycle's label is a conjugate of y.  So the
     conjugate test of :func:`check_regular_inclusion` can fire only
     after a closure that left a cell with two labels, which only the
-    paper's closure, ``early_fail=False``, can do; the default closure
+    paper's full closure, ``early_fail=False``, can do; the default closure
     gets there only when the tests' ``closure_only()`` skips the potential.
-
-    ``broken`` (from :func:`potential`) lets the closure settle the steps
-    whose product tau fixes, as :func:`pivot_closure` describes; the
-    closure, its exit and every witness stay those of the unguided one.
-    ``early_fail=False`` runs the paper's closure unguided, whatever
-    ``broken`` is.  The check calls the closure only when
-    :func:`_arc_exit` finds no exit on the arcs.
+    The check calls the closure only when :func:`_arc_exit` decides
+    nothing on the arcs.
 
     >>> from grouplang import Cyclic
     >>> loop = Nfa(states=1, rank=1, transitions=frozenset({(1, 1, 1)}), finals=frozenset({1}))
@@ -580,45 +501,62 @@ def closure(
         counters=counters,
         counted="products",
         on_cell=_singleton_exit if early_fail else None,
-        broken=broken if early_fail else None,
     )
 
 
 def _arc_exit(
     a: Nfa,
     backend: Backend,
-    useful: frozenset[int],
+    tau: dict,
     broken: set,
     labels: dict,
     cap: int | None,
     counters: OpCounters | None,
-) -> None:
-    """Raise the guided closure's exit if it comes at a level-0 cell or at its first semiring step.
+) -> Word | None:
+    """Decide a failing automaton on its arcs, where the closure's exit or its start row can be read.
 
-    Reads the automaton's arcs; no label matrix is built.  Returns, with
-    ``counters`` unchanged, when neither exits, and the check then builds
-    the matrix and runs :func:`closure` with ``broken``.  ``labels`` is
-    the arc-label map of :func:`potential`; labels it lacks are added.
+    ``tau``, ``broken`` and ``labels`` are what :func:`potential`
+    returned; labels ``labels`` lacks are added.  No label matrix is
+    built.  Raises the exit of :func:`closure` when it comes at a level-0
+    cell or at the first step whose outcome tau does not fix; returns the
+    witness of the check's ``simple-path`` failure when no step reads a
+    broken cell; and otherwise returns None, with ``counters`` unchanged,
+    and the check then builds the matrix and runs the closure.
 
     One pass over the useful arcs, in the builder's order, collects the
     label sets of the broken cells and each known cell's least witness.
-    A known cell is a singleton, so a level-0 cell with two labels is
+    A level-0 cell outside ``broken`` is *known*: a singleton (two labels
+    c of one cell cannot both have ``wrap(c, tau(j)) == tau(i)``) whose
+    label is tau(i) tau(j)^-1.  So a level-0 cell with two labels is
     broken, and the first one in the order the builder creates cells is
-    the loop's exit before its first pivot.  Otherwise every cell is a
-    singleton until the guided loop's first semiring step, and every cell
-    outside ``broken`` holds the shortlex-least walk over the known
-    level-0 cells whose interior lies in the pivots done.  Shortlex is
-    compatible with concatenation, so the least walk through pivot k is
-    the least walk to k followed by the least walk from k; a walk through
-    a broken cell needs a semiring step.  Within pivot k no operand's
-    witness changes, since a walk through K[k][k] is strictly longer.
-    So the first step (k, i, j) that calls the semiring
+    the closure's exit before its first pivot.  Otherwise a step that
+    reads only known cells, into an empty or known cell, yields tau(i)
+    tau(j)^-1 again: it cannot exit, and it keeps the target a singleton
+    whose witness is the shortlex-least walk over the known level-0 cells
+    with its interior in the pivots done.  Shortlex is compatible with
+    concatenation, so the least walk through pivot k is the least walk to
+    k followed by the least walk from k; a walk through a broken cell
+    needs a step that reads one.  Within pivot k no operand's witness
+    changes, since a walk through K[k][k] is strictly longer.  So the
+    first step (k, i, j) that reads a broken cell
     (:func:`_first_step_on_arcs`), and its three cells, are read off
     reachability and least walks over the pivots before k.  When that
-    step leaves K[i][j] with two labels, this raises the loop's exit and
-    counts its one product and union, as the loop would.
+    step leaves K[i][j] with two labels, this raises the closure's exit
+    and counts the one product and union it makes.
+
+    When no step reads a broken cell, the closure ends with every broken
+    cell at its level-0 label and every other cell at its least known
+    walk, with no bound on the interior.  So the check's start-row test
+    reads K[start][t], for the useful finals t in order, off the arcs: a
+    broken cell's one label, or else, when a known walk leads from the
+    start to t (a non-empty cycle when t is the start), the value
+    tau(start) tau(t)^-1 = tau(start) of every such walk.  One sweep finds
+    the vertices those walks reach, and one least-walk search names the
+    witness at the first final that misses e.  On the potential's tables
+    some final always does: the arcs that gave tau(start) its value lead
+    to a final through known cells.
     """
-    order = sorted(useful)
+    order = sorted(tau)
     at = {v: n for n, v in enumerate(order)}
     known: list[list[int]] = [[] for _ in order]  # per row position, the columns of its known cells
     bad: list[list[int]] = [[] for _ in order]  # and of its broken cells
@@ -645,13 +583,22 @@ def _arc_exit(
         if len(elements) >= 2:
             _singleton_exit(i, j, GroupSet(backend, elements, True))
     step = _first_step_on_arcs(known, bad)
-    if step is None:
-        return
-    pk, pi, pj = step
-    k, i, j = order[pk], order[pi], order[pj]
     arcs: dict[int, list] = {}  # the known cells as arcs, for ``shortest_walk``
     for (src, dst), wit in least.items():
         arcs.setdefault(src, []).append((src, dst, wit, ()))
+    if step is None:
+        start = a.start
+        reach = _ends_before(known, at[start], len(order))  # the ends of non-empty known walks
+        for t in sorted(a.finals.intersection(tau)):
+            if (start, t) in bad_cells:
+                [(label, wit)] = bad_cells[start, t].items()
+                if label != backend.identity:
+                    return wit
+            elif at[t] in reach and tau[start] != backend.identity:
+                return shortest_walk(arcs, start, {t})[0]
+        return None
+    pk, pi, pj = step
+    k, i, j = order[pk], order[pi], order[pj]
     # Interior vertices of the least walks: the pivots before k.
     interior = {v: arcs[v] for v in order[:pk] if v in arcs}
 
@@ -669,7 +616,7 @@ def _arc_exit(
     left, right, target = before_k(i, k), before_k(k, j), before_k(i, j)
     (x,), (y,) = left.elements, right.elements
     if not target or backend._mul(x, y) in target:
-        return  # the step fills K[i][j] or keeps its one label: no exit
+        return None  # the step fills K[i][j] or keeps its one label: no exit
     multiplied = unions = 0
     try:
         prod = product(left, right, cap=cap)
@@ -684,17 +631,20 @@ def _arc_exit(
             counters.products += multiplied
             counters.unions += unions
     _singleton_exit(i, j, merged)
+    return None
 
 
 def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[int, int, int] | None:
-    """Positions (k, i, j) of the guided loop's first step that calls the semiring, or None.
+    """Positions (k, i, j) of the closure's first step that reads a broken cell, or None.
 
-    ``known[p]`` and ``bad[p]`` list the columns of row p's level-0 cells
-    outside and inside the broken set, all by position.  Until that step,
-    K[i][k] before pivot k is non-empty exactly when a level-0 cell (i, k)
-    is broken or a walk of known cells leads from i to k through pivots
-    before k; K[k][j] likewise.  So a step into the semiring at pivot k
-    exists exactly when
+    A step reads a broken cell when K[i][k], K[k][j] or its target K[i][j]
+    is one, the only steps whose outcome tau does not fix (see
+    :func:`_arc_exit`).  ``known[p]`` and ``bad[p]`` list the columns of
+    row p's level-0 cells outside and inside the broken set, all by
+    position.  Until that step, K[i][k] before pivot k is non-empty
+    exactly when a level-0 cell (i, k) is broken or a walk of known cells
+    leads from i to k through pivots before k; K[k][j] likewise.  So such
+    a step at pivot k exists exactly when
 
     (a) row k has a broken cell and some known cell enters k;
     (b) a broken cell enters k and row k has any cell; or
@@ -751,8 +701,8 @@ def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[i
     for i, cols in enumerate(known):
         for q in cols:
             into[q].append(i)
-    rows = _ends_before(into, k)  # rows i with a known K[i][k]
-    row_k = _ends_before(known, k).union(bad[k])
+    rows = _ends_before(into, k, k)  # rows i with a known K[i][k]
+    row_k = _ends_before(known, k, k).union(bad[k])
     for i in sorted(rows.union(i for i, cols in enumerate(bad) if k in cols)):
         if i in rows:
             steps = row_k.intersection(bad[i]).union(bad[k])  # a broken K[i][j] or K[k][j]
@@ -760,18 +710,18 @@ def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[i
             steps = row_k  # a broken K[i][k]: every step of the row
         if steps:
             return k, i, min(steps)
-    raise InternalInconsistency(f"pivot {k} has a semiring step, but no row makes it")
+    raise InternalInconsistency(f"pivot {k} has a step that reads a broken cell, but no row makes it")
 
 
-def _ends_before(edges: list[list[int]], k: int) -> set[int]:
-    """Ends of the walks from ``k`` along ``edges`` whose interior vertices all come before ``k``."""
+def _ends_before(edges: list[list[int]], k: int, bound: int) -> set[int]:
+    """Ends of the non-empty walks from ``k`` along ``edges`` with every interior vertex before ``bound``."""
     seen: set[int] = set()
     todo = [k]
     while todo:
         for y in edges[todo.pop()]:
             if y not in seen:
                 seen.add(y)
-                if y < k:
+                if y < bound:
                     todo.append(y)
     return seen
 
@@ -819,9 +769,11 @@ def check_regular_inclusion(
     useful = frozenset(tau)
     finals_useful = sorted(a.finals & useful)
     try:
-        _arc_exit(a, backend, useful, broken, labels, config.set_cap, counters)
+        witness = _arc_exit(a, backend, tau, broken, labels, config.set_cap, counters)
+        if witness is not None:
+            return Fails(witness=witness, reason=SIMPLE_PATH)
         mat = build_initial_matrix(a, backend, useful=useful, labels=labels)
-        closure(mat, cap=config.set_cap, counters=counters, broken=broken)
+        closure(mat, cap=config.set_cap, counters=counters)
     except SingletonViolation as sv:
         u = shortest_word_path(a, a.start, {sv.i})
         w = shortest_word_path(a, sv.j, set(finals_useful))

@@ -222,7 +222,8 @@ def union(x, y, *, cap: int | None = None):
 def product(x: GroupSet, y: GroupSet, *, cap: int | None = None) -> GroupSet:
     """All pairwise products; the zero (empty set) annihilates.
 
-    A plain merge loop: the guided regular closure calls it only where the potential breaks.
+    A plain merge loop: the regular closure calls it at every step, and the exit on the
+    arcs at most once.
     """
     if x.backend is not y.backend:
         _same_backend(x, y)

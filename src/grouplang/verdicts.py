@@ -43,8 +43,9 @@ Verdict = Holds | Fails | ResourceExceeded
 class OpCounters(Record):
     """Counts of the semiring calls one check makes.
 
-    The pivot steps of the regular closure that the potential settles
-    (see ``regular.pivot_closure``) make no call and are not counted.
+    A regular check decided on the arcs (see ``regular._arc_exit``) makes
+    at most one ``product`` and one ``union``; one that runs the closure
+    counts every step it makes.
     ``triples`` counts literal mode's triples, the only test after a linear closure.
     """
 

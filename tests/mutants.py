@@ -49,7 +49,7 @@ GUIDED = ("test_guided_closure.py",)
 LINEAR = ("test_linear.py",)
 
 MUTANTS = (
-    # The direct exit: the guided loop's first semiring step found on the arcs.
+    # The direct exit: the closure's first step that reads a broken cell, found on the arcs.
     Mutant(
         "exit-no-broken-target",
         "regular.py",
@@ -117,8 +117,48 @@ MUTANTS = (
     Mutant(
         "sweep-searches-pass-k",
         "regular.py",
-        "                if y < k:\n                    todo.append(y)\n    return seen\n",
-        "                if y != k:\n                    todo.append(y)\n    return seen\n",
+        "                if y < bound:\n                    todo.append(y)\n    return seen\n",
+        "                if y != bound:\n                    todo.append(y)\n    return seen\n",
+        GUIDED,
+    ),
+    # The start-row read, when no step reads a broken cell.
+    Mutant(
+        "read-off",
+        "regular.py",
+        "    if step is None:\n        start = a.start\n",
+        "    if step is None:\n        return None\n",
+        GUIDED,
+    ),
+    Mutant(
+        "read-broken-start-cell-as-walk",
+        "regular.py",
+        "            if (start, t) in bad_cells:\n"
+        "                [(label, wit)] = bad_cells[start, t].items()\n"
+        "                if label != backend.identity:\n"
+        "                    return wit\n"
+        "            elif at[t] in reach",
+        "            if at[t] in reach",
+        GUIDED,
+    ),
+    Mutant(
+        "read-accepts-empty-walk",
+        "regular.py",
+        "reach = _ends_before(known, at[start], len(order))",
+        "reach = _ends_before(known, at[start], len(order)) | {at[start]}",
+        GUIDED,
+    ),
+    Mutant(
+        "read-finals-unsorted",
+        "regular.py",
+        "for t in sorted(a.finals.intersection(tau)):",
+        "for t in a.finals.intersection(tau):",
+        GUIDED,
+    ),
+    Mutant(
+        "read-walk-value-unchecked",
+        "regular.py",
+        "elif at[t] in reach and tau[start] != backend.identity:",
+        "elif at[t] in reach:",
         GUIDED,
     ),
     # The skip rule of ``read_row``: the steps into cells no later step reads.
@@ -149,35 +189,6 @@ MUTANTS = (
         "steps = [(j, p) for j, p in row_k if p > at_k or j == i]",
         "steps = [(j, p) for j, p in row_k if at_k < p < len(useful) - 1 or j == i]",
         LINEAR,
-    ),
-    # The guided loop's length table and settled steps.
-    Mutant(
-        "guided-keeps-stale-length",
-        "regular.py",
-        "                    if broken is not None:\n                        ln_i[p] = -_NO_CELL\n",
-        "",
-        GUIDED,
-    ),
-    Mutant(
-        "guided-keeps-larger-witness",
-        "regular.py",
-        "if new_len == old and not wit < old_wit:",
-        "if new_len == old and not wit > old_wit:",
-        GUIDED,
-    ),
-    Mutant(
-        "guided-never-replaces-equal-length",
-        "regular.py",
-        "if new_len == old and not wit < old_wit:",
-        "if new_len == old:",
-        GUIDED,
-    ),
-    Mutant(
-        "guided-right-operand-from-target",
-        "regular.py",
-        "[(right_label, right_wit)] = cells[k, j].elements.items()",
-        "[(right_label, right_wit)] = cells[i, j].elements.items()",
-        GUIDED,
     ),
     # The linear cycle scan tests only the cycle cells pivot k can change.
     Mutant(

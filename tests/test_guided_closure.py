@@ -1,16 +1,19 @@
-"""The regular closure guided by the potential, against the unguided closure.
+"""The regular check's reads on the arcs, guided by the potential, against the paper's closure.
 
-Given the cells ``potential`` finds broken, ``closure(..., broken=...)``
-knows the other level-0 singleton cells, whose one label agrees with
-the potential tau, and settles from them the pivot steps whose outcome
-tau already fixes, with no semiring call.  Before the check builds the
-matrix for that guided pivot loop, it looks for the loop's first
-semiring step on the automaton's arcs (``_arc_exit``), and raises that
-step's exit without the matrix when the step makes one.  The exit on
-the arcs, the guided loop alone and the unguided closure must all end
-alike: the same ``SingletonViolation``, the same ``CapExceeded``, or the
-same closed matrix.  The sweep that finds the first step must find the
-step a replay of the guided loop on per-row bitsets finds.
+Given the cells ``potential`` finds broken, the other level-0 cells are
+*known*: singletons whose one label agrees with the potential tau.  A
+pivot step that reads only known cells cannot make the closure exit.
+Before the check builds a matrix, it looks on the automaton's arcs for
+the closure's first step that reads a broken cell (``_arc_exit``), and
+raises that step's exit without the matrix when the step makes one.
+When no step reads a broken cell, it reads the start row the closure
+would leave off the arcs instead.  The exit on the arcs must end as
+the closure (``closure``, with its early exit) does: the same
+``SingletonViolation``, the same ``CapExceeded``, or, when it falls
+back, the same closed matrix; and the start-row read must name the
+failure the closed matrix's start row names.  The sweep that finds the
+first step must find the step a replay of the loop on per-row bitsets
+finds.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import importlib
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +33,7 @@ from grouplang import (
     CapExceeded,
     Cyclic,
     Fails,
+    Holds,
     FreeAbelian,
     FreeGroup,
     Nfa,
@@ -41,8 +46,8 @@ from grouplang import (
     useful_states,
 )
 from grouplang.corpus import random_nfa
-from grouplang.regular import _arc_exit, _first_step_on_arcs, _singleton_exit, pivot_closure, potential
-from grouplang.semiring import GroupSet, product, union
+from grouplang.regular import _arc_exit, _first_step_on_arcs, pivot_closure, potential
+from grouplang.semiring import GroupSet
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,8 +84,8 @@ def path_nfa(rng: random.Random, backend, states: int, loop_at: int) -> Nfa:
 def settled_path(rng: random.Random, backend, states: int) -> Nfa:
     """``path_nfa`` without its self-loop, and with only its last state final, whose value is not e.
 
-    No cell is broken and tau(1) is not e: the guided loop settles every
-    step.  ``states`` must be even: over Z2 an odd one has the value e.
+    No cell is broken and tau(1) is not e: no step of the closure reads a
+    broken cell.  ``states`` must be even: over Z2 an odd one has the value e.
     """
     while True:
         a = path_nfa(rng, backend, states, 1)
@@ -96,28 +101,16 @@ def with_random_arcs(rng: random.Random, a: Nfa, count: int) -> Nfa:
     return Nfa(states=a.states, rank=a.rank, transitions=a.transitions | extra, finals=a.finals)
 
 
-def guided_loop(mat, *, early_fail, cap, counters, broken):
-    """``closure`` with the early exit, but the guided pivot loop alone: no direct search."""
-    return pivot_closure(
-        mat,
-        product,
-        union,
-        cap=cap,
-        counters=counters,
-        counted="products",
-        on_cell=_singleton_exit,
-        broken=broken,
-    )
-
-
 def replay_first_semiring_step(known: list[int], bad: list[int]) -> tuple[int, int, int] | None:
-    """Positions (k, i, j) of the guided loop's first step that calls the semiring, or None.
+    """Positions (k, i, j) of the closure's first step that reads a broken cell, or None.
 
     The reference for ``_first_step_on_arcs``.  ``known[i]`` and
     ``bad[i]`` are bitsets over the positions of the useful vertices: row
     i's non-empty cells outside and inside the broken set.  The loop of
     ``pivot_closure`` is replayed on them up to that step, at one visit
-    per row and pivot, so ``known`` ends as the loop's known cells there.
+    per row and pivot, so ``known`` ends as the loop's known cells there:
+    a step from two known cells into an empty or known cell leaves a
+    known cell.
     """
     for pk, (known_k, bad_k) in enumerate(zip(known, bad)):
         bit = 1 << pk
@@ -131,7 +124,7 @@ def replay_first_semiring_step(known: list[int], bad: list[int]) -> tuple[int, i
                 continue  # K[i][k] is empty
             if steps:
                 return pk, pi, (steps & -steps).bit_length() - 1
-            known[pi] = known_i | known_k  # every step settled: row i reaches row k's cells
+            known[pi] = known_i | known_k  # no step read a broken cell: row i reaches row k's cells
     return None
 
 
@@ -189,84 +182,63 @@ def test_the_arc_sweep_finds_the_replays_first_step(layout):
     assert _first_step_on_arcs(known, bad) == replay_first_semiring_step(known_bits, bad_bits)
 
 
-def run_closure(a: Nfa, backend, cap, early_fail: bool, guided: bool, close=closure, on_arcs=False):
-    """('violation', ...), ('cap', ...) or ('closed', level, cells), and the counters.
+def run_closure(a: Nfa, backend, cap, early_fail: bool = True, on_arcs: bool = False):
+    """The closure's end, its counters, and whether the reads on the arcs decided the check.
 
-    With ``on_arcs`` (guided only), the check's exit on the arcs runs
-    first, and the matrix is built and closed only when it does not fire.
+    The end is ('violation', ...), ('cap', ...) or ('closed', level,
+    cells).  With ``on_arcs``, the check's reads on the arcs run first:
+    the exit raises what the closure would, the start-row read ends in
+    ('start-row', witness), and the matrix is built and closed only when
+    neither decides.
     """
     useful = useful_states(a)
-    broken = labels = None
-    if guided:
-        _tau, broken, labels = potential(a, a.finals, backend, GroupSet)
     counters = OpCounters()
+    decided = on_arcs
     try:
         if on_arcs:
-            _arc_exit(a, backend, useful, broken, labels, cap, counters)
+            tau, broken, labels = potential(a, a.finals, backend, GroupSet)
+            if a.start in tau:  # the check answers an empty language before
+                witness = _arc_exit(a, backend, tau, broken, labels, cap, counters)
+                if witness is not None:
+                    return ("start-row", witness), counters, decided
+        decided = False
         mat = build_initial_matrix(a, backend, useful=useful)
-        close(mat, early_fail=early_fail, cap=cap, counters=counters, broken=broken)
+        closure(mat, early_fail=early_fail, cap=cap, counters=counters)
     except SingletonViolation as sv:
-        return ("violation", sv.i, sv.j, sv.witness_a, sv.witness_b), counters
+        return ("violation", sv.i, sv.j, sv.witness_a, sv.witness_b), counters, decided
     except CapExceeded as exc:
-        return ("cap", exc.cell, exc.cardinality), counters
+        return ("cap", exc.cell, exc.cardinality), counters, decided
     cells = {at: cell.elements for at, cell in mat.cells.items()}
-    return ("closed", mat.level, cells), counters
+    return ("closed", mat.level, cells), counters, decided
 
 
-@settings(max_examples=400, deadline=None)
+def start_row_failure(a: Nfa, backend, cells: dict):
+    """The witness of the check's start-row test on a closed matrix's cells, or None if it passes."""
+    for t in sorted(a.finals & useful_states(a)):
+        failing = [wit for label, wit in cells.get((a.start, t), {}).items() if label != backend.identity]
+        if failing:
+            return min(failing, key=GroupSet.witness_key)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     pick=st.integers(0, len(BACKENDS) - 1),
     shape=st.sampled_from(("random", "paired", "path", "path-plus")),
     cap=st.sampled_from((None, 1, 2)),
-    early_fail=st.booleans(),
 )
-def test_guided_closure_ends_as_the_unguided_one(seed, pick, shape, cap, early_fail):
+def test_the_exit_on_the_arcs_ends_as_the_closure(seed, pick, shape, cap):
     rng = random.Random(seed)
     backend = BACKENDS[pick]
+    states = rng.randint(2, 32)  # the sizes of the regular-closure benchmark pool
     if shape == "path":
-        states = rng.randint(2, 32)  # the sizes of the regular-closure benchmark pool
         a = path_nfa(rng, backend, states, rng.randint(1, states))
     elif shape == "path-plus":
-        # A path fails at its first semiring step; with a few more arcs,
-        # about half the checks fall back to the guided loop, which only
-        # the early exit runs.
+        # A path fails at its first step that reads a broken cell; with a
+        # few more arcs, about half the checks fall back to the closure.
         states = rng.randint(8, 24)
         a = with_random_arcs(rng, path_nfa(rng, backend, states, rng.randint(1, states)), rng.randint(1, 3))
-        early_fail = True
-    else:
-        a = random_nfa(
-            rng,
-            max_states=rng.choice((5, 8)),
-            rank=backend.rank,
-            density=rng.choice((0.1, 0.2, 0.3, 0.5)),
-            inverse_paired=shape == "paired",
-        )
-    if not early_fail and cap is None:
-        cap = 64  # without the early exit, free-group sets grow without bound
-    guided, guided_counters = run_closure(a, backend, cap, early_fail, guided=True, on_arcs=early_fail)
-    plain, plain_counters = run_closure(a, backend, cap, early_fail, guided=False)
-    assert guided == plain
-    # Settled steps make neither call; a cap hit in ``union`` leaves one
-    # product without its union on both sides.
-    assert guided_counters.products <= plain_counters.products
-    unpaired = guided_counters.products - guided_counters.unions
-    assert unpaired == plain_counters.products - plain_counters.unions
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    pick=st.integers(0, len(BACKENDS) - 1),
-    shape=st.sampled_from(("random", "paired", "path")),
-    cap=st.sampled_from((None, 1, 2)),
-)
-def test_the_direct_exit_ends_as_the_guided_loop(seed, pick, shape, cap):
-    rng = random.Random(seed)
-    backend = BACKENDS[pick]
-    states = rng.randint(2, 32)
-    if shape == "path":
-        a = path_nfa(rng, backend, states, rng.randint(1, states))
     else:
         a = random_nfa(
             rng,
@@ -275,11 +247,21 @@ def test_the_direct_exit_ends_as_the_guided_loop(seed, pick, shape, cap):
             density=rng.choice((1, 2, 4)) / states,
             inverse_paired=shape == "paired",
         )
-    direct, direct_counters = run_closure(a, backend, cap, True, guided=True, on_arcs=True)
-    loop, loop_counters = run_closure(a, backend, cap, True, guided=True, close=guided_loop)
-    assert direct == loop
-    assert direct_counters == loop_counters
-    assert direct == run_closure(a, backend, cap, True, guided=False)[0]
+    direct, direct_counters, decided = run_closure(a, backend, cap, on_arcs=True)
+    plain, plain_counters, _ = run_closure(a, backend, cap)
+    if not decided:
+        assert (direct, direct_counters) == (plain, plain_counters)
+    elif direct[0] == "start-row":
+        assert plain[0] == "closed" and direct[1] == start_row_failure(a, backend, plain[2])
+        assert direct_counters == OpCounters()
+    else:
+        assert direct == plain
+        level0 = build_initial_matrix(a, backend, useful=useful_states(a)).cells.values()
+        if any(len(cell) >= 2 for cell in level0):
+            assert direct_counters == OpCounters()  # the exit before the first pivot
+        else:
+            # The one step the exit makes; a cap hit in ``union`` leaves its product without a union.
+            assert direct_counters == OpCounters(products=1, unions=0 if direct[0] == "cap" else 1)
 
 
 def refuse(what: str):
@@ -328,80 +310,66 @@ def test_a_2000_state_failing_path_exits_on_its_arcs(monkeypatch):
     assert counters.products == counters.unions == 1
 
 
-def test_the_direct_exit_reads_cells_that_settled_steps_filled(monkeypatch):
+def test_the_direct_exit_reads_cells_that_earlier_pivots_filled(monkeypatch):
     # Over Z3, with finals 5 and 6: 1 -X1-> 2 -x1-> 4 and 1 -x1-> 3 -X1-> 4
     # fill K[1][4] at pivots 2 and 3, least witness X1 x1.  The potential
-    # breaks only (4, 5), so the first semiring step is (4, 1, 5), where
-    # X1 x1 X1 meets the arc 1 -x1-> 5; row 2's step comes after it.
+    # breaks only (4, 5), so the first step that reads a broken cell is
+    # (4, 1, 5), where X1 x1 X1 meets the arc 1 -x1-> 5; row 2's step comes after it.
     arcs = frozenset(
         {(1, -1, 2), (2, 1, 4), (1, 1, 3), (3, -1, 4), (4, 1, 6), (4, -1, 5), (1, 1, 5), (2, -1, 5)}
     )
     a = Nfa(states=6, rank=1, transitions=arcs, finals=frozenset({5, 6}))
     backend = Cyclic(3)
     assert potential(a, a.finals, backend, GroupSet)[1] == {(4, 5)}
-    loop = run_closure(a, backend, None, True, guided=True, close=guided_loop)
-    assert loop[0] == run_closure(a, backend, None, True, guided=False)[0]
-    assert loop[0] == ("violation", 1, 5, (1,), (-1, 1, -1))
+    loop = run_closure(a, backend, None)[0]
+    assert loop == ("violation", 1, 5, (1,), (-1, 1, -1))
     monkeypatch.setattr(grouplang.regular, "pivot_closure", refuse("the pivot loop"))
-    assert run_closure(a, backend, None, True, guided=True, on_arcs=True) == loop
+    assert run_closure(a, backend, None, on_arcs=True)[::2] == (loop, True)
+
+
+def counted_loops(monkeypatch) -> list:
+    """Patch the pivot loop to record each call; the list it returns fills as the loop runs."""
+    loops = []
+
+    def counted(*args, **kwargs):
+        loops.append(args[0].useful)
+        return pivot_closure(*args, **kwargs)
+
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
+    return loops
 
 
 def test_a_first_step_into_an_empty_cell_falls_back_to_the_loop(monkeypatch):
     # 1 -x1-> 2 -x1-> 3 and 1 -x1-> 4 -x2-> 3 over F2, with 3 final: the
-    # potential breaks (1, 2), and the first semiring step, at pivot 2,
-    # fills the empty K[1][3].  The loop then exits at pivot 4.
+    # potential breaks (1, 2), and the first step that reads a broken
+    # cell, at pivot 2, fills the empty K[1][3].  The loop then exits at pivot 4.
     arcs = frozenset({(1, 1, 2), (2, 1, 3), (1, 1, 4), (4, 2, 3)})
     a = Nfa(states=4, rank=2, transitions=arcs, finals=frozenset({3}))
     backend = FreeGroup(2)
     assert potential(a, a.finals, backend, GroupSet)[1] == {(1, 2)}
-    loops = []
-
-    def counted(*args, **kwargs):
-        loops.append(kwargs["broken"])
-        return pivot_closure(*args, **kwargs)
-
-    monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
-    direct, counters = run_closure(a, backend, None, True, guided=True, on_arcs=True)
-    assert loops == [{(1, 2)}]
-    assert direct == run_closure(a, backend, None, True, guided=False)[0]
+    loops = counted_loops(monkeypatch)
+    direct, counters, decided = run_closure(a, backend, None, on_arcs=True)
+    assert loops == [(1, 2, 3, 4)] and not decided
+    assert (direct, counters) == run_closure(a, backend, None)[:2]
     assert direct[:3] == ("violation", 1, 3)
-    assert counters.products == counters.unions == 2
 
 
 def test_a_first_step_that_keeps_its_target_falls_back_to_the_loop(monkeypatch):
     # 1 -x1-> 2 -x1-> 3, 1 -X1-> 3 and 1 -x1-> 4 over Z3, with 3 and 4
     # final: the potential takes tau(1) from 4 and breaks (1, 2) and
-    # (1, 3).  The first semiring step, at pivot 2, multiplies x1 x1 into
-    # K[1][3], which already holds that label, so nothing exits; the
-    # loop makes the step once and closes the matrix.
+    # (1, 3).  The first step that reads a broken cell, at pivot 2,
+    # multiplies x1 x1 into K[1][3], which already holds that label, so
+    # nothing exits; the loop makes the step once and closes the matrix.
     arcs = frozenset({(1, 1, 2), (2, 1, 3), (1, -1, 3), (1, 1, 4)})
     a = Nfa(states=4, rank=1, transitions=arcs, finals=frozenset({3, 4}))
     backend = Cyclic(3)
     assert potential(a, a.finals, backend, GroupSet)[1] == {(1, 2), (1, 3)}
-    loops = []
-
-    def counted(*args, **kwargs):
-        loops.append(kwargs["broken"])
-        return pivot_closure(*args, **kwargs)
-
-    monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
-    direct, counters = run_closure(a, backend, None, True, guided=True, on_arcs=True)
-    assert loops == [{(1, 2), (1, 3)}]
-    assert direct == run_closure(a, backend, None, True, guided=False)[0]
+    loops = counted_loops(monkeypatch)
+    direct, counters, decided = run_closure(a, backend, None, on_arcs=True)
+    assert loops == [(1, 2, 3, 4)] and not decided
+    assert (direct, counters) == run_closure(a, backend, None)[:2]
     assert direct[:2] == ("closed", 4) and direct[2][1, 3] == {2: (-1,)}
     assert counters.products == counters.unions == 1
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, len(BACKENDS) - 1))
-def test_a_guided_closure_that_only_settles_ends_as_the_unguided_one(seed, pick):
-    rng = random.Random(seed)
-    backend = BACKENDS[pick]
-    # One draw in twenty at 48 states: the unguided closure makes about n^3 / 2.7 semiring calls.
-    a = settled_path(rng, backend, 48 if rng.random() < 0.05 else 2 * rng.randint(8, 12))
-    guided, guided_counters = run_closure(a, backend, None, True, guided=True)
-    assert guided == run_closure(a, backend, None, True, guided=False)[0]
-    assert guided[0] == "closed" and guided_counters == OpCounters()
 
 
 def pinned_path() -> Nfa:
@@ -414,12 +382,13 @@ def pinned_path() -> Nfa:
     return Nfa(states=16, rank=2, transitions=frozenset(arcs), finals=frozenset({1, 5, 9, 13}))
 
 
-# Default path: the only step the potential does not fix is the one into
-# (12, 12) at pivot 11, where the loop meets the identity.
+# Default path: the exit on the arcs makes the one step into (12, 12) at
+# pivot 11, where the loop meets the identity; the paper's closure, under
+# ``closure_only()``, makes every step up to it.
 PINNED_PRODUCTS = (1, 646)
 
 
-def test_guided_closure_multiplies_only_at_the_violation():
+def test_the_check_multiplies_only_at_the_violation():
     a = pinned_path()
     backend = FreeGroup(2)
     counters, reference_counters = OpCounters(), OpCounters()
@@ -446,7 +415,7 @@ def pinned_long_path() -> Nfa:
     return Nfa(states=32, rank=2, transitions=frozenset(arcs), finals=frozenset(range(1, 32, 4)))
 
 
-def test_guided_closure_at_the_benchmark_size():
+def test_the_direct_exit_at_the_benchmark_size():
     a = pinned_long_path()
     backend = FreeAbelian(2)
     counters = OpCounters()
@@ -456,17 +425,17 @@ def test_guided_closure_at_the_benchmark_size():
     assert verdict == reference and isinstance(verdict, Fails)
     assert verdict.state == 28
     assert counters.products == counters.unions == 1
-    guided = run_closure(a, backend, None, True, guided=True)[0]
-    assert guided == run_closure(a, backend, None, True, guided=False)[0]
-    assert guided[:3] == ("violation", 28, 28)
+    direct = run_closure(a, backend, None, on_arcs=True)[0]
+    assert direct == run_closure(a, backend, None)[0]
+    assert direct[:3] == ("violation", 28, 28)
 
 
 def fallback_path() -> Nfa:
     """A 46-state inverse-paired path over F2 with the extra arc 8 -X1-> 13.
 
     The path value is the identity at state 1 only.  The potential
-    breaks only the extra arc's cell (8, 13), and the guided loop's first
-    semiring step does not exit, so the check falls back to the loop.
+    breaks only the extra arc's cell (8, 13), and the closure's first
+    step that reads it does not exit, so the check falls back to the closure.
     """
     letters = (2, 2, -1, -1, 1, 2, -2, 1, 2, 1, -2, -1, -2, -2, -1, -1, -1, 1, 1, -1, 1, -2, 1)
     letters += (2, -1, -1, -2, 1, 2, -1, -2, 2, 2, 1, -1, 1, -2, 1, -2, -2, -1, 1, -1, -2, 1)
@@ -476,73 +445,154 @@ def fallback_path() -> Nfa:
     return Nfa(states=46, rank=2, transitions=frozenset(arcs), finals=frozenset({1}))
 
 
-def test_guided_loop_at_size_on_a_fallback(monkeypatch):
-    loops = []
-
-    def counted(*args, **kwargs):
-        loops.append(kwargs["broken"])
-        return pivot_closure(*args, **kwargs)
-
-    monkeypatch.setattr(grouplang.regular, "pivot_closure", counted)
+def test_the_fallback_at_size_runs_the_closure(monkeypatch):
+    loops = counted_loops(monkeypatch)
     a = fallback_path()
     backend = FreeGroup(2)
-    counters, reference_counters = OpCounters(), OpCounters()
+    counters = OpCounters()
     verdict = check_regular_inclusion(a, backend, None, counters)
-    assert loops == [{(8, 13)}]
+    assert loops == [tuple(range(1, 47))]
     assert verdict == Fails(
         witness=(2, 2, -1, -1, 1, 2, -2, -1, 1, -1, 1, 2, -1, -2, -1, 2, -2, -1, 1, 1, -2, -2),
         reason="distinct-labels",
         state=13,
     )
-    assert counters == OpCounters(unions=42, products=42)
+    # Every step up to the exit at (13, 13), as the closure alone makes them.
+    assert counters == OpCounters(unions=688, products=688)
+    assert run_closure(a, backend, None)[1] == counters
     with closure_only():
-        reference = check_regular_inclusion(a, backend, None, reference_counters)
-    assert reference == verdict
-    assert counters.products <= reference_counters.products
+        assert check_regular_inclusion(a, backend, None) == verdict
 
 
 def settled_chain() -> Nfa:
     """1 -x1-> 2 -x2-> 3 -x1-> 4 over F2, with the arcs 3 -X2-> 2 and 2 -X1-> 1 back.
 
     Every cell is a singleton that agrees with tau, but tau(1) = x1 x2 x1
-    is not e: the guided closure settles every step.
+    is not e: no step of the closure reads a broken cell.
     """
     arcs = frozenset({(1, 1, 2), (2, 2, 3), (3, -2, 2), (2, -1, 1), (3, 1, 4)})
     return Nfa(states=4, rank=2, transitions=arcs, finals=frozenset({4}))
 
 
-def test_guided_closure_with_every_step_settled():
+def sink_fan(rng: random.Random, backend, states: int, start_final: bool, detour: bool = False) -> Nfa:
+    """Arcs from the start into sink finals, and a chain from the start unless ``start_final``.
+
+    States get random numbers, so the start need not be 1 and the finals'
+    set order need not be sorted.  The chain ends at the largest state,
+    the final :func:`potential` reads back from first, so tau(start) comes
+    from the chain and every chain cell is known.  Nothing enters the
+    start and no sink has an arc out, so no step of the closure reads a
+    broken cell: the broken cells are the start's arcs into sinks whose
+    label is not tau(start).  With ``start_final`` the start is final, so
+    tau(start) = e and every such arc with a label other than e is broken;
+    ``detour`` (4 states or more) then adds the known walk a A from the
+    start to one more final, whose value is e.
+    """
+    letters = [s * i for i in range(1, backend.rank + 1) for s in (1, -1)]
+    numbers = rng.sample(range(1, states + 1), states)
+    finals = set()
+    if start_final:
+        start, *rest = numbers
+        finals.add(start)
+        arcs = set()
+        if detour:
+            (middle, end), rest = rest[:2], rest[2:]
+            a = rng.choice(letters)
+            arcs = {(start, a, middle), (middle, -a, end)}
+            finals.add(end)
+    else:
+        numbers.remove(states)
+        start, *rest = numbers
+        chain = rest[: rng.randint(0, len(rest))] + [states]
+        rest = rest[len(chain) - 1 :]
+        arcs = {(p, rng.choice(letters), q) for p, q in zip([start] + chain, chain)}
+        finals.add(states)
+    for t in rest[: rng.randint(1 if start_final else 0, len(rest))]:
+        arcs.add((start, rng.choice(letters), t))
+        finals.add(t)
+    return Nfa(
+        states=states, rank=backend.rank, transitions=frozenset(arcs), start=start, finals=frozenset(finals)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(BACKENDS) - 1),
+    shape=st.sampled_from(("settled-path", "settled-chain", "start-final", "broken-start")),
+    no_tau=st.booleans(),
+)
+def test_the_start_row_read_ends_as_the_closed_start_row(seed, pick, shape, no_tau):
+    rng = random.Random(seed)
+    backend = BACKENDS[pick]
+    if shape == "settled-path":
+        a = settled_path(rng, backend, 2 * rng.randint(1, 12))
+    elif shape == "settled-chain":
+        backend = BACKENDS[3 + pick % 4]  # the rank-2 backends
+        a = settled_chain()
+    else:
+        states = rng.randint(2, 16)
+        # ``closure_only()``'s potential breaks the detour's cells, and a step reads them.
+        detour = shape == "start-final" and not no_tau and states >= 4 and rng.random() < 0.5
+        a = sink_fan(rng, backend, states, shape == "start-final", detour)
+        sources = {src for src, _letter, _dst in a.transitions}
+        assert all(i == a.start and j not in sources for i, j in potential(a, a.finals, backend, GroupSet)[1])
+    # The closed matrix, and the failure its start row names.
+    plain, _counters, _ = run_closure(a, backend, None)
+    assert plain[0] == "closed"
+    witness = start_row_failure(a, backend, plain[2])
+    expected = Holds() if witness is None else Fails(witness=witness, reason="simple-path")
+    # On a fan, ``closure_only()``'s potential, with no values, breaks
+    # every cell, and still no step reads one.
+    no_tau = no_tau and shape == "start-final"
+    counters = OpCounters()
+    with (
+        mock.patch.object(grouplang.regular, "build_initial_matrix", refuse("the matrix builder")),
+        mock.patch.object(grouplang.regular, "pivot_closure", refuse("the pivot loop")),
+    ):
+        if no_tau:
+            with closure_only():
+                verdict = check_regular_inclusion(a, backend, None, counters)
+        else:
+            verdict = check_regular_inclusion(a, backend, None, counters)
+    assert verdict == expected
+    assert counters == OpCounters()
+
+
+def test_a_settled_chain_is_read_off_its_arcs(monkeypatch):
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", refuse("the pivot loop"))
+    monkeypatch.setattr(grouplang.regular, "build_initial_matrix", refuse("the matrix builder"))
     a = settled_chain()
     backend = FreeGroup(2)
-    mat = build_initial_matrix(a, backend, useful=useful_states(a))
     tau, broken, _labels = potential(a, a.finals, backend, GroupSet)
     assert not broken and tau[1] != backend.identity
     counters = OpCounters()
     verdict = check_regular_inclusion(a, backend, None, counters)
     assert verdict == Fails(witness=(1, 2, 1), reason="simple-path")
     assert counters == OpCounters()
-    assert run_closure(a, backend, None, True, guided=True)[0] == (
-        run_closure(a, backend, None, True, guided=False)[0]
-    )
-    # The hook sees the level-0 cells only: no semiring step changes a cell.
-    level0 = list(mat.cells)
-    seen = []
-    pivot_closure(
-        mat,
-        product,
-        union,
-        cap=None,
-        counters=None,
-        counted="products",
-        on_cell=lambda i, j, cell: seen.append((i, j)),
-        broken=broken,
-    )
-    assert seen == level0 and len(mat.cells) > len(level0)
 
 
-def test_guided_tables_do_not_grow_with_the_state_numbers():
-    # One arc into the last of two million states: the closure's tables
-    # have one entry per useful column, not per state number.
+def settled_long_path() -> Nfa:
+    """A 128-state path over F2 with arcs both ways, (x1 x2 x1 X2)^31 x1 x2 x1 forward, and only 128 final."""
+    letters = (1, 2, 1, -2) * 31 + (1, 2, 1)
+    arcs = {(q, a, q + 1) for q, a in enumerate(letters, 1)}
+    arcs |= {(q + 1, -a, q) for q, a in enumerate(letters, 1)}
+    return Nfa(states=128, rank=2, transitions=frozenset(arcs), finals=frozenset({128}))
+
+
+def test_a_128_state_settled_path_is_read_off_its_arcs(monkeypatch):
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", refuse("the pivot loop"))
+    monkeypatch.setattr(grouplang.regular, "build_initial_matrix", refuse("the matrix builder"))
+    counters = OpCounters()
+    verdict = check_regular_inclusion(settled_long_path(), FreeGroup(2), None, counters)
+    # The start row's one non-empty final cell holds the path forward.
+    assert verdict == Fails(witness=(1, 2, 1, -2) * 31 + (1, 2, 1), reason="simple-path")
+    assert counters == OpCounters()
+
+
+def test_the_check_does_not_grow_with_the_state_numbers():
+    # One arc into the last of two million states: the reads on the arcs
+    # keep tables per useful vertex, not per state number.
     last = 2_000_000
     a = Nfa(states=last, rank=1, transitions=frozenset({(1, 1, last)}), finals=frozenset({last}))
     tracemalloc.start()
@@ -569,7 +619,7 @@ def test_the_potential_is_read_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_tracer_counts_match_on_the_guided_closure(monkeypatch):
+def test_tracer_counts_match_on_the_exit_on_the_arcs(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
     counters = OpCounters()

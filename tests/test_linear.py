@@ -298,7 +298,11 @@ def test_counters_stay_within_bounds():
     n = SQUARES.nonterminals
     assert counters.unions <= n * n * (n + 1)
     assert counters.diamonds <= n * n * (n + 1)
-    assert counters.triples <= n
+    assert counters.triples == 0  # only literal mode runs a test after the closure
+    # Literal mode's unpaired triple, once per nonterminal at most: criterion 5's grammar counts one.
+    counters = OpCounters()
+    check_linear_inclusion(DISCREPANCY, FG1, RunConfig(literal_omega10=True), counters)
+    assert counters.triples == 1 <= DISCREPANCY.nonterminals
 
 
 # nfa_to_right_linear
