@@ -61,8 +61,8 @@ class BoundExceeded(GrouplangError):
 
 
 class InternalInconsistency(GrouplangError):
-    """Both counterexample candidates mapped to the identity.
+    """A check reached a state its reasoning rules out: a bug, so callers abort, not report a verdict.
 
-    This can only happen through an implementation bug; callers must
-    abort rather than report a verdict.
+    Raised by ``first_failing_word``, ``_first_step_on_arcs`` and
+    ``_failing_conjugate_witnesses`` in ``regular``.
     """

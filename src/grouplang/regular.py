@@ -560,7 +560,8 @@ def _arc_exit(
     at = {v: n for n, v in enumerate(order)}
     known: list[list[int]] = [[] for _ in order]  # per row position, the columns of its known cells
     bad: list[list[int]] = [[] for _ in order]  # and of its broken cells
-    least: dict = {}  # known cell -> its least witness
+    arcs: dict[int, list] = {}  # the known cells as arcs, for ``shortest_walk``
+    seen: set = set()  # the known cells met so far: the first arc is the least witness
     bad_cells: dict = {}  # broken cell -> its labels' least witnesses, in the builder's cell order
     for src, dst, wit, _right in a._arcs:  # one-letter words, in letter order per cell
         p, q = at.get(src), at.get(dst)
@@ -576,16 +577,14 @@ def _arc_exit(
             if label is None:
                 label = labels[wit] = GroupSet.evaluate(backend, wit)
             elements.setdefault(label, wit)
-        elif cell not in least:
-            least[cell] = wit
+        elif cell not in seen:
+            seen.add(cell)
             known[p].append(q)
+            arcs.setdefault(src, []).append((src, dst, wit, ()))
     for (i, j), elements in bad_cells.items():
         if len(elements) >= 2:
             _singleton_exit(i, j, GroupSet(backend, elements, True))
     step = _first_step_on_arcs(known, bad)
-    arcs: dict[int, list] = {}  # the known cells as arcs, for ``shortest_walk``
-    for (src, dst), wit in least.items():
-        arcs.setdefault(src, []).append((src, dst, wit, ()))
     if step is None:
         start = a.start
         reach = _ends_before(known, at[start], len(order))  # the ends of non-empty known walks
@@ -643,59 +642,28 @@ def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[i
     row p's level-0 cells outside and inside the broken set, all by
     position.  Until that step, K[i][k] before pivot k is non-empty
     exactly when a level-0 cell (i, k) is broken or a walk of known cells
-    leads from i to k through pivots before k; K[k][j] likewise.  So such
-    a step at pivot k exists exactly when
+    leads from i to k through pivots before k; K[k][j] likewise.  So the
+    step's pivot k is the least of three minima:
 
-    (a) row k has a broken cell and some known cell enters k;
-    (b) a broken cell enters k and row k has any cell; or
-    (c) a broken cell (i, j) first gets a known walk through k whose
-        other interior vertices all come before k: the least largest
-        interior vertex of a known walk from i to j is k.
+    (a) the least p whose row has a broken cell and that a known cell enters;
+    (b) the least q that a broken cell enters and whose row has any cell;
+    (c) per row i with broken cells, the least largest interior vertex of
+        a known walk from i into one of them, the pivot at which that
+        broken cell first gets a known walk (:func:`_least_pivot`).
 
-    The sweep runs the pivots in order, (a) and (b) on flags and (c) per
-    broken row: the row's reach grows by the walks through pivot k once it
-    reaches k, and a vertex it reaches before the current pivot is
-    expanded at once, so every vertex is expanded at most once per row.
-    A row's reach is built when the sweep first expands a vertex for it.
-    At the first such k, a backward and a forward search through the
-    vertices before k give the rows with a known K[i][k] and the columns
-    of row k, and the loop's order picks i, then the least j.
+    At that k, a backward and a forward search through the vertices
+    before k give the rows with a known K[i][k] and the columns of row k,
+    and the loop's order picks i, then the least j.
     """
-    entered_known = set().union(*known)
-    entered_bad = set().union(*bad)
-    waiting: list[list[int]] = [[] for _ in known]  # per vertex, the broken rows that reach it
+    n = len(known)
+    entered = set().union(*known)
+    a = [p for p in entered if bad[p]]  # (a)
+    b = [q for cols in bad for q in cols if known[q] or bad[q]]  # (b)
+    k = min(a + b, default=n)
     for i, cols in enumerate(bad):
         if cols:
-            for q in known[i]:
-                waiting[q].append(i)
-    reach: dict[int, tuple[set, set]] = {}  # broken row -> (vertices it reaches, its broken columns)
-
-    def walks_break(k: int) -> bool:
-        """Expand vertex k in each broken row that reaches it; whether one reaches a broken column."""
-        for i in waiting[k]:
-            row = reach.get(i)
-            if row is None:
-                row = reach[i] = (set(known[i]), set(bad[i]))
-            seen, targets = row
-            todo = [k]
-            while todo:
-                for y in known[todo.pop()]:
-                    if y not in seen:
-                        if y in targets:
-                            return True
-                        seen.add(y)
-                        if y < k:
-                            todo.append(y)
-                        else:
-                            waiting[y].append(i)
-        return False
-
-    for k in range(len(known)):
-        if bad[k] and k in entered_known or k in entered_bad and (known[k] or bad[k]):
-            break  # (a) or (b)
-        if waiting[k] and walks_break(k):
-            break  # (c)
-    else:
+            k = _least_pivot(known, i, set(cols), k)  # (c), below the best k so far
+    if k == n:
         return None
     into: list[list[int]] = [[] for _ in known]
     for i, cols in enumerate(known):
@@ -711,6 +679,29 @@ def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[i
         if steps:
             return k, i, min(steps)
     raise InternalInconsistency(f"pivot {k} has a step that reads a broken cell, but no row makes it")
+
+
+def _least_pivot(known: list[list[int]], i: int, targets: set[int], k: int) -> int:
+    """The least p < k that is the largest interior vertex of a known walk from ``i`` into ``targets``.
+
+    Else ``k``.  The pivots run in order from row i's least column: a
+    vertex the row reaches is expanded at its own pivot, or at once when
+    it lies before the current one, so each is expanded at most once.
+    """
+    seen = set(known[i])
+    for p in range(min(seen, default=k), k):
+        if p not in seen:
+            continue
+        todo = [p]
+        while todo:
+            for y in known[todo.pop()]:
+                if y in targets:
+                    return p
+                if y not in seen:
+                    seen.add(y)
+                    if y < p:
+                        todo.append(y)
+    return k
 
 
 def _ends_before(edges: list[list[int]], k: int, bound: int) -> set[int]:

@@ -19,6 +19,11 @@ _CRITERIA_REPORT: list[tuple[int, str]] = []
 # ``tests/mutants.py`` runs under this profile: a killed mutant needs a
 # failing example, not the smallest one, so it skips the shrink phase.
 settings.register_profile("mutants", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)])
+# Every other run draws the same examples, so one tree's tier-1 does the same
+# work each time.  Registered after ``mutants``, which must not inherit it;
+# ``--hypothesis-profile=default --hypothesis-seed=N`` draws fresh examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:

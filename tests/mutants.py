@@ -1,4 +1,4 @@
-"""Hand-made mutants of the checks' fast paths, each of which its tests must kill.
+"""Hand-made mutants of the checks' fast paths and kernels, each of which its tests must kill.
 
 Run from anywhere, with pytest and hypothesis installed::
 
@@ -45,8 +45,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # relative to tests/
 
 
-GUIDED = ("test_guided_closure.py",)
+ARC_EXIT = ("test_arc_exit.py",)
 LINEAR = ("test_linear.py",)
+DIGESTS = ("test_witness_digests.py",)
+KERNELS = ("test_semiring.py",) + DIGESTS
+POTENTIAL = ("test_potential.py",) + DIGESTS
 
 MUTANTS = (
     # The direct exit: the closure's first step that reads a broken cell, found on the arcs.
@@ -55,71 +58,92 @@ MUTANTS = (
         "regular.py",
         "steps = row_k.intersection(bad[i]).union(bad[k])  # a broken K[i][j] or K[k][j]",
         "steps = set(bad[k])",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "exit-no-broken-left",
         "regular.py",
         "for i in sorted(rows.union(i for i, cols in enumerate(bad) if k in cols)):",
         "for i in sorted(rows):",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "exit-semiring-into-empty-cell",
         "regular.py",
         "if not target or backend._mul(x, y) in target:",
         "if target and backend._mul(x, y) in target:",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "exit-semiring-when-target-keeps-label",
         "regular.py",
         "if not target or backend._mul(x, y) in target:",
         "if not target:",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "exit-skips-counters",
         "regular.py",
         "            counters.products += multiplied\n            counters.unions += unions\n",
         "            pass\n",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
-        "exit-skips-reach-update",
+        "exit-keeps-last-broken-arc",
         "regular.py",
-        "                        else:\n                            waiting[y].append(i)\n",
-        "",
-        GUIDED,
+        "elements.setdefault(label, wit)",
+        "elements[label] = wit",
+        ARC_EXIT + DIGESTS,
     ),
-    # The sweep over the pivots: its three conditions and its searches.
+    # The first step's pivot: the least of (a), (b) and each broken row's least pivot (c).
     Mutant(
         "sweep-drops-a",
         "regular.py",
-        "if bad[k] and k in entered_known or k in entered_bad and (known[k] or bad[k]):",
-        "if k in entered_bad and (known[k] or bad[k]):",
-        GUIDED,
+        "k = min(a + b, default=n)",
+        "k = min(b, default=n)",
+        ARC_EXIT,
     ),
     Mutant(
         "sweep-drops-b",
         "regular.py",
-        "if bad[k] and k in entered_known or k in entered_bad and (known[k] or bad[k]):",
-        "if bad[k] and k in entered_known:",
-        GUIDED,
+        "k = min(a + b, default=n)",
+        "k = min(a, default=n)",
+        ARC_EXIT,
     ),
     Mutant(
         "sweep-skips-vertices-below-k",
         "regular.py",
-        "                        if y < k:\n                            todo.append(y)\n                        else:\n",
-        "                        if y > k:\n",
-        GUIDED,
+        "                    if y < p:\n                        todo.append(y)\n",
+        "",
+        ARC_EXIT,
+    ),
+    Mutant(
+        "pivot-ignores-bound",
+        "regular.py",
+        "for p in range(min(seen, default=k), k):",
+        "for p in range(min(seen, default=k), len(known)):",
+        ARC_EXIT,
+    ),
+    Mutant(
+        "pivot-expands-later-vertices-at-once",
+        "regular.py",
+        "                    if y < p:\n                        todo.append(y)\n",
+        "                    todo.append(y)\n",
+        ARC_EXIT,
+    ),
+    Mutant(
+        "pivot-forgets-row-columns",
+        "regular.py",
+        "    seen = set(known[i])\n",
+        "    seen = set()\n",
+        ARC_EXIT,
     ),
     Mutant(
         "sweep-searches-pass-k",
         "regular.py",
         "                if y < bound:\n                    todo.append(y)\n    return seen\n",
         "                if y != bound:\n                    todo.append(y)\n    return seen\n",
-        GUIDED,
+        ARC_EXIT,
     ),
     # The start-row read, when no step reads a broken cell.
     Mutant(
@@ -127,7 +151,7 @@ MUTANTS = (
         "regular.py",
         "    if step is None:\n        start = a.start\n",
         "    if step is None:\n        return None\n",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "read-broken-start-cell-as-walk",
@@ -138,28 +162,28 @@ MUTANTS = (
         "                    return wit\n"
         "            elif at[t] in reach",
         "            if at[t] in reach",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "read-accepts-empty-walk",
         "regular.py",
         "reach = _ends_before(known, at[start], len(order))",
         "reach = _ends_before(known, at[start], len(order)) | {at[start]}",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "read-finals-unsorted",
         "regular.py",
         "for t in sorted(a.finals.intersection(tau)):",
         "for t in a.finals.intersection(tau):",
-        GUIDED,
+        ARC_EXIT,
     ),
     Mutant(
         "read-walk-value-unchecked",
         "regular.py",
         "elif at[t] in reach and tau[start] != backend.identity:",
         "elif at[t] in reach:",
-        GUIDED,
+        ARC_EXIT,
     ),
     # The skip rule of ``read_row``: the steps into cells no later step reads.
     Mutant(
@@ -239,6 +263,66 @@ MUTANTS = (
         "build_matrix(backend, g._arcs, PairSet, keep, labels)",
         LINEAR,
     ),
+    # The kernels' tie-breaks: of two witnesses of one length, the lexicographically least wins.
+    Mutant(
+        "union-keeps-left-on-ties",
+        "semiring.py",
+        "if grown > 0 or (grown == 0 and not wit < old):",
+        "if grown >= 0:",
+        KERNELS,
+    ),
+    Mutant(
+        "diamond-keeps-first-on-ties",
+        "semiring.py",
+        "if grown < 0 or (grown == 0 and (wal + wbl, wbr + war) < old):",
+        "if grown < 0:",
+        KERNELS,
+    ),
+    Mutant(
+        "merge-keeps-first-on-ties",
+        "semiring.py",
+        "if old is None or (len(wit), wit) < (len(old), old):",
+        "if old is None or len(wit) < len(old):",
+        KERNELS,
+    ),
+    Mutant(
+        "pair-key-right-part-first",
+        "semiring.py",
+        "return (len(wl) + len(wr), wl, wr)",
+        "return (len(wl) + len(wr), wr, wl)",
+        KERNELS,
+    ),
+    Mutant(
+        "best-by-length-only",
+        "semiring.py",
+        "return min(kept, key=lambda kv: key(kv[1]), default=None)",
+        "return min(kept, key=lambda kv: len(kv[1]), default=None)",
+        KERNELS,
+    ),
+    # The potential: each vertex takes the first value read backwards, over the reached arcs.
+    # The order moves tau and the broken cells, but no verdict: the exit on the arcs
+    # reproduces the closure, which tau does not steer.  So a test of ``potential`` kills them.
+    Mutant(
+        "potential-reads-breadth-first",
+        "regular.py",
+        "        j = todo.pop()\n",
+        "        j = todo.pop(0)\n",
+        POTENTIAL,
+    ),
+    Mutant(
+        "potential-reads-arcs-backwards",
+        "regular.py",
+        "for i, _j, left, right in into.get(j, ()):",
+        "for i, _j, left, right in reversed(into.get(j, ())):",
+        POTENTIAL,
+    ),
+    Mutant(
+        "potential-unreached-arcs",
+        "regular.py",
+        "        if arc[0] in reached:\n",
+        "        if True:\n",
+        POTENTIAL,
+    ),
 )
 
 # Equivalent mutants: no test can kill them, since no observable result changes.
@@ -250,7 +334,7 @@ SURVIVORS = (
         "regular.py",
         "interior = {v: arcs[v] for v in order[:pk] if v in arcs}",
         "interior = {v: arcs[v] for v in order[: pk + 1] if v in arcs}",
-        GUIDED,
+        ARC_EXIT,
     ),
 )
 

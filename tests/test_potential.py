@@ -58,7 +58,7 @@ from grouplang.groups import load_group
 from grouplang.linear import load_grammar
 from grouplang.regular import load_nfa, potential
 from grouplang.semiring import GroupSet, PairSet
-from test_guided_closure import BACKENDS, path_nfa
+from test_arc_exit import BACKENDS, path_nfa
 from test_linear import chain_grammar
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -203,6 +203,15 @@ def test_regular_empty_language_leaves_the_start_without_a_value():
     for a in (nfa(2, [(1, X, 2)], []), nfa(2, [(2, X, 1)], [2])):
         assert a.start not in potential(a, a.finals, FG1, GroupSet)[0]
         assert assert_same_as_closure(check_regular_inclusion, a, FG1) == Holds()
+
+
+def test_each_vertex_takes_the_first_value_read_backwards():
+    # Of two arcs 1 -> 2, the first in arc order (its letter X sorts first) gives tau(1).
+    a = nfa(2, [(1, X, 2), (1, XI, 2)], [2])
+    assert potential(a, a.finals, FG1, GroupSet)[:2] == ({2: (), 1: (XI,)}, {(1, 2)})
+    # The ends are read last one first: final 3 gives tau(1), and the arc into 2 breaks it.
+    a = nfa(3, [(1, X, 2), (1, XI, 3)], [2, 3])
+    assert potential(a, a.finals, FG1, GroupSet)[:2] == ({2: (), 3: (), 1: (XI,)}, {(1, 2)})
 
 
 # linear: (grammar, backend, potential, verdict)
