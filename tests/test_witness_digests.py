@@ -1,19 +1,37 @@
 """Exhaustive small corpora: one digest of every verdict pins today's witnesses.
 
-Two sweeps check every language of a small family and hash the repr of
-each verdict (witness, reason, state), in sweep order, into one SHA-256:
+Each sweep checks every language of a small family and hashes the repr
+of each verdict (witness, reason, state), in sweep order, into one
+SHA-256.  The two reference sweeps also hash each check's ``OpCounters``.
 
-- every grammar of 1-4 productions from a menu of 42: 2 nonterminals,
-  rank 1, and parts of at most one letter (124,313 grammars);
-- every 3-state rank-1 automaton with 1-4 arcs and a non-empty set of
-  finals, started at state 1 (28,329 automata).
+- ``grammars``: every grammar of 1-4 productions from a menu of 42:
+  2 nonterminals, rank 1, and parts of at most one letter (124,313
+  grammars);
+- ``automata``: every 3-state rank-1 automaton with 1-4 arcs and a
+  non-empty set of finals, started at state 1 (28,329 automata);
+- ``paper automata``: the automata under the paper's check, the full
+  closure and its start-to-final and conjugate tests;
+- ``literal grammars``: the grammars under literal mode, the unpaired
+  cycle test after the closure.
 
 ``witness_digests.json`` holds the digest of each sweep per group.  A
-witness-changing fault in a kernel's tie-break, in the potential or in
-the exit on the arcs moves a digest, whatever Hypothesis draws.  Tier-1
-sweeps Z/2; the wider groups run as a script, which prints its time::
+witness-changing fault in a kernel's tie-break, in the potential, in the
+exit on the arcs or in a reference path moves a digest, whatever
+Hypothesis draws.  Tier-1 sweeps Z/2; the wider groups, and the wide
+sweeps, run as a script, which prints its time::
 
     PYTHONPATH=src python tests/test_witness_digests.py C3 F1
+    PYTHONPATH=src python tests/test_witness_digests.py --wide
+
+The wide sweeps, each over its own two groups, hash the default checks'
+verdicts:
+
+- ``rank-2 automata``: every 3-state rank-2 automaton with 1-3 arcs and
+  a non-empty set of finals (54,642 automata), over F2 and S3;
+- ``rank-2 grammars``: every grammar of 1-3 productions from a menu of
+  110: 2 nonterminals, rank 2 (221,925 grammars), over F2 and S3;
+- ``3-nonterminal grammars``: every grammar of 1-3 productions from a
+  menu of 90: 3 nonterminals, rank 1 (121,575 grammars), over C2 and F1.
 
 A change that moves a witness on purpose names the witnesses that moved
 and says why, and rewrites the file with ``--write`` before the names.
@@ -30,92 +48,144 @@ from pathlib import Path
 
 import pytest
 
+from conftest import closure_only, paper_closure, symmetric_group_3
 from grouplang import (
     Cyclic,
     FreeGroup,
     LinearGrammar,
     Nfa,
+    OpCounters,
     Production,
+    RunConfig,
     check_linear_inclusion,
     check_regular_inclusion,
 )
 
 DIGESTS = Path(__file__).resolve().parent / "witness_digests.json"
-GROUPS = {"C2": Cyclic(2), "C3": Cyclic(3), "F1": FreeGroup(1)}
-PARTS = ((), (1,), (-1,))
+GROUPS = {"C2": Cyclic(2), "C3": Cyclic(3), "F1": FreeGroup(1), "F2": FreeGroup(2), "S3": symmetric_group_3()}
 
-# A -> alpha B beta for both nonterminals, then the terminal A -> alpha.
-MENU = tuple(
-    Production(lhs, alpha, rhs, beta)
-    for lhs in (1, 2)
-    for alpha in PARTS
-    for rhs, beta in [*((rhs, beta) for rhs in (1, 2) for beta in PARTS), (None, ())]
-)
-ARCS = tuple((src, letter, dst) for src in (1, 2, 3) for letter in (1, -1) for dst in (1, 2, 3))
+
+def letters(rank: int) -> tuple[int, ...]:
+    return tuple(sign * letter for letter in range(1, rank + 1) for sign in (1, -1))
+
+
+def menu(nonterminals: int, rank: int) -> tuple[Production, ...]:
+    """A -> alpha B beta for every nonterminal B, then the terminal A -> alpha, with parts of at most one letter."""
+    parts = ((),) + tuple((letter,) for letter in letters(rank))
+    heads = range(1, nonterminals + 1)
+    return tuple(
+        Production(lhs, alpha, rhs, beta)
+        for lhs in heads
+        for alpha in parts
+        for rhs, beta in [*((rhs, beta) for rhs in heads for beta in parts), (None, ())]
+    )
+
+
+def subsets(items, most: int):
+    return itertools.chain.from_iterable(itertools.combinations(items, size) for size in range(1, most + 1))
+
+
+def grammars(nonterminals: int, rank: int, most: int):
+    def sweep():
+        for productions in subsets(menu(nonterminals, rank), most):
+            yield LinearGrammar(nonterminals=nonterminals, rank=rank, productions=productions)
+
+    return sweep
+
+
 FINALS = tuple(
     frozenset(finals) for size in (1, 2, 3) for finals in itertools.combinations((1, 2, 3), size)
 )
 
 
-def subsets(menu, most: int):
-    return itertools.chain.from_iterable(itertools.combinations(menu, size) for size in range(1, most + 1))
+def automata(rank: int, most: int):
+    arcs = tuple((src, letter, dst) for src in (1, 2, 3) for letter in letters(rank) for dst in (1, 2, 3))
+
+    def sweep():
+        for chosen in subsets(arcs, most):
+            transitions = frozenset(chosen)
+            for finals in FINALS:
+                yield Nfa(states=3, rank=rank, transitions=transitions, finals=finals)
+
+    return sweep
 
 
-def grammars():
-    for productions in subsets(MENU, 4):
-        yield LinearGrammar(nonterminals=2, rank=1, productions=productions)
+def paper_check(a, backend, config=None, counters=None):
+    with paper_closure(), closure_only():
+        return check_regular_inclusion(a, backend, config, counters)
 
 
-def automata():
-    for arcs in subsets(ARCS, 4):
-        transitions = frozenset(arcs)
-        for finals in FINALS:
-            yield Nfa(states=3, rank=1, transitions=transitions, finals=finals)
+def literal_check(g, backend, config=None, counters=None):
+    return check_linear_inclusion(g, backend, RunConfig(literal_omega10=True), counters)
 
 
-SWEEPS = {"grammars": (grammars, check_linear_inclusion), "automata": (automata, check_regular_inclusion)}
+# name -> (languages, check, whether counters are hashed too)
+SWEEPS = {
+    "grammars": (grammars(2, 1, 4), check_linear_inclusion, False),
+    "automata": (automata(1, 4), check_regular_inclusion, False),
+    "paper automata": (automata(1, 4), paper_check, True),
+    "literal grammars": (grammars(2, 1, 4), literal_check, True),
+}
+# name -> (languages, check, groups); run by the script's --wide only.
+WIDE = {
+    "rank-2 automata": (automata(2, 3), check_regular_inclusion, ("F2", "S3")),
+    "rank-2 grammars": (grammars(2, 2, 3), check_linear_inclusion, ("F2", "S3")),
+    "3-nonterminal grammars": (grammars(3, 1, 3), check_linear_inclusion, ("C2", "F1")),
+}
 
 
-def sweep_digest(sweep: str, group: str) -> tuple[str, int]:
-    """The SHA-256 of the sweep's verdict reprs over ``group``, one a line, and the number of checks."""
-    languages, check = SWEEPS[sweep]
-    backend = GROUPS[group]
+def sweep_digest(languages, check, backend, counted: bool = False) -> tuple[str, int]:
+    """The SHA-256 of the verdict reprs (and counters, when ``counted``), one a line, and the number of checks."""
     digest = hashlib.sha256()
     count = 0
     for language in languages():
-        digest.update(f"{check(language, backend)!r}\n".encode())
+        if counted:
+            counters = OpCounters()
+            line = f"{check(language, backend, None, counters)!r} {counters.as_dict()}"
+        else:
+            line = repr(check(language, backend))
+        digest.update(f"{line}\n".encode())
         count += 1
     return digest.hexdigest(), count
 
 
 def test_the_menus_have_their_sizes():
-    assert len(MENU) == len(set(MENU)) == 42
-    assert len(ARCS) == 18 and len(FINALS) == 7
+    assert len(menu(2, 1)) == len(set(menu(2, 1))) == 42
+    assert len(menu(2, 2)) == 110 and len(menu(3, 1)) == 90
+    assert len(letters(2)) == 4 and len(FINALS) == 7
 
 
-@pytest.mark.parametrize("sweep, size", [("grammars", 124_313), ("automata", 28_329)])
+@pytest.mark.parametrize(
+    "sweep, size",
+    [("grammars", 124_313), ("automata", 28_329), ("paper automata", 28_329), ("literal grammars", 124_313)],
+)
 def test_every_small_language_keeps_its_witness_over_c2(sweep, size):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[f"{sweep} C2"]
-    assert sweep_digest(sweep, "C2") == (expected, size)
+    languages, check, counted = SWEEPS[sweep]
+    assert sweep_digest(languages, check, GROUPS["C2"], counted) == (expected, size)
 
 
 def main(args: list[str]) -> int:
     write = args[:1] == ["--write"]
-    groups = args[1:] if write else args
-    if not groups or set(groups) - set(GROUPS):
-        sys.exit(f"usage: {sys.argv[0]} [--write] GROUP ...  (groups: {' '.join(GROUPS)})")
+    args = args[1:] if write else args
+    if args == ["--wide"]:
+        runs = [(name, languages, check, False, group) for name, (languages, check, groups) in WIDE.items()
+                for group in groups]
+    elif args and not set(args) - {"C2", "C3", "F1"}:
+        runs = [(name, *SWEEPS[name], group) for group in args for name in SWEEPS]
+    else:
+        sys.exit(f"usage: {sys.argv[0]} [--write] (GROUP ... | --wide)  (groups: C2 C3 F1)")
     digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     moved = 0
-    for group in groups:
-        for sweep in SWEEPS:
-            started = time.perf_counter()
-            digest, count = sweep_digest(sweep, group)
-            key = f"{sweep} {group}"
-            same = digests.get(key) == digest
-            moved += not same
-            fate = "written" if write else "same" if same else f"MOVED from {digests.get(key)}"
-            print(f"{key}: {count} checks in {time.perf_counter() - started:.1f} s, {digest} {fate}", flush=True)
-            digests[key] = digest
+    for name, languages, check, counted, group in runs:
+        started = time.perf_counter()
+        digest, count = sweep_digest(languages, check, GROUPS[group], counted)
+        key = f"{name} {group}"
+        same = digests.get(key) == digest
+        moved += not same
+        fate = "written" if write else "same" if same else f"MOVED from {digests.get(key)}"
+        print(f"{key}: {count} checks in {time.perf_counter() - started:.1f} s, {digest} {fate}", flush=True)
+        digests[key] = digest
     if write:
         DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return 0
