@@ -39,6 +39,7 @@ from .linear import (
     check_linear_inclusion,
     closure_pairs,
     grammar_to_dict,
+    literal_linear_inclusion,
     load_grammar,
     nfa_to_right_linear,
     parse_grammar,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import BackendMismatch, BoundExceeded, GrouplangError, InputError
 from .groups import load_group, read_json, require_int, word_to_tokens
-from .linear import check_linear_inclusion, grammar_to_dict, parse_grammar
+from .linear import check_linear_inclusion, grammar_to_dict, literal_linear_inclusion, parse_grammar
 from .regular import check_regular_inclusion, nfa_to_dict, parse_nfa, require_rank
 from .verdicts import Fails, Holds, OpCounters, ResourceExceeded, RunConfig
 
@@ -62,11 +62,13 @@ def _emit_report(report: dict, as_json: bool) -> None:
 def cmd_check(args) -> int:
     backend = load_group(args.group_file)
     kind, language = _load_language(args.language_file)
-    config = RunConfig(set_cap=args.set_cap, literal_omega10=args.literal_omega10)
+    config = RunConfig(set_cap=args.set_cap)
     counters = OpCounters()
     started = time.perf_counter()
     if kind == "automaton":
         verdict = check_regular_inclusion(language, backend, config, counters)
+    elif args.literal_omega10:
+        verdict = literal_linear_inclusion(language, backend, config, counters)
     else:
         verdict = check_linear_inclusion(language, backend, config, counters)
     elapsed_ms = round((time.perf_counter() - started) * 1000, 3)

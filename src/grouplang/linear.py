@@ -7,11 +7,10 @@ each A_i -> alpha.  A walk from the start to the sink spells a derived
 word: the left labels in order, then the right labels in reverse.  The
 check first reads the potential on the arcs (``regular.potential``),
 before any matrix exists: it finds the useful nonterminals and decides
-every inclusion that holds.  Only on a violation, and always in literal
-mode, does it build the level-0 pair matrix on the useful nonterminals
-and the sink, the matrix's last vertex, and close it with the same
-pivot recurrence as the regular case, multiplied with the diamond
-operation.
+every inclusion that holds.  Only on a violation does it build the
+level-0 pair matrix on the useful nonterminals and the sink, the
+matrix's last vertex, and close it with the same pivot recurrence as the
+regular case, multiplied with the diamond operation.
 It tests the start-to-sink labels whenever that cell changes and, after
 every pivot, each vertex's cycle pairs wrapped around its fewest-letter
 tail; a closure that passes both proves the inclusion (``_cycle_scan``).
@@ -19,6 +18,9 @@ It reads only the diagonal, the start row and the sink column, so its
 closure skips the steps into the other cells that no later step reads
 (``pivot_closure``'s ``read_row``): those three are exact at every
 level, and the rest of the matrix is left partly closed.
+
+:func:`literal_linear_inclusion` runs the paper's unpaired cycle test
+instead of the scan, kept to show that it can reject valid inclusions.
 """
 
 from __future__ import annotations
@@ -369,6 +371,29 @@ def closure_pairs(
     )
 
 
+def _closure_verdict(g: LinearGrammar, backend: Backend, mat: LabelMatrix, config, counters, level_scan) -> Verdict:
+    """Close ``mat`` watching the start-to-sink cell: the verdict that stops the closure, or ``Holds()``.
+
+    A ``ResourceExceeded`` names a cell the check needed: the closure
+    skips the cells it never reads, so no cap fires in one of those.
+    """
+    try:
+        closure_pairs(
+            mat,
+            cap=config.set_cap,
+            counters=counters,
+            watch_final=(g.start, g.sink),
+            level_scan=level_scan,
+            read_row=g.start,
+        )
+    except _EarlyViolation as exc:
+        witness = first_failing_word(backend, exc.candidates)
+        return Fails(witness=witness, reason=exc.reason, state=exc.state)
+    except CapExceeded as exc:
+        return ResourceExceeded(cell=exc.cell, cardinality=exc.cardinality)
+    return Holds()
+
+
 def check_linear_inclusion(
     g: LinearGrammar,
     backend: Backend,
@@ -377,41 +402,38 @@ def check_linear_inclusion(
 ) -> Verdict:
     """Decide whether every word the grammar generates maps to the group identity.
 
-    A ``ResourceExceeded`` names a cell the check needed: the closure
-    skips the cells it never reads, so no cap fires in one of those.
-    A completed closure proves the inclusion (``_cycle_scan``) outside literal mode.
+    A completed closure proves the inclusion (``_cycle_scan``).
     """
     config = config if config is not None else DEFAULT_CONFIG
     require_rank("grammar", g.rank, backend)
-    sink = g.sink
-    tau, broken, labels = potential(g, (sink,), backend, PairSet)
-    if g.start not in tau:
-        return Holds()  # no terminal derivation exists, so the language is empty
-    # Literal mode shows what the unpaired closure test says, spurious
-    # failures included, so it reads only tau's keys: the useful nonterminals and the sink.
-    if not config.literal_omega10 and not broken and tau[g.start] == backend.identity:
-        return Holds()
+    tau, broken, labels = potential(g, (g.sink,), backend, PairSet)
+    if g.start not in tau or not broken and tau[g.start] == backend.identity:
+        return Holds()  # the language is empty, or the potential holds
     mat = build_grammar_matrix(g, backend, useful=frozenset(tau), labels=labels)
-    try:
-        closure_pairs(
-            mat,
-            cap=config.set_cap,
-            counters=counters,
-            watch_final=(g.start, sink),
-            # The cycle scan implements the paired reading; keep it off in
-            # literal mode so that mode shows the unpaired test verbatim.
-            level_scan=None if config.literal_omega10 else _cycle_scan(g, backend),
-            read_row=g.start,
-        )
-    except _EarlyViolation as exc:
-        witness = first_failing_word(backend, exc.candidates)
-        return Fails(witness=witness, reason=exc.reason, state=exc.state)
-    except CapExceeded as exc:
-        return ResourceExceeded(cell=exc.cell, cardinality=exc.cardinality)
+    return _closure_verdict(g, backend, mat, config, counters, _cycle_scan(g, backend))
 
-    if not config.literal_omega10:
-        return Holds()  # the lemma in _cycle_scan
-    # Literal mode's unpaired test; watch_final saw the start-to-sink cell at every change.
+
+def literal_linear_inclusion(
+    g: LinearGrammar,
+    backend: Backend,
+    config: RunConfig | None = None,
+    counters: OpCounters | None = None,
+) -> Verdict:
+    """The check without the potential or the cycle scan, then the paper's unpaired cycle test.
+
+    ``triple_literal`` wraps the left and the right parts of a cycle
+    cell's pairs around its exits independently, so it can fire on an
+    inclusion that holds; it then names no witness, and ``spurious`` is set.
+    An empty language leaves the matrix no cell, and holds.
+    """
+    config = config if config is not None else DEFAULT_CONFIG
+    require_rank("grammar", g.rank, backend)
+    mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
+    verdict = _closure_verdict(g, backend, mat, config, counters, None)
+    if verdict != Holds():
+        return verdict
+    # The unpaired test; watch_final saw the start-to-sink cell at every change.
+    sink = g.sink
     for i in mat.useful:
         cycles, exits = mat.cell(i, i), mat.cell(i, sink)
         if not mat.cell(g.start, i) or not cycles or not exits:

@@ -15,7 +15,9 @@ violation, the check first reads what that closure would do off the
 arcs (:func:`_arc_exit`): its exit, at a level-0 cell or at the first
 step that reads a broken cell, or, when no step reads one, the start
 row that the check tests.  A failing automaton builds its matrix and
-runs the closure, with its early exit, only when neither decides.
+runs the closure, with its early exit, only when neither decides, and
+then tests the start row alone (see :func:`closure`).  The paper's full
+closure and conjugate test are the reference that the tests run.
 
 This module also holds the core that the linear check shares: JSON
 object checks, reachability, the shortest-walk search, the level-0
@@ -43,9 +45,9 @@ from .errors import (
 )
 from .groups import Backend, Word, read_json, require_int, validate_word
 from .records import Record
-from .semiring import GroupSet, PairSet, product, star, union
+from .semiring import GroupSet, PairSet, product, union
+from .semiring import star  # no check calls it; a module attribute because bench/tracing.py wraps it
 from .verdicts import (
-    CONJUGATE,
     DEFAULT_CONFIG,
     DISTINCT_LABELS,
     SIMPLE_PATH,
@@ -476,13 +478,12 @@ def closure(
     every useful cycle cell.  The label y of a cycle read from its
     largest state m is in K[m][m] before pivot m, which then adds y * y;
     a singleton cell forces y * y = y, so y = e, and read from another
-    of its states the cycle's label is a conjugate of y.  So the
-    conjugate test of :func:`check_regular_inclusion` can fire only
-    after a closure that left a cell with two labels, which only the
-    paper's full closure, ``early_fail=False``, can do; the default closure
-    gets there only when the tests' ``closure_only()`` skips the potential.
-    The check calls the closure only when :func:`_arc_exit` decides
-    nothing on the arcs.
+    of its states the cycle's label is a conjugate of y.  So the paper's
+    conjugate test can fire only after a closure that left a cell with
+    two labels, which only its full closure, ``early_fail=False``, can
+    do; :func:`check_regular_inclusion` runs the early exit, when
+    :func:`_arc_exit` decides nothing on the arcs, and then tests only
+    the start row.  The tests' reference check runs the full closure.
 
     >>> from grouplang import Cyclic
     >>> loop = Nfa(states=1, rank=1, transitions=frozenset({(1, 1, 1)}), finals=frozenset({1}))
@@ -516,12 +517,13 @@ def _arc_exit(
     """Decide a failing automaton on its arcs, where the closure's exit or its start row can be read.
 
     ``tau``, ``broken`` and ``labels`` are what :func:`potential`
-    returned; labels ``labels`` lacks are added.  No label matrix is
-    built.  Raises the exit of :func:`closure` when it comes at a level-0
-    cell or at the first step whose outcome tau does not fix; returns the
-    witness of the check's ``simple-path`` failure when no step reads a
-    broken cell; and otherwise returns None, with ``counters`` unchanged,
-    and the check then builds the matrix and runs the closure.
+    returned; ``labels`` holds the label of every useful arc.  No label
+    matrix is built.  Raises the exit of :func:`closure` when it comes at
+    a level-0 cell or at the first step whose outcome tau does not fix;
+    returns the witness of the check's ``simple-path`` failure when no
+    step reads a broken cell; and otherwise returns None, with
+    ``counters`` unchanged, and the check then builds the matrix and runs
+    the closure.
 
     One pass over the useful arcs, in the builder's order, collects the
     label sets of the broken cells and each known cell's least witness.
@@ -573,10 +575,7 @@ def _arc_exit(
             if elements is None:
                 elements = bad_cells[cell] = {}
                 bad[p].append(q)
-            label = labels.get(wit)
-            if label is None:
-                label = labels[wit] = GroupSet.evaluate(backend, wit)
-            elements.setdefault(label, wit)
+            elements.setdefault(labels[wit], wit)
         elif cell not in seen:
             seen.add(cell)
             known[p].append(q)
@@ -774,34 +773,14 @@ def check_regular_inclusion(
     except CapExceeded as exc:
         return ResourceExceeded(cell=exc.cell, cardinality=exc.cardinality)
 
-    start = a.start
     for t in finals_useful:
-        bad = mat.cell(start, t).best_non_identity()
+        bad = mat.cell(a.start, t).best_non_identity()
         if bad is not None:
             return Fails(witness=bad[1], reason=SIMPLE_PATH)
-
-    if all(len(cell) == 1 for cell in mat.cells.values()):
-        return Holds()  # every cycle cell is identity-only: see ``closure``
-    for j in mat.useful:
-        access = mat.cell(start, j)
-        cycles = mat.cell(j, j)
-        if not access or not cycles:
-            continue
-        try:
-            conjugates = star(access, cycles, cap=config.set_cap)
-        except CapExceeded as exc:
-            return ResourceExceeded(cell=(j, j), cardinality=exc.cardinality)
-        if counters is not None:
-            counters.stars += 1
-        if conjugates.best_non_identity() is None:
-            continue
-        u, v = _failing_conjugate_witnesses(access, cycles)
-        w = _best_exit_witness(mat, j, finals_useful)
-        witness = extract_witness(backend, u, v, w)
-        return Fails(witness=witness, reason=CONJUGATE, state=j)
-    return Holds()
+    return Holds()  # every cycle cell is identity-only: see ``closure``
 
 
+# For the paper's conjugate test, which only the tests' reference check runs; bench/tracing.py wraps them.
 def _failing_conjugate_witnesses(access: GroupSet, cycles: GroupSet) -> tuple[Word, Word]:
     """Witnesses of the smallest (access, cycle) pair whose conjugate is not the identity.
 

@@ -19,9 +19,9 @@ class Holds(Record, frozen=True):
 class Fails(Record, frozen=True):
     """The language contains a word that does not map to the identity.
 
-    ``witness`` is such a word, except in literal-bracket mode where the
-    reported violation may be spurious and no witness is extracted
-    (``spurious`` is then set).
+    ``witness`` is such a word, except after the literal test
+    (``linear.literal_linear_inclusion``), where the reported violation
+    may be spurious and no witness is extracted (``spurious`` is then set).
     """
 
     witness: Word | None
@@ -45,8 +45,8 @@ class OpCounters(Record):
 
     A regular check decided on the arcs (see ``regular._arc_exit``) makes
     at most one ``product`` and one ``union``; one that runs the closure
-    counts every step it makes.
-    ``triples`` counts literal mode's triples, the only test after a linear closure.
+    counts every step it makes.  Only the reference checks, the paper's
+    conjugate test and the literal test, count ``stars`` and ``triples``.
     """
 
     unions: int = 0
@@ -63,18 +63,13 @@ class RunConfig(Record, frozen=True):
     """Knobs for one inclusion check.
 
     ``set_cap`` bounds the label sets the pivot closure computes, never
-    the input's level-0 cells.  The potential test runs on the arcs
-    first; the label matrix is built and closed only when it finds a
-    violation, or in literal mode.  A language that holds is decided
-    without a matrix or label sets and never reaches the cap.
-    ``literal_omega10`` switches the linear check's cycle test to the
-    independent-projection form, kept only to demonstrate that it can
-    reject valid inclusions; it turns the cycle scan off and runs on the
-    closed matrix, the linear check's only test after its closure.
+    the input's level-0 cells.  A check builds and closes the label
+    matrix only when the potential, on the arcs, finds a violation, so a
+    language that holds never reaches the cap; the reference checks
+    close the matrix of every non-empty language.
     """
 
     set_cap: int = 4096
-    literal_omega10: bool = False
 
     def __post_init__(self):
         if self.set_cap < 1:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 from contextlib import contextmanager
 
@@ -11,8 +10,21 @@ from hypothesis import Phase, settings
 
 import grouplang.linear
 import grouplang.regular
-from grouplang import FiniteCayley
-from grouplang.regular import useful_vertices
+from grouplang import (
+    CONJUGATE,
+    SIMPLE_PATH,
+    CapExceeded,
+    Fails,
+    FiniteCayley,
+    Holds,
+    ResourceExceeded,
+    RunConfig,
+    build_initial_matrix,
+    closure,
+    extract_witness,
+    useful_states,
+)
+from grouplang.regular import _best_exit_witness, _failing_conjugate_witnesses, star, useful_vertices
 
 _CRITERIA_REPORT: list[tuple[int, str]] = []
 
@@ -79,16 +91,17 @@ def closure_only():
 
     ``potential`` keys tau by the useful vertices, as the real one does,
     but gives none of them a value and calls every useful cell broken, so
-    it never holds and the regular closure knows no cell.  It evaluates
-    no arc label, so the builder evaluates them all.
+    it never holds and the regular closure knows no cell.  Its arc labels
+    are the real potential's.
     """
+    saved = [(module, module.potential) for module in (grouplang.regular, grouplang.linear)]
+    real = grouplang.regular.potential
 
     def broken_everywhere(language, ends, backend, cell_type):
         useful = useful_vertices(language._arcs, language.start, ends)
         broken = {(i, j) for i, j, _left, _right in language._arcs if i in useful and j in useful}
-        return dict.fromkeys(useful), broken, {}
+        return dict.fromkeys(useful), broken, real(language, ends, backend, cell_type)[2]
 
-    saved = [(module, module.potential) for module in (grouplang.regular, grouplang.linear)]
     grouplang.regular.potential = grouplang.linear.potential = broken_everywhere
     try:
         yield
@@ -97,21 +110,46 @@ def closure_only():
             module.potential = original
 
 
-@contextmanager
-def paper_closure():
-    """The regular check on the paper's full closure: unguided, with no early exit.
+def paper_check(a, backend, config=None, counters=None):
+    """The paper's regular check: the full closure on the useful states, then its two tests.
 
-    The check skips its exit on the arcs, the closure then runs to the
-    end and the check runs the paper's start-to-final and conjugate tests
-    on the closed matrix.
+    No potential and no early exit.  The closed matrix's start row must
+    hold only e at the finals, and at every state the conjugates of its
+    cycle labels by its access labels (``star``) must all be e.  When
+    every cell is a singleton no conjugate can miss e (see ``closure``),
+    and the conjugate test makes no ``star`` call.
     """
-    original, arc_exit = grouplang.regular.closure, grouplang.regular._arc_exit
-    grouplang.regular.closure = functools.partial(original, early_fail=False)
-    grouplang.regular._arc_exit = lambda *args: None
+    config = config if config is not None else RunConfig()
+    useful = useful_states(a)
+    mat = build_initial_matrix(a, backend, useful=useful)  # checks the rank first
+    if a.start not in useful:
+        return Holds()  # the language is empty
     try:
-        yield
-    finally:
-        grouplang.regular.closure, grouplang.regular._arc_exit = original, arc_exit
+        closure(mat, early_fail=False, cap=config.set_cap, counters=counters)
+    except CapExceeded as exc:
+        return ResourceExceeded(cell=exc.cell, cardinality=exc.cardinality)
+    finals = sorted(a.finals & useful)
+    for t in finals:
+        bad = mat.cell(a.start, t).best_non_identity()
+        if bad is not None:
+            return Fails(witness=bad[1], reason=SIMPLE_PATH)
+    if all(len(cell) == 1 for cell in mat.cells.values()):
+        return Holds()
+    for j in mat.useful:
+        access, cycles = mat.cell(a.start, j), mat.cell(j, j)
+        if not access or not cycles:
+            continue
+        try:
+            conjugates = star(access, cycles, cap=config.set_cap)
+        except CapExceeded as exc:
+            return ResourceExceeded(cell=(j, j), cardinality=exc.cardinality)
+        if counters is not None:
+            counters.stars += 1
+        if conjugates.best_non_identity() is not None:
+            u, v = _failing_conjugate_witnesses(access, cycles)
+            w = _best_exit_witness(mat, j, finals)
+            return Fails(witness=extract_witness(backend, u, v, w), reason=CONJUGATE, state=j)
+    return Holds()
 
 
 @pytest.fixture

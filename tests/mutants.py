@@ -91,8 +91,8 @@ MUTANTS = (
     Mutant(
         "exit-keeps-last-broken-arc",
         "regular.py",
-        "elements.setdefault(label, wit)",
-        "elements[label] = wit",
+        "elements.setdefault(labels[wit], wit)",
+        "elements[labels[wit]] = wit",
         ARC_EXIT + DIGESTS,
     ),
     # The first step's pivot: the least of (a), (b) and each broken row's least pivot (c).
@@ -233,8 +233,8 @@ MUTANTS = (
     Mutant(
         "scan-off",
         "linear.py",
-        "level_scan=None if config.literal_omega10 else _cycle_scan(g, backend),",
-        "level_scan=None,",
+        "_closure_verdict(g, backend, mat, config, counters, _cycle_scan(g, backend))",
+        "_closure_verdict(g, backend, mat, config, counters, None)",
         LINEAR,
     ),
     # The tail's value must read its right part last; only a tail with
@@ -262,6 +262,44 @@ MUTANTS = (
         "build_matrix(backend, g._arcs, PairSet, keep | {g.sink}, labels)",
         "build_matrix(backend, g._arcs, PairSet, keep, labels)",
         LINEAR,
+    ),
+    # A fallback closure that completes leaves only its start row to test.
+    Mutant(
+        "fallback-skips-start-row",
+        "regular.py",
+        "        bad = mat.cell(a.start, t).best_non_identity()\n        if bad is not None:\n",
+        "        bad = mat.cell(a.start, t).best_non_identity()\n        if False:\n",
+        ("test_regular.py",) + DIGESTS,
+    ),
+    # The literal test: the CLI's flag reaches it, and it runs the unpaired triples and no scan.
+    Mutant(
+        "cli-literal-dispatch-off",
+        "cli.py",
+        "    elif args.literal_omega10:\n        verdict = literal_linear_inclusion(language, backend, config, counters)\n",
+        "",
+        ("test_golden_check.py",),
+    ),
+    Mutant(
+        "literal-skips-triples",
+        "linear.py",
+        "    if verdict != Holds():\n        return verdict\n",
+        "    return verdict\n",
+        LINEAR,
+    ),
+    Mutant(
+        "literal-runs-the-scan",
+        "linear.py",
+        "verdict = _closure_verdict(g, backend, mat, config, counters, None)",
+        "verdict = _closure_verdict(g, backend, mat, config, counters, _cycle_scan(g, backend))",
+        DIGESTS,
+    ),
+    # The paper's conjugate test, which the tests' reference check runs, names the least exit.
+    Mutant(
+        "paper-exit-witness-greatest",
+        "regular.py",
+        "    return min(exits, key=GroupSet.witness_key)",
+        "    return max(exits, key=GroupSet.witness_key)",
+        DIGESTS,
     ),
     # The kernels' tie-breaks: of two witnesses of one length, the lexicographically least wins.
     Mutant(

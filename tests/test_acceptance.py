@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import paper_closure, record_criterion, symmetric_group_3
+from conftest import paper_check, record_criterion, symmetric_group_3
 from grouplang import (
     Cyclic,
     EnumerationBound,
@@ -27,7 +27,6 @@ from grouplang import (
     OracleHolds,
     Production,
     ResourceExceeded,
-    RunConfig,
     brute_force_inclusion,
     check_linear_inclusion,
     check_regular_inclusion,
@@ -36,6 +35,7 @@ from grouplang import (
     enumerate_grammar_words,
     enumerate_nfa_words,
     extract_witness,
+    literal_linear_inclusion,
     nfa_to_right_linear,
 )
 from grouplang.corpus import grammar_corpus, nfa_corpus
@@ -222,23 +222,22 @@ def test_criterion_4_complexity_bounds(regular_corpus, regular_runs, grammar_run
     # The paper's closure runs the conjugate test, one star per state at
     # most; over the free backends its label sets grow to the cap.
     paper = 0
-    with paper_closure():
-        for rank, nfas in regular_corpus.items():
-            for a in nfas:
-                for backend in BACKENDS_BY_RANK[rank]:
-                    if backend not in FINITE_BACKENDS:
-                        continue
-                    c = OpCounters()
-                    check_regular_inclusion(a, backend, counters=c)
-                    paper += 1
-                    n = a.states
-                    if not (c.unions <= n**3 and c.products <= n**3 and c.stars <= n**2):
-                        violations.append(("paper", n, c.as_dict()))
+    for rank, nfas in regular_corpus.items():
+        for a in nfas:
+            for backend in BACKENDS_BY_RANK[rank]:
+                if backend not in FINITE_BACKENDS:
+                    continue
+                c = OpCounters()
+                paper_check(a, backend, counters=c)
+                paper += 1
+                n = a.states
+                if not (c.unions <= n**3 and c.products <= n**3 and c.stars <= n**2):
+                    violations.append(("paper", n, c.as_dict()))
     # Literal mode runs the unpaired triple, at most once per nonterminal.
     for run in grammar_runs:
         n = run.instance.nonterminals
         c = OpCounters()
-        check_linear_inclusion(run.instance, run.backend, RunConfig(literal_omega10=True), counters=c)
+        literal_linear_inclusion(run.instance, run.backend, counters=c)
         if not c.triples <= n:
             violations.append(("literal", n, c.as_dict()))
     ok = not violations
@@ -266,7 +265,7 @@ def test_criterion_5_bracket_form_regression():
     )
     backend = FreeGroup(1)
     paired = check_linear_inclusion(g, backend)
-    literal = check_linear_inclusion(g, backend, RunConfig(literal_omega10=True))
+    literal = literal_linear_inclusion(g, backend)
     oracle = brute_force_inclusion(
         enumerate_grammar_words(g, EnumerationBound(12)), backend
     )

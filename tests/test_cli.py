@@ -547,7 +547,8 @@ EXPORTS = {
     "groups": "Backend Cyclic FiniteCayley FreeAbelian FreeGroup Word inverse_word load_group "
     "parse_group word_from_tokens word_to_tokens",
     "linear": "LinearGrammar Production build_grammar_matrix check_linear_inclusion closure_pairs "
-    "grammar_to_dict load_grammar nfa_to_right_linear parse_grammar useful_nonterminals",
+    "grammar_to_dict literal_linear_inclusion load_grammar nfa_to_right_linear parse_grammar "
+    "useful_nonterminals",
     "oracle": "EnumerationBound OracleFails OracleHolds brute_force_inclusion "
     "counterexample_bound_linear counterexample_bound_regular enumerate_grammar_words "
     "enumerate_nfa_words",

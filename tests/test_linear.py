@@ -32,6 +32,7 @@ from grouplang import (
     closure_pairs,
     grammar_to_dict,
     inverse_word,
+    literal_linear_inclusion,
     load_grammar,
     nfa_to_right_linear,
     parse_grammar,
@@ -196,7 +197,7 @@ def test_check_discrepancy_grammar_holds_with_paired_triple():
 
 
 def test_check_discrepancy_grammar_literal_mode_fires_spuriously():
-    verdict = check_linear_inclusion(DISCREPANCY, FG1, RunConfig(literal_omega10=True))
+    verdict = literal_linear_inclusion(DISCREPANCY, FG1)
     assert isinstance(verdict, Fails)
     assert verdict.spurious
     assert verdict.witness is None
@@ -258,10 +259,10 @@ def test_literal_mode_caps_the_triple_after_the_closure():
     # {x1, x1 x1} has three elements.
     g = grammar(1, [(1, [-1], 1, [1]), (1, [])])
     counters = OpCounters()
-    verdict = check_linear_inclusion(g, FG1, RunConfig(set_cap=2, literal_omega10=True), counters)
+    verdict = literal_linear_inclusion(g, FG1, RunConfig(set_cap=2), counters)
     assert verdict == ResourceExceeded(cell=(1, 1), cardinality=3)
     assert counters == OpCounters(unions=2, diamonds=2)
-    verdict = check_linear_inclusion(g, FG1, RunConfig(literal_omega10=True))
+    verdict = literal_linear_inclusion(g, FG1)
     assert verdict == Fails(witness=None, reason="conjugate", state=1, spurious=True)
 
 
@@ -301,7 +302,7 @@ def test_counters_stay_within_bounds():
     assert counters.triples == 0  # only literal mode runs a test after the closure
     # Literal mode's unpaired triple, once per nonterminal at most: criterion 5's grammar counts one.
     counters = OpCounters()
-    check_linear_inclusion(DISCREPANCY, FG1, RunConfig(literal_omega10=True), counters)
+    literal_linear_inclusion(DISCREPANCY, FG1, None, counters)
     assert counters.triples == 1 <= DISCREPANCY.nonterminals
 
 
@@ -552,15 +553,16 @@ def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, lit
         if not (at[i] < at_k and at[j] <= at_k and i not in (j, g.start)):
             assert capped == full_capped  # the full run capped in a cell the check computes
 
-    config = RunConfig(literal_omega10=literal) if cap is None else RunConfig(set_cap=cap, literal_omega10=literal)
-    verdict = check_linear_inclusion(g, backend, config)
+    config = None if cap is None else RunConfig(set_cap=cap)
+    check = literal_linear_inclusion if literal else check_linear_inclusion
+    verdict = check(g, backend, config)
 
     def full_closure(mat, *, read_row=None, **kwargs):
         return closure_pairs(mat, **kwargs)
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(grouplang.linear, "closure_pairs", full_closure)
-        reference = check_linear_inclusion(g, backend, config)
+        reference = check(g, backend, config)
     if not isinstance(reference, ResourceExceeded):
         assert verdict == reference
     elif not isinstance(verdict, ResourceExceeded):

@@ -16,7 +16,6 @@ default check makes at most the reference's products and unions.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 
 import grouplang.linear
 import grouplang.regular
-from conftest import closure_only, paper_closure, symmetric_group_3
+from conftest import closure_only, symmetric_group_3
 from grouplang import (
     Cyclic,
     EnumerationBound,
@@ -49,6 +48,7 @@ from grouplang import (
     counterexample_bound_regular,
     enumerate_grammar_words,
     enumerate_nfa_words,
+    literal_linear_inclusion,
     useful_nonterminals,
     useful_states,
 )
@@ -129,26 +129,21 @@ def checked_potential(language, backend):
 
 
 def both_paths(check, language, backend, config=None):
-    """(verdict, counters) of the default check and of the closure-only check.
-
-    Under ``PAPER`` both run the regular check on the paper's closure.
-    """
+    """(verdict, counters) of the default check and of the closure-only check."""
     counters, reference_counters = OpCounters(), OpCounters()
-    with paper_closure() if config is PAPER else nullcontext():
-        verdict = check(language, backend, config, counters)
-        with closure_only():
-            reference = check(language, backend, config, reference_counters)
+    verdict = check(language, backend, config, counters)
+    with closure_only():
+        reference = check(language, backend, config, reference_counters)
     return (verdict, counters), (reference, reference_counters)
 
 
-def assert_counters_match(check, config, verdict, counters, reference_counters):
+def assert_counters_match(check, verdict, counters, reference_counters):
     """Counters of a non-holding verdict against the closure-only check's.
 
-    Only the guided closure (a regular ``Fails`` with the early exit on)
-    may make fewer calls, still one ``union`` per product.
+    Only the guided regular check may make fewer calls on a ``Fails``,
+    still one ``union`` per product.
     """
-    guided = check is check_regular_inclusion and config is not PAPER
-    if guided and isinstance(verdict, Fails):
+    if check is check_regular_inclusion and isinstance(verdict, Fails):
         assert counters.products == counters.unions <= reference_counters.unions
         for field in ("stars", "diamonds", "triples"):
             assert getattr(counters, field) == getattr(reference_counters, field)
@@ -164,7 +159,7 @@ def assert_same_as_closure(check, language, backend, config=None):
     if isinstance(verdict, Holds):
         assert counters == OpCounters()
     else:
-        assert_counters_match(check, config, verdict, counters, reference_counters)
+        assert_counters_match(check, verdict, counters, reference_counters)
     return verdict
 
 
@@ -259,19 +254,16 @@ def test_linear_empty_language_leaves_the_start_without_a_value():
         assert assert_same_as_closure(check_linear_inclusion, g, FG1) == Holds()
 
 
-def test_literal_mode_keeps_the_closure_alone():
-    # S -> x S X | xx S XX | eps holds.  The potential now decides it, so
-    # the paired closure test (criterion 5) is checked here on its own;
-    # the unpaired test still fires on it.
+def test_the_paired_closure_holds_where_the_literal_test_fires():
+    # S -> x S X | xx S XX | eps holds.  The potential decides it, so the
+    # paired closure test (criterion 5) is checked here on its own; the
+    # literal test, which runs no potential, still fires on it.
     g = grammar(1, [(1, [X], 1, [XI]), (1, [X, X], 1, [XI, XI]), (1, [])])
     with closure_only():
         assert check_linear_inclusion(g, FG1) == Holds()
-    config = RunConfig(literal_omega10=True)
-    (verdict, counters), (reference, reference_counters) = both_paths(
-        check_linear_inclusion, g, FG1, config
-    )
-    assert verdict == reference and verdict.spurious
-    assert counters == reference_counters != OpCounters()
+    counters = OpCounters()
+    verdict = literal_linear_inclusion(g, FG1, None, counters)
+    assert verdict.spurious and counters != OpCounters()
 
 
 def _oracle_holds(language, backend) -> bool:
@@ -284,18 +276,7 @@ def _oracle_holds(language, backend) -> bool:
     return isinstance(brute_force_inclusion(words, backend), OracleHolds)
 
 
-# Without the early exit, or in literal mode, the closure can grow its
-# sets to thousands of elements; a cap of 64 keeps each example fast.
-# ``both_paths`` runs the regular check on the paper's closure under
-# ``PAPER``, told apart by identity.
-PAPER = RunConfig(set_cap=64)
-CONFIGS = (
-    RunConfig(),
-    PAPER,
-    RunConfig(literal_omega10=True, set_cap=64),
-    RunConfig(set_cap=2),
-    RunConfig(set_cap=4),
-)
+CONFIGS = (RunConfig(), RunConfig(set_cap=2), RunConfig(set_cap=4))
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,14 +307,12 @@ def test_default_verdict_matches_the_closure(seed, linear, paired, rank, pick, c
         assert verdict == reference
     # The cap bounds only what the closure computes: at every cap, a
     # language the potential finds holding is decided before the closure.
-    potential = checked_potential(language, backend)
-    if potential and not config.literal_omega10:
+    if checked_potential(language, backend):
         assert verdict == Holds()
-    # Literal mode only concerns the linear check, which the closure then decides alone.
-    if isinstance(verdict, Holds) and not (linear and config.literal_omega10):
+    if isinstance(verdict, Holds):
         assert counters == OpCounters()
     else:
-        assert_counters_match(check, config, verdict, counters, reference_counters)
+        assert_counters_match(check, verdict, counters, reference_counters)
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,8 +348,8 @@ def test_closure_only_calls_every_useful_cell_broken():
     a = REGULAR_CASES["non-useful-arcs-ignored"][0]
     with closure_only():
         tau, broken, labels = grouplang.regular.potential(a, a.finals, FG1, GroupSet)
-    assert tau == {1: None, 2: None, 3: None} and labels == {}
-    assert broken == {(1, 2), (2, 3)}
+    assert tau == {1: None, 2: None, 3: None} and labels == potential(a, a.finals, FG1, GroupSet)[2]
+    assert broken == {(1, 2), (2, 3)} and set(labels) == {(X,), (XI,)}
 
 
 def _check(language, backend, config=None):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paper_closure, symmetric_group_3
+from conftest import paper_check, symmetric_group_3
 from grouplang import (
     CONJUGATE,
     BackendMismatch,
@@ -212,13 +212,11 @@ def test_check_resource_exceeded_reports_cell():
     # With early-fail off, pivot 1 adds x x to the loop cell {x}; the
     # union grows it past a cap of 1.
     a = nfa(1, [(1, 1, 1)], [1])
-    with paper_closure():
-        assert check_regular_inclusion(a, FG1, config) == ResourceExceeded(cell=(1, 1), cardinality=2)
+    assert paper_check(a, FG1, config) == ResourceExceeded(cell=(1, 1), cardinality=2)
     # The cap bounds only what the closure computes: parallel arcs put
     # two labels in the input cell (1, 2), but no set grows there.
     a = nfa(2, [(1, 1, 2), (1, -1, 2)], [2])
-    with paper_closure():
-        assert check_regular_inclusion(a, FG1, config) == Fails(witness=(-1,), reason="simple-path")
+    assert paper_check(a, FG1, config) == Fails(witness=(-1,), reason="simple-path")
 
 
 def test_check_conjugate_violation_mid_cycle():
@@ -226,8 +224,7 @@ def test_check_conjugate_violation_mid_cycle():
     # state 2 does not, so only the conjugate test can catch it.
     a = nfa(3, [(1, 1, 2), (2, 1, 2), (2, -1, 3)], [3], rank=1)
     counters = OpCounters()
-    with paper_closure():
-        verdict = check_regular_inclusion(a, Cyclic(3), None, counters)
+    verdict = paper_check(a, Cyclic(3), None, counters)
     assert isinstance(verdict, Fails)
     assert verdict.reason == "conjugate"
     assert a.accepts(verdict.witness)
@@ -243,12 +240,10 @@ def test_the_paper_closure_caps_the_conjugate_set():
     # access labels of 2 number 9.  The conjugate test at 1 passes first.
     a = nfa(2, [(1, -1, 2), (2, 1, 1), (2, 1, 2), (2, -2, 2)], [1], rank=2)
     counters = OpCounters()
-    with paper_closure():
-        verdict = check_regular_inclusion(a, FreeGroup(2), RunConfig(set_cap=8), counters)
-        assert verdict == ResourceExceeded(cell=(2, 2), cardinality=9)
-        assert counters == OpCounters(unions=5, products=5, stars=1)
-        verdict = check_regular_inclusion(a, FreeGroup(2))
-    assert verdict == Fails(witness=(-1, -2, 1), reason="conjugate", state=2)
+    verdict = paper_check(a, FreeGroup(2), RunConfig(set_cap=8), counters)
+    assert verdict == ResourceExceeded(cell=(2, 2), cardinality=9)
+    assert counters == OpCounters(unions=5, products=5, stars=1)
+    assert paper_check(a, FreeGroup(2)) == Fails(witness=(-1, -2, 1), reason="conjugate", state=2)
 
 
 # extract_witness
@@ -274,11 +269,22 @@ def test_first_failing_word_raises_on_no_candidate():
 
 def test_simple_path_violation_uses_cell_witness():
     a = nfa(2, [(1, 1, 2), (2, 1, 1)], [2], rank=1)
-    with paper_closure():
-        verdict = check_regular_inclusion(a, Cyclic(3))
+    verdict = paper_check(a, Cyclic(3))
     assert isinstance(verdict, Fails)
     assert verdict.reason == "simple-path"
     assert verdict.witness == (1,)
+
+
+def test_a_completed_fallback_closure_fails_on_its_start_row():
+    # 1 -x-> 2 -x-> 3 with finals 2 and 3 over Z/2: the arc 2 -> 3 breaks
+    # tau, and the one step that reads it, pivot 2 from 1 to 3, fills the
+    # empty cell (1, 3).  So the check falls back to the closure, which
+    # completes with singleton cells, and its start row names x.
+    a = nfa(3, [(1, 1, 2), (2, 1, 3)], [2, 3])
+    counters = OpCounters()
+    verdict = check_regular_inclusion(a, Cyclic(2), None, counters)
+    assert verdict == Fails(witness=(1,), reason="simple-path")
+    assert counters == OpCounters(unions=1, products=1)
 
 
 def test_run_config_validation():
@@ -333,7 +339,7 @@ def test_state_relabeling_invariance():
                 assert not backend.word_in_group_language(vb.witness)
 
 
-def test_early_fail_agrees_with_literal_run():
+def test_the_default_check_agrees_with_the_papers():
     rng = random.Random(11)
     for _ in range(80):
         n = rng.randint(1, 4)
@@ -344,8 +350,7 @@ def test_early_fail_agrees_with_literal_run():
         a = nfa(n, arcs, finals)
         for backend in (FG1, Cyclic(2), Cyclic(4)):
             fast = check_regular_inclusion(a, backend)
-            with paper_closure():
-                slow = check_regular_inclusion(a, backend)
+            slow = paper_check(a, backend)
             if isinstance(fast, ResourceExceeded) or isinstance(slow, ResourceExceeded):
                 continue
             assert isinstance(fast, Holds) == isinstance(slow, Holds)

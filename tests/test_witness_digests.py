@@ -9,10 +9,12 @@ SHA-256.  The two reference sweeps also hash each check's ``OpCounters``.
   grammars);
 - ``automata``: every 3-state rank-1 automaton with 1-4 arcs and a
   non-empty set of finals, started at state 1 (28,329 automata);
-- ``paper automata``: the automata under the paper's check, the full
-  closure and its start-to-final and conjugate tests;
-- ``literal grammars``: the grammars under literal mode, the unpaired
-  cycle test after the closure.
+- ``paper automata``: the automata under the paper's check
+  (``conftest.paper_check``), the full closure and its start-to-final
+  and conjugate tests;
+- ``literal grammars``: the grammars under the literal test
+  (``literal_linear_inclusion``), the unpaired cycle test after the
+  closure.
 
 ``witness_digests.json`` holds the digest of each sweep per group.  A
 witness-changing fault in a kernel's tie-break, in the potential, in the
@@ -48,7 +50,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import closure_only, paper_closure, symmetric_group_3
+from conftest import paper_check, symmetric_group_3
 from grouplang import (
     Cyclic,
     FreeGroup,
@@ -56,9 +58,9 @@ from grouplang import (
     Nfa,
     OpCounters,
     Production,
-    RunConfig,
     check_linear_inclusion,
     check_regular_inclusion,
+    literal_linear_inclusion,
 )
 
 DIGESTS = Path(__file__).resolve().parent / "witness_digests.json"
@@ -110,21 +112,12 @@ def automata(rank: int, most: int):
     return sweep
 
 
-def paper_check(a, backend, config=None, counters=None):
-    with paper_closure(), closure_only():
-        return check_regular_inclusion(a, backend, config, counters)
-
-
-def literal_check(g, backend, config=None, counters=None):
-    return check_linear_inclusion(g, backend, RunConfig(literal_omega10=True), counters)
-
-
 # name -> (languages, check, whether counters are hashed too)
 SWEEPS = {
     "grammars": (grammars(2, 1, 4), check_linear_inclusion, False),
     "automata": (automata(1, 4), check_regular_inclusion, False),
     "paper automata": (automata(1, 4), paper_check, True),
-    "literal grammars": (grammars(2, 1, 4), literal_check, True),
+    "literal grammars": (grammars(2, 1, 4), literal_linear_inclusion, True),
 }
 # name -> (languages, check, groups); run by the script's --wide only.
 WIDE = {
