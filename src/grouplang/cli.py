@@ -2,15 +2,17 @@
 
 Exit codes: 0 when the inclusion holds (or enumeration/generation
 succeeded), 1 when a check found the language not included, 2 for
-resource exhaustion or bad input.
+resource exhaustion or bad input; a closed stdout ends only the output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from .errors import BackendMismatch, BoundExceeded, GrouplangError, InputError
@@ -47,16 +49,27 @@ def _load_language(path: str):
     )
 
 
+def _print(line: str = "", **options) -> bool:
+    """``print`` to stdout; once the reader has closed it, False, with stdout then os.devnull."""
+    try:
+        print(line, **options)
+        return True
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return False
+
+
 def _emit_report(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        _print(json.dumps(report, indent=2))
         return
     for key, value in report.items():
         if key == "witness" and value is not None:
             value = json.dumps(value)
         elif key == "counters":
             value = " ".join(f"{k}={v}" for k, v in value.items())
-        print(f"{key}: {value}")
+        _print(f"{key}: {value}")
 
 
 def cmd_check(args) -> int:
@@ -150,13 +163,13 @@ def cmd_oracle(args) -> int:
         report["verdict"] = "holds-at-bound"
         code = 0
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print(json.dumps(report, indent=2))
     elif code == 1:
-        print(f"fails: witness {report['witness_tokens']} ({report['witness']})")
+        _print(f"fails: witness {report['witness_tokens']} ({report['witness']})")
     elif result.words_checked == 0:
-        print(f"holds-at-bound {bound_len} (empty language)")
+        _print(f"holds-at-bound {bound_len} (empty language)")
     else:
-        print(f"holds-at-bound {bound_len} ({result.words_checked} words checked)")
+        _print(f"holds-at-bound {bound_len} ({result.words_checked} words checked)")
     return code
 
 
@@ -174,7 +187,8 @@ def cmd_enumerate(args) -> int:
     kind, language = _load_language(args.language_file)
     bound = EnumerationBound(max_word_length=args.max_len, max_words=args.max_words)
     for word in _enumerate(kind, language, bound):
-        print(word_to_tokens(word))
+        if not _print(word_to_tokens(word)):
+            break
     return 0
 
 
@@ -187,7 +201,6 @@ def cmd_gen_corpus(args) -> int:
         raise InputError(f"--density must be in [0, 1], got {args.density!r}")
     rng = random.Random(args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for index in range(args.count):
         if args.kind == "nfa":
             instance = random_nfa(
@@ -207,8 +220,12 @@ def cmd_gen_corpus(args) -> int:
             )
             payload = grammar_to_dict(instance)
         path = out_dir / f"{args.kind}_{args.seed}_{index:04d}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(path)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        _print(str(path))
     return 0
 
 
@@ -287,20 +304,24 @@ _POSITIVE_OPTIONS = ("set_cap", "max_len", "max_words", "count", "states", "nont
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        for option in _POSITIVE_OPTIONS:
-            if getattr(args, option, None) is not None:
-                require_int(getattr(args, option), "--" + option.replace("_", "-"), 1)
-        return args.func(args)
-    except (BoundExceeded, InputError, BackendMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GrouplangError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a bug, not a verdict: never exit 1 or print a traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the caller's warning display on return
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            for option in _POSITIVE_OPTIONS:
+                if getattr(args, option, None) is not None:
+                    require_int(getattr(args, option), "--" + option.replace("_", "-"), 1)
+            return args.func(args)
+        except (BoundExceeded, InputError, BackendMismatch) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except GrouplangError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # a bug, not a verdict: never exit 1 or print a traceback
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            _print(end="", flush=True)  # a closed stdout shows here at the latest, not at exit
 
 
 if __name__ == "__main__":

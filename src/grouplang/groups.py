@@ -126,8 +126,7 @@ class FreeGroup(GroupBackend, Record, frozen=True):
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise InputError("free group rank must be a positive integer")
+        require_int(self.rank, "free group rank", 1)
 
     @property
     def identity(self) -> Word:
@@ -196,8 +195,7 @@ class FreeAbelian(GroupBackend, Record, frozen=True):
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise InputError("free abelian rank must be a positive integer")
+        require_int(self.rank, "free abelian rank", 1)
         if self.rank > MAX_FREE_ABELIAN_RANK:
             raise InputError(f"free abelian rank must be at most {MAX_FREE_ABELIAN_RANK}")
 
@@ -253,8 +251,7 @@ class Cyclic(GroupBackend, Record, frozen=True):
     order: int
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
-            raise InputError("cyclic order must be a positive integer")
+        require_int(self.order, "cyclic order", 1)
 
     @property
     def rank(self) -> int:
@@ -314,15 +311,15 @@ class FiniteCayley(GroupBackend, Record, frozen=True):
         s = self.size
         if not isinstance(s, int) or isinstance(s, bool) or s < 1:
             raise CayleyTableError("size must be a positive integer")
-        if not 0 <= self.identity_index < s:
-            raise CayleyTableError(f"identity index {self.identity_index} out of range 0..{s - 1}")
+        e = self.identity_index
+        if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < s:
+            raise CayleyTableError(f"identity index {e!r} out of range 0..{s - 1}")
         if len(self.table) != s or any(len(row) != s for row in self.table):
             raise CayleyTableError(f"table must be {s}x{s}")
         for row in self.table:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < s:
                     raise CayleyTableError(f"table entry {v!r} out of range 0..{s - 1}")
-        e = self.identity_index
         for a in range(s):
             if self.table[e][a] != a or self.table[a][e] != a:
                 raise CayleyTableError(f"index {e} does not act as the identity on {a}")
@@ -347,7 +344,7 @@ class FiniteCayley(GroupBackend, Record, frozen=True):
             warnings.warn(
                 f"table size {s} exceeds the associativity check limit "
                 f"{ASSOC_CHECK_LIMIT}; skipping the exhaustive check",
-                stacklevel=2,
+                stacklevel=3,  # past Record.__init__, to the caller
             )
         if not self.generator_images:
             raise CayleyTableError("at least one generator image is required")
@@ -430,10 +427,18 @@ def require_int(v, what: str, minimum: int) -> int:
     return v
 
 
-def _require_int(obj: dict, key: str, minimum: int) -> int:
-    if key not in obj:
-        raise InputError(f"missing field {key!r}")
-    return require_int(obj[key], f"field {key!r}", minimum)
+def check_fields(obj, kind: str, fields: set[str]) -> None:
+    """Reject ``obj`` unless it is a JSON object of ``kind`` with exactly ``fields`` ('kind' optional)."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{kind} description must be a JSON object")
+    if obj.get("kind", kind) != kind:
+        raise InputError(f"field 'kind' must be {kind!r}, got {obj.get('kind')!r}")
+    unknown = set(obj) - fields
+    if unknown:
+        raise InputError(f"unknown {kind} fields: {sorted(unknown)}")
+    for key in sorted(fields - {"kind"}):
+        if key not in obj:
+            raise InputError(f"missing {kind} field {key!r}")
 
 
 def parse_group(obj: dict) -> Backend:
@@ -452,26 +457,22 @@ def parse_group(obj: dict) -> Backend:
         raise InputError(
             f"field 'kind' must be one of {sorted(_GROUP_FIELDS)}, got {kind!r}"
         )
-    unknown = set(obj) - _GROUP_FIELDS[kind]
-    if unknown:
-        raise InputError(f"unknown fields for kind {kind!r}: {sorted(unknown)}")
+    check_fields(obj, kind, _GROUP_FIELDS[kind])
     if kind == "free":
-        return FreeGroup(_require_int(obj, "rank", 1))
+        return FreeGroup(obj["rank"])
     if kind == "free_abelian":
-        return FreeAbelian(_require_int(obj, "rank", 1))
+        return FreeAbelian(obj["rank"])
     if kind == "cyclic":
-        return Cyclic(_require_int(obj, "order", 1))
-    size = _require_int(obj, "size", 1)
-    identity = _require_int(obj, "identity", 0)
-    table = obj.get("table")
-    images = obj.get("generator_images")
+        return Cyclic(obj["order"])
+    table = obj["table"]
+    images = obj["generator_images"]
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise InputError("field 'table' must be a list of rows")
     if not isinstance(images, list):
         raise InputError("field 'generator_images' must be a list")
     return FiniteCayley(
-        size=size,
-        identity_index=identity,
+        size=obj["size"],
+        identity_index=obj["identity"],
         table=tuple(tuple(row) for row in table),
         generator_images=tuple(images),
     )

@@ -29,13 +29,12 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import CapExceeded, InputError
-from .groups import Backend, Word, read_json, require_int, validate_word
+from .groups import Backend, Word, check_fields, read_json, require_int, validate_word
 from .records import Record
 from .regular import (
     LabelMatrix,
     Nfa,
     build_matrix,
-    check_fields,
     first_failing_word,
     pivot_closure,
     potential,
@@ -94,11 +93,9 @@ class LinearGrammar(Record, frozen=True):
     start: int = 1
 
     def __post_init__(self):
-        if self.nonterminals < 1:
-            raise InputError("a grammar needs at least one nonterminal")
-        if self.rank < 1:
-            raise InputError("alphabet rank must be >= 1")
-        if not 1 <= self.start <= self.nonterminals:
+        require_int(self.nonterminals, "number of nonterminals", 1)
+        require_int(self.rank, "alphabet rank", 1)
+        if require_int(self.start, "start nonterminal", 1) > self.nonterminals:
             raise InputError(f"start {self.start} out of range 1..{self.nonterminals}")
         for p in self.productions:
             if not 1 <= p.lhs <= self.nonterminals:
@@ -182,10 +179,10 @@ def parse_grammar(obj: dict) -> LinearGrammar:
         else:
             prods.append(Production(lhs, alpha))
     return LinearGrammar(
-        nonterminals=require_int(obj["nonterminals"], "field 'nonterminals'", 1),
-        rank=require_int(obj["alphabet_rank"], "field 'alphabet_rank'", 1),
+        nonterminals=obj["nonterminals"],
+        rank=obj["alphabet_rank"],
         productions=tuple(prods),
-        start=require_int(obj["start"], "field 'start'", 1),
+        start=obj["start"],
     )
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-from .errors import BoundExceeded, InputError
-from .groups import Backend, Word
+from .errors import BoundExceeded
+from .groups import Backend, Word, require_int
 from .linear import LinearGrammar
 from .records import Record
 from .regular import Nfa
@@ -34,10 +34,8 @@ class EnumerationBound(Record, frozen=True):
     max_words: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_word_length < 1:
-            raise InputError("max_word_length must be >= 1")
-        if self.max_words < 1:
-            raise InputError("max_words must be >= 1")
+        require_int(self.max_word_length, "max_word_length", 1)
+        require_int(self.max_words, "max_words", 1)
 
 
 class OracleHolds(Record, frozen=True):

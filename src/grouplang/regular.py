@@ -19,12 +19,12 @@ runs the closure, with its early exit, only when neither decides, and
 then tests the start row alone (see :func:`closure`).  The paper's full
 closure and conjugate test are the reference that the tests run.
 
-This module also holds the core that the linear check shares: JSON
-object checks, reachability, the shortest-walk search, the level-0
-matrix builder, the potential test and the pivot loop.  Both checks run
-on a language's diagram, its arcs (src, dst, left, right): an automaton
-arc has an empty right part, a grammar arc wraps its left and right
-words around the rest of the walk.  :class:`Nfa` and
+This module also holds the core that the linear check shares:
+reachability, the shortest-walk search, the level-0 matrix builder, the
+potential test and the pivot loop.  Both checks run on a language's
+diagram, its arcs (src, dst, left, right): an automaton arc has an
+empty right part, a grammar arc wraps its left and right words around
+the rest of the walk.  :class:`Nfa` and
 :class:`~grouplang.linear.LinearGrammar` each derive their sorted arcs
 (``_arcs``) and the arcs' :func:`successors` (``_successors``) once, on
 first use, and every later check of the same language reads them.
@@ -43,7 +43,7 @@ from .errors import (
     InternalInconsistency,
     SingletonViolation,
 )
-from .groups import Backend, Word, read_json, require_int, validate_word
+from .groups import Backend, Word, check_fields, read_json, require_int, validate_word
 from .records import Record
 from .semiring import GroupSet, PairSet, product, union
 from .semiring import star  # no check calls it; a module attribute because bench/tracing.py wraps it
@@ -75,11 +75,9 @@ class Nfa(Record, frozen=True):
     finals: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.states < 1:
-            raise InputError("an automaton needs at least one state")
-        if self.rank < 1:
-            raise InputError("alphabet rank must be >= 1")
-        if not 1 <= self.start <= self.states:
+        require_int(self.states, "number of states", 1)
+        require_int(self.rank, "alphabet rank", 1)
+        if require_int(self.start, "start state", 1) > self.states:
             raise InputError(f"start state {self.start} out of range 1..{self.states}")
         for f in self.finals:
             if not 1 <= f <= self.states:
@@ -114,20 +112,6 @@ class Nfa(Record, frozen=True):
         return successors(self._arcs)
 
 
-def check_fields(obj, kind: str, fields: set[str]) -> None:
-    """Reject ``obj`` unless it is a JSON object of ``kind`` with exactly ``fields`` ('kind' optional)."""
-    if not isinstance(obj, dict):
-        raise InputError(f"{kind} description must be a JSON object")
-    if obj.get("kind", kind) != kind:
-        raise InputError(f"field 'kind' must be {kind!r}, got {obj.get('kind')!r}")
-    unknown = set(obj) - fields
-    if unknown:
-        raise InputError(f"unknown {kind} fields: {sorted(unknown)}")
-    for key in sorted(fields - {"kind"}):
-        if key not in obj:
-            raise InputError(f"missing {kind} field {key!r}")
-
-
 def require_rank(what: str, rank: int, backend: Backend) -> None:
     if rank != backend.rank:
         raise BackendMismatch(f"{what} rank {rank} does not match backend rank {backend.rank}")
@@ -152,10 +136,10 @@ def parse_nfa(obj: dict) -> Nfa:
     if not isinstance(finals, list):
         raise InputError("field 'finals' must be a list of states")
     return Nfa(
-        states=require_int(obj["states"], "field 'states'", 1),
-        rank=require_int(obj["alphabet_rank"], "field 'alphabet_rank'", 1),
+        states=obj["states"],
+        rank=obj["alphabet_rank"],
         transitions=frozenset(arcs),
-        start=require_int(obj["start"], "field 'start'", 1),
+        start=obj["start"],
         finals=frozenset(require_int(f, "final state", 1) for f in finals),
     )
 

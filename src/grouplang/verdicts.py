@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import InputError
-from .groups import Word
+from .groups import Word, require_int
 from .records import Record
 
 # Why a Fails verdict fired.
@@ -72,8 +71,7 @@ class RunConfig(Record, frozen=True):
     set_cap: int = 4096
 
     def __post_init__(self):
-        if self.set_cap < 1:
-            raise InputError("set_cap must be >= 1")
+        require_int(self.set_cap, "set_cap", 1)
 
 
 # Shared by the checks when no configuration is given; frozen, so never altered.

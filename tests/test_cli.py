@@ -324,6 +324,76 @@ def test_input_error_names_its_cause(tmp_path, capsys, name):
     assert err == f"error: {message.format(path=path)}\n"
 
 
+# Each count a group file gives, in a file that is otherwise valid.
+_GROUP_COUNTS = [
+    ({"kind": "free", "rank": 1}, "rank"),
+    ({"kind": "free_abelian", "rank": 1}, "rank"),
+    ({"kind": "cyclic", "order": 2}, "order"),
+    (_CAYLEY, "size"),
+    (_CAYLEY, "identity"),
+]
+
+
+@pytest.mark.parametrize("value", ["2", True])
+@pytest.mark.parametrize(
+    "spec, field", [pytest.param(*row, id=f"{row[0]['kind']}.{row[1]}") for row in _GROUP_COUNTS]
+)
+def test_group_count_of_another_type_exit_two(tmp_path, capsys, spec, field, value):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({**spec, field: value}), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), str(SAMPLES / "nfa_cancel.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _cli_process(argv, stdout=subprocess.DEVNULL):
+    """Run the CLI on ``argv`` in a fresh interpreter; return its exit code and stderr."""
+    src = str(Path(grouplang.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grouplang.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True
+    )
+    return proc.returncode, proc.stderr
+
+
+_FREE1_STAR = [str(SAMPLES / "group_free1.json"), str(SAMPLES / "nfa_star.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["enumerate", _FREE1_STAR[1], "--max-len", "25"], 0),
+        (["check", *_FREE1_STAR], 1),
+        (["check", "--json", *_FREE1_STAR], 1),
+        (["oracle", *_FREE1_STAR], 1),
+    ],
+    ids=["enumerate", "check", "check-json", "oracle"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # The reader of the pipe is gone before the command writes a byte.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert _cli_process(argv, stdout=write_end) == (code, "")
+    finally:
+        os.close(write_end)
+
+
+def test_cayley_past_the_check_limit_warns_in_one_line(tmp_path):
+    n = 70
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    group = tmp_path / "group.json"
+    group.write_text(
+        json.dumps({"kind": "cayley", "size": n, "identity": 0, "table": table, "generator_images": [1]}),
+        encoding="utf-8",
+    )
+    assert _cli_process(["check", str(group), str(SAMPLES / "nfa_cancel.json")]) == (
+        0,
+        "warning: table size 70 exceeds the associativity check limit 64; skipping the exhaustive check\n",
+    )
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [
@@ -536,6 +606,20 @@ def test_gen_corpus_rejects_bad_numbers(tmp_path, capsys, option, value):
     else:
         assert err == f"error: {option} must be an integer >= 1, got {value}\n"
     assert not out_dir.exists()
+
+
+def test_gen_corpus_unusable_out_dir_exit_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out_dir in (taken, taken / "below"):
+        code, out, err = run(
+            capsys, "gen-corpus", "--kind", "nfa", "--seed", "1", "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_dir / 'nfa_1_0000.json'}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text(encoding="utf-8") == ""
 
 
 # -- start-up: what ``check`` imports ------------------------------------------

@@ -372,6 +372,14 @@ def test_cayley_skips_associativity_past_limit():
         FiniteCayley(size=n, identity_index=0, table=table, generator_images=(1,))
 
 
+def test_cayley_warning_names_its_caller():
+    n = ASSOC_CHECK_LIMIT + 1
+    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    with pytest.warns(UserWarning, match="skipping") as record:
+        FiniteCayley(size=n, identity_index=0, table=table, generator_images=(1,))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_free_abelian_rank_is_bounded():
     assert FreeAbelian(MAX_FREE_ABELIAN_RANK).rank == MAX_FREE_ABELIAN_RANK
     with pytest.raises(InputError, match="at most"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from grouplang import (
     BoundExceeded,
+    CayleyTableError,
     LabelMatrix,
     OpCounters,
     ResourceExceeded,
@@ -18,6 +19,8 @@ from grouplang import (
     Cyclic,
     EnumerationBound,
     Fails,
+    FiniteCayley,
+    FreeAbelian,
     FreeGroup,
     Holds,
     InputError,
@@ -444,6 +447,41 @@ def test_record_constructors_keep_their_checks_and_arity():
         Holds(1)
     with pytest.raises(AttributeError):
         Fails((1,), "conjugate").reason = "simple-path"
+
+
+# Every count a record takes: (constructor, valid keyword arguments, the count's field).
+_NFA_ARGS = {"states": 1, "rank": 1, "transitions": frozenset(), "start": 1}
+_GRAMMAR_ARGS = {"nonterminals": 1, "rank": 1, "productions": (), "start": 1}
+_COUNTS = [
+    (FreeGroup, {"rank": 1}, "rank"),
+    (FreeAbelian, {"rank": 1}, "rank"),
+    (Cyclic, {"order": 1}, "order"),
+    (Nfa, _NFA_ARGS, "states"),
+    (Nfa, _NFA_ARGS, "rank"),
+    (Nfa, _NFA_ARGS, "start"),
+    (LinearGrammar, _GRAMMAR_ARGS, "nonterminals"),
+    (LinearGrammar, _GRAMMAR_ARGS, "rank"),
+    (LinearGrammar, _GRAMMAR_ARGS, "start"),
+    (RunConfig, {}, "set_cap"),
+    (EnumerationBound, {"max_word_length": 1}, "max_word_length"),
+    (EnumerationBound, {"max_word_length": 1}, "max_words"),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "5", 0])
+@pytest.mark.parametrize(
+    "make, kwargs, field", [pytest.param(*row, id=f"{row[0].__name__}.{row[2]}") for row in _COUNTS]
+)
+def test_every_count_is_an_int_not_a_bool_and_positive(make, kwargs, field, value):
+    make(**kwargs)
+    with pytest.raises(InputError, match=f"must be an integer >= 1, got {value!r}"):
+        make(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "0", -1, 2])
+def test_cayley_identity_is_an_element_index(value):
+    with pytest.raises(CayleyTableError, match="identity index"):
+        FiniteCayley(size=2, identity_index=value, table=((0, 1), (1, 0)), generator_images=(1,))
 
 
 def test_counters_and_matrices_stay_mutable_and_unhashable():
