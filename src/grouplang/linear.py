@@ -17,7 +17,15 @@ tail; a closure that passes both proves the inclusion (``_cycle_scan``).
 It reads only the diagonal, the start row and the sink column, so its
 closure skips the steps into the other cells that no later step reads
 (``pivot_closure``'s ``read_row``): those three are exact at every
-level, and the rest of the matrix is left partly closed.
+level, and the rest of the matrix is left partly closed.  Within a
+pivot, the steps that the scan and the start-to-sink test read run
+first: the diagonal steps, the step into the start-to-sink cell and the
+steps of the pivot's row that those read.  Then the scan runs, and the
+pivot's other steps follow only if it passes (``pivot_closure``'s
+``early_level``).  This changes no cell that any step or test reads, as
+each reads it in the loop's order, so the pivot at which a failing
+closure exits makes none of the steps that nothing reads before the
+exit.  ``OpCounters`` count the steps made.
 
 :func:`literal_linear_inclusion` runs the paper's unpaired cycle test
 instead of the scan, kept to show that it can reject valid inclusions.
@@ -97,13 +105,21 @@ class LinearGrammar(Record, frozen=True):
         require_int(self.rank, "alphabet rank", 1)
         if require_int(self.start, "start nonterminal", 1) > self.nonterminals:
             raise InputError(f"start {self.start} out of range 1..{self.nonterminals}")
-        for p in self.productions:
-            if not 1 <= p.lhs <= self.nonterminals:
-                raise InputError(f"production lhs {p.lhs} out of range")
-            if p.rhs is not None and not 1 <= p.rhs <= self.nonterminals:
-                raise InputError(f"production rhs {p.rhs} out of range")
-            validate_word(p.alpha, self.rank)
-            validate_word(p.beta, self.rank)
+        # A side of another type fails its comparison, and a production of
+        # another type has no sides: the errors are caught around the loop.
+        n, rank = self.nonterminals, self.rank
+        p = self.productions  # named by the message when it is not iterable
+        try:
+            for p in self.productions:
+                if not 1 <= p.lhs <= n:
+                    raise InputError(f"production lhs {p.lhs} out of range")
+                if p.rhs is not None and not 1 <= p.rhs <= n:
+                    raise InputError(f"production rhs {p.rhs} out of range")
+                if not isinstance(p.alpha, tuple) or not isinstance(p.beta, tuple):
+                    raise InputError(f"production words must be tuples of letters, got {p!r}")
+                validate_word(p.alpha + p.beta, rank)  # one call for both words
+        except (AttributeError, TypeError) as exc:
+            raise InputError(f"bad production {p!r}; expected a Production with integer sides") from exc
 
     @property
     def sink(self) -> int:
@@ -338,6 +354,7 @@ def closure_pairs(
     watch_final: tuple[int, int] | None = None,
     level_scan=None,
     read_row: int | None = None,
+    early_scan=None,
 ) -> LabelMatrix:
     """Pivot recurrence over pair sets with ``diamond``; the sink's pivot, the last, makes no step.
 
@@ -354,6 +371,17 @@ def closure_pairs(
     keeps exact only the cells the linear check reads: the diagonal, the
     sink column and row ``read_row``; see ``pivot_closure``.  As the
     check runs it, a closure that completes proves the inclusion (``_cycle_scan``).
+
+    ``early_scan`` is called like ``level_scan``, but after each pivot's
+    early steps, the ones that it and ``watch_final`` read: the diagonal
+    steps, the step into ``watch_final`` and the steps of the pivot's row
+    that those read (``pivot_closure``'s ``early_level``).  The pivot's
+    other steps follow, in the loop's order, only if it passes.  Every
+    step and test reads each cell as in the loop's order, so the check
+    passes its cycle scan here, and the pivot at which a failing closure
+    exits makes only the steps that its tests read and those that a cap
+    needs.  ``diamond`` and ``union`` are read off this module at each
+    call, where ``bench/tracing.py`` wraps them.
     """
     return pivot_closure(
         mat,
@@ -365,10 +393,12 @@ def closure_pairs(
         on_cell=None if watch_final is None else _final_cell_scan(watch_final),
         on_level=level_scan,
         read_row=read_row,
+        early_level=early_scan,
+        watch=watch_final,
     )
 
 
-def _closure_verdict(g: LinearGrammar, backend: Backend, mat: LabelMatrix, config, counters, level_scan) -> Verdict:
+def _closure_verdict(g: LinearGrammar, backend: Backend, mat: LabelMatrix, config, counters, cycle_scan) -> Verdict:
     """Close ``mat`` watching the start-to-sink cell: the verdict that stops the closure, or ``Holds()``.
 
     A ``ResourceExceeded`` names a cell the check needed: the closure
@@ -380,8 +410,8 @@ def _closure_verdict(g: LinearGrammar, backend: Backend, mat: LabelMatrix, confi
             cap=config.set_cap,
             counters=counters,
             watch_final=(g.start, g.sink),
-            level_scan=level_scan,
             read_row=g.start,
+            early_scan=cycle_scan,
         )
     except _EarlyViolation as exc:
         witness = first_failing_word(backend, exc.candidates)

@@ -189,8 +189,8 @@ MUTANTS = (
     Mutant(
         "skip-drops-diagonal",
         "regular.py",
-        "steps = [(j, p) for j, p in row_k if p > at_k or j == i]",
-        "steps = [(j, p) for j, p in row_k if p > at_k]",
+        "steps = [(j, p, cell) for j, p, cell in row_k if p > at_k or j == i]",
+        "steps = [(j, p, cell) for j, p, cell in row_k if p > at_k]",
         LINEAR,
     ),
     Mutant(
@@ -210,8 +210,51 @@ MUTANTS = (
     Mutant(
         "skip-last-column-too",
         "regular.py",
-        "steps = [(j, p) for j, p in row_k if p > at_k or j == i]",
-        "steps = [(j, p) for j, p in row_k if at_k < p < len(useful) - 1 or j == i]",
+        "steps = [(j, p, cell) for j, p, cell in row_k if p > at_k or j == i]",
+        "steps = [(j, p, cell) for j, p, cell in row_k if at_k < p < len(useful) - 1 or j == i]",
+        LINEAR,
+    ),
+    # Scan-first pivots: the early steps run before the scan, the rest only if it passes.
+    Mutant(
+        "deferred-never-run-on-exit",
+        "regular.py",
+        "if not later or not _could_cap(later, cells, k, cap):",
+        "if True:",
+        LINEAR,
+    ),
+    Mutant(
+        "deferred-bound-ignores-target",
+        "regular.py",
+        "if len(cells.get((i, j), ())) + len(left) * size > cap:",
+        "if len(left) * size > cap:",
+        LINEAR,
+    ),
+    Mutant(
+        "deferred-bound-ignores-pending-row-k",
+        "regular.py",
+        "pending.get(j) or len(cells[k, j])",
+        "len(cells[k, j])",
+        LINEAR,
+    ),
+    Mutant(
+        "deferred-rows-before-k-read-new-row-k",
+        "regular.py",
+        "later.append((i, j, left, None if after else right))",
+        "later.append((i, j, left, None))",
+        LINEAR,
+    ),
+    Mutant(
+        "watched-step-deferred",
+        "regular.py",
+        "early = (i, watch_col) if i == watch_row else (i,)",
+        "early = (i,)",
+        LINEAR,
+    ),
+    Mutant(
+        "row-k-step-for-later-diagonal-deferred",
+        "regular.py",
+        "first = {k}.union(j for j, p, _cell in row_k if p > at_k and get((j, k), empty).elements)",
+        "first = {k}",
         LINEAR,
     ),
     # The linear cycle scan tests only the cycle cells pivot k can change.

@@ -73,6 +73,22 @@ def test_terminal_production_cannot_carry_beta():
         Production(lhs=1, alpha=(1,), rhs=None, beta=(1,))
 
 
+def test_a_production_side_of_another_type_is_an_input_error():
+    with pytest.raises(InputError, match="bad production"):
+        LinearGrammar(1, 1, (Production("1", ()),))
+
+
+def test_a_production_of_another_type_is_an_input_error():
+    with pytest.raises(InputError, match="bad production None"):
+        LinearGrammar(1, 1, (None,))
+
+
+def test_a_list_word_is_an_input_error():
+    # A list is not hashable: accepted, it would fail in the check.
+    with pytest.raises(InputError, match="tuples of letters"):
+        LinearGrammar(1, 1, (Production(1, [1]),))
+
+
 def test_parse_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(grammar_to_dict(DISCREPANCY)), encoding="utf-8")
@@ -486,12 +502,12 @@ def chain_grammar(rng: random.Random, backend, n: int, where: float | None = Non
 CLOSURE_BACKENDS = (FreeGroup(1), FreeGroup(2), FreeAbelian(2), Cyclic(3), symmetric_group(3))
 
 
-def _closed_cells(g: LinearGrammar, backend, cap, read_row):
+def _closed_cells(g: LinearGrammar, backend, cap, read_row, early_scan=None):
     """The diagonal, the start row and the sink column at every level, and the cap that stopped the closure.
 
-    With ``read_row`` the check's closure runs; without, the paper's
-    ``pivot_closure`` on every cell.  The cap is None, or (cell,
-    cardinality, the pivot's position).
+    With ``read_row`` the check's closure runs, with ``early_scan`` as its
+    early test; without, the paper's ``pivot_closure`` on every cell.  The
+    cap is None, or (cell, cardinality, the pivot's position).
     """
     mat = build_grammar_matrix(g, backend, useful=useful_nonterminals(g))
     levels = []
@@ -505,10 +521,21 @@ def _closed_cells(g: LinearGrammar, backend, cap, read_row):
         if read_row is None:
             pivot_closure(mat, diamond, union, cap=cap, counters=None, counted="diamonds", on_level=record)
         else:
-            closure_pairs(mat, cap=cap, level_scan=record, read_row=read_row)
+            closure_pairs(mat, cap=cap, level_scan=record, read_row=read_row, early_scan=early_scan)
     except CapExceeded as exc:
         return levels, (exc.cell, exc.cardinality, mat.level), mat.useful
     return levels, None, mat.useful
+
+
+def _drawn_grammar(rng: random.Random, backend, shape: str) -> LinearGrammar:
+    """A grammar of 2 to 10 nonterminals: a ``chain_grammar``, or a random one, mirrored when ``shape`` is "paired"."""
+    n = rng.randint(2, 10)
+    if shape == "chain":
+        return chain_grammar(rng, backend, n, rng.choice((None, 0.5, 0.9, 1.0)))
+    g = random_linear_grammar(
+        rng, max_nonterminals=n, rank=backend.rank, max_productions=4 * n, mirrored=shape == "paired"
+    )
+    return LinearGrammar(g.nonterminals, g.rank, g.productions, start=rng.randint(1, g.nonterminals))
 
 
 def _potential_holds(g: LinearGrammar, backend) -> bool:
@@ -527,14 +554,7 @@ def _potential_holds(g: LinearGrammar, backend) -> bool:
 def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, literal):
     rng = random.Random(seed)
     backend = CLOSURE_BACKENDS[pick]
-    n = rng.randint(2, 10)
-    if shape == "chain":
-        g = chain_grammar(rng, backend, n, rng.choice((None, 0.5, 0.9, 1.0)))
-    else:
-        g = random_linear_grammar(
-            rng, max_nonterminals=n, rank=backend.rank, max_productions=4 * n, mirrored=shape == "paired"
-        )
-        g = LinearGrammar(g.nonterminals, g.rank, g.productions, start=rng.randint(1, g.nonterminals))
+    g = _drawn_grammar(rng, backend, shape)
     if g.start not in useful_nonterminals(g):
         return
     if cap is None and isinstance(backend, (FreeGroup, FreeAbelian)):
@@ -572,6 +592,59 @@ def test_the_check_closure_keeps_every_cell_it_reads(seed, pick, shape, cap, lit
         if verdict.witness is not None:
             assert g.generates(verdict.witness)
             assert not backend.word_in_group_language(verdict.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, len(CLOSURE_BACKENDS) - 1),
+    shape=st.sampled_from(("random", "paired", "chain")),
+    cap=st.sampled_from((None, 1, 2, 3, 8, 64)),
+)
+def test_the_scan_first_closure_agrees_with_the_plain_order(seed, pick, shape, cap):
+    """The check's closure with its scan as the early test, against the scan after whole pivots.
+
+    With a scan that never fires, every step runs, so each level and a
+    cap read as in the loop's order.  The check gives the same verdict,
+    and unless a cap stops it, makes no more semiring calls.
+    """
+    rng = random.Random(seed)
+    backend = CLOSURE_BACKENDS[pick]
+    g = _drawn_grammar(rng, backend, shape)
+    if g.start not in useful_nonterminals(g):
+        return
+    if cap is None and isinstance(backend, (FreeGroup, FreeAbelian)):
+        cap = 64  # pair sets over these groups grow without bound
+    passes = _closed_cells(g, backend, cap, g.start, early_scan=lambda mat: None)
+    assert passes == _closed_cells(g, backend, cap, g.start)
+
+    def plain_order(mat, *, early_scan=None, **kwargs):
+        return closure_pairs(mat, level_scan=early_scan, **kwargs)
+
+    config = None if cap is None else RunConfig(set_cap=cap)
+    counters = OpCounters()
+    verdict = check_linear_inclusion(g, backend, config, counters)
+    plain_counters = OpCounters()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(grouplang.linear, "closure_pairs", plain_order)
+        plain = check_linear_inclusion(g, backend, config, plain_counters)
+    assert repr(verdict) == repr(plain)
+    if not isinstance(verdict, ResourceExceeded):
+        assert counters.diamonds <= plain_counters.diamonds
+        assert counters.unions <= plain_counters.unions
+
+
+# A chain over Z^2 whose scan fires after pivot 2's early steps.  Row 3's
+# deferred step into the sink reads K[2][4] after row 2's own deferred
+# step, which grows it from 1 pair to 2; with |K[3][2]| = 2 and
+# |K[3][4]| = 3 that step can reach 7 pairs, and does.
+PENDING_ROW_K = _drawn_grammar(random.Random(372), FreeAbelian(2), "chain")
+
+
+def test_a_deferred_step_that_reads_a_deferred_row_k_cell_caps_first():
+    verdict = check_linear_inclusion(PENDING_ROW_K, FreeAbelian(2), RunConfig(set_cap=6))
+    assert verdict == ResourceExceeded(cell=(3, 4), cardinality=7)
+    assert check_linear_inclusion(PENDING_ROW_K, FreeAbelian(2)).reason == "conjugate"
 
 
 def _paired_closure_completes(g: LinearGrammar, backend) -> bool | None:
@@ -666,5 +739,7 @@ def test_the_check_closure_skips_the_cells_it_never_reads():
     witness = (-1, -2, -1, -2, -1, 2, 2, 2, -2, -2, -2, 1, 2, 1, 2, 1, -1)
     witness += (-2, 1, 2, 2, 2, 1, -1, 1, -2, -1, -2, -2, -2, -1, 2, 1)
     assert verdict == Fails(witness=witness, reason="conjugate", state=9)
-    # The full closure makes 363 of each.
-    assert counters.diamonds == counters.unions == 251
+    # The full closure makes 363 of each, and the skip rule alone 251.  The
+    # scan fires after pivot 8, whose 37 steps that it does not read are
+    # never made.
+    assert counters.diamonds == counters.unions == 214

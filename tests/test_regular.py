@@ -63,6 +63,21 @@ def test_rejects_out_of_range_states():
         nfa(2, [(1, 1, 3)], [2])
 
 
+def test_a_transition_end_of_another_type_is_an_input_error():
+    with pytest.raises(InputError, match="bad transition"):
+        Nfa(2, 1, frozenset({("1", 1, 2)}))
+
+
+def test_a_final_state_of_another_type_is_an_input_error():
+    with pytest.raises(InputError, match="final states must be integers"):
+        Nfa(2, 1, frozenset(), 1, frozenset({"2"}))
+
+
+def test_a_two_item_transition_is_an_input_error():
+    with pytest.raises(InputError, match="bad transition"):
+        Nfa(2, 1, frozenset({(1, 2)}))
+
+
 def test_parse_roundtrip(tmp_path):
     a = nfa(3, [(1, 1, 2), (2, -1, 3)], [3], rank=2)
     path = tmp_path / "a.json"
