@@ -107,13 +107,14 @@ class LinearGrammar(Record, frozen=True):
             raise InputError(f"start {self.start} out of range 1..{self.nonterminals}")
         # A side of another type fails its comparison, and a production of
         # another type has no sides: the errors are caught around the loop.
+        # Only True passes the comparison, as 1, so that is tested inline.
         n, rank = self.nonterminals, self.rank
         p = self.productions  # named by the message when it is not iterable
         try:
             for p in self.productions:
-                if not 1 <= p.lhs <= n:
+                if not 1 <= p.lhs <= n or p.lhs is True:
                     raise InputError(f"production lhs {p.lhs} out of range")
-                if p.rhs is not None and not 1 <= p.rhs <= n:
+                if p.rhs is not None and (not 1 <= p.rhs <= n or p.rhs is True):
                     raise InputError(f"production rhs {p.rhs} out of range")
                 if not isinstance(p.alpha, tuple) or not isinstance(p.beta, tuple):
                     raise InputError(f"production words must be tuples of letters, got {p!r}")
@@ -285,11 +286,15 @@ def _wrapped_failure(backend: Backend, cycles: PairSet, v) -> tuple[Word, Word] 
     """The smallest witness of a cycle pair (u, w) with u v w != v, the tail's value, or None.
 
     u v w is ``PairSet.wrap``, the rule :func:`potential` applies to every
-    cell, unchecked since the elements come out of the kernels.  Every
-    cycle pair labels a real walk, so the words with and without it differ in value.
+    cell, written out as two ``_mul`` calls in one plain loop; unchecked,
+    since the elements come out of the kernels.  A witness determines its
+    pair, so no two failing pairs tie under ``PairSet.witness_key``.  Every
+    cycle pair labels a real walk, so the words with and without it differ
+    in value.
     """
-    bad = cycles.best(lambda pair: PairSet.wrap(backend, pair, v) != v)
-    return None if bad is None else bad[1]
+    mul = backend._mul
+    bad = [wit for (u, w), wit in cycles.elements.items() if mul(mul(u, v), w) != v]
+    return min(bad, key=PairSet.witness_key, default=None)
 
 
 def _wrapped_words(access: tuple[Word, Word], cycle: tuple[Word, Word], tail: Word) -> list[Word]:
@@ -328,9 +333,10 @@ def _cycle_scan(g: LinearGrammar, backend: Backend):
 
     def scan(mat: LabelMatrix) -> None:
         k = mat.useful[mat.level - 1] if mat.level else None
+        get = mat.cells.get  # an absent cell reads as None, which is empty too
         for i in mat.useful:
-            cycles = mat.cell(i, i)
-            if not cycles or k is not None and not (mat.cell(i, k) and mat.cell(k, i)):
+            cycles = get((i, i))
+            if not cycles or k is not None and not (get((i, k)) and get((k, i))):
                 continue
             if i not in tails:
                 # i is useful, so its tail and access walks exist.

@@ -80,10 +80,10 @@ class Nfa(Record, frozen=True):
         if require_int(self.start, "start state", 1) > self.states:
             raise InputError(f"start state {self.start} out of range 1..{self.states}")
         # A state of another type fails its comparison: the errors are caught
-        # around each loop, so a well-formed item pays for no type test.
+        # around each loop.  Only True passes it, as 1, so that is tested inline.
         try:
             for f in self.finals:
-                if not 1 <= f <= self.states:
+                if not 1 <= f <= self.states or f is True:
                     raise InputError(f"final state {f} out of range 1..{self.states}")
         except TypeError as exc:
             raise InputError(f"final states must be integers, got {self.finals!r}") from exc
@@ -91,7 +91,7 @@ class Nfa(Record, frozen=True):
         try:
             for t in self.transitions:
                 src, letter, dst = t
-                if not 1 <= src <= self.states or not 1 <= dst <= self.states:
+                if not 1 <= src <= self.states or not 1 <= dst <= self.states or src is True or dst is True:
                     raise InputError(f"transition ({src}, {letter}, {dst}) leaves 1..{self.states}")
                 if letter == 0:
                     raise InputError("empty-word transitions are not allowed")

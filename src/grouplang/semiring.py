@@ -13,11 +13,12 @@ witnesses do not depend on iteration order.
 Each set carries a ``checked`` flag: every element has passed the
 backend's ``_check``.  The closure kernels ``product`` and ``diamond``
 check an operand's elements only while its flag is off, then set it,
-and multiply with the backend's unchecked ``_mul``; a foreign element
-still raises :class:`BackendMismatch`.  Kernel outputs and the cells of
-a level-0 matrix start out checked, and a ``union`` output is checked
-when both operands are, so over one closure each set is checked at most
-once.
+and multiply with the backend's unchecked ``_mul``, or, in ``diamond``
+over a :class:`FiniteCayley`, read its table as its ``_mul`` does; a
+foreign element still raises :class:`BackendMismatch`.  Kernel outputs
+and the cells of a level-0 matrix start out checked, and a ``union``
+output is checked when both operands are, so over one closure each set
+is checked at most once.
 
 ``GroupSet`` lives in the semiring of subsets of a group under union
 and elementwise product (zero: the empty set, one: the identity
@@ -29,7 +30,7 @@ production wraps text around both sides of a nonterminal.
 from __future__ import annotations
 
 from .errors import BackendMismatch, CapExceeded
-from .groups import Backend, Word, inverse_word
+from .groups import Backend, FiniteCayley, Word, inverse_word
 
 
 def _check_cap(size: int, cap: int | None) -> None:
@@ -263,6 +264,10 @@ def diamond(x: PairSet, y: PairSet, *, cap: int | None = None) -> PairSet:
     """Pairwise (a, b) . (c, d) = (ac, db); note the reversed right component.
 
     Its loop is tuned by hand, unlike :func:`product`'s: the linear closure calls it at every step.
+    Over a :class:`FiniteCayley` a second copy of the loop reads the table
+    instead of calling ``_mul``, the row of ``al`` once per left element.
+    The copy is chosen once per call, so the other backends run the plain
+    loop with no test per combination.
     """
     if x.backend is not y.backend:
         _same_backend(x, y)
@@ -274,10 +279,27 @@ def diamond(x: PairSet, y: PairSet, *, cap: int | None = None) -> PairSet:
     if not y.checked:
         y.check_labels()
     backend = x.backend
-    mul = backend._mul
     y_items = [(bl, br, wbl, wbr, len(wbl) + len(wbr)) for (bl, br), (wbl, wbr) in ys.items()]
     out: dict = {}
     get = out.get
+    if isinstance(backend, FiniteCayley):
+        table = backend.table
+        for (al, ar), (wal, war) in xs.items():
+            la = len(wal) + len(war)
+            row = table[al]
+            for bl, br, wbl, wbr, lb in y_items:
+                key = (row[bl], table[br][ar])
+                old = get(key)
+                if old is None:
+                    out[key] = (wal + wbl, wbr + war)
+                    if cap is not None and len(out) > cap:
+                        raise CapExceeded(len(out))
+                else:
+                    grown = la + lb - len(old[0]) - len(old[1])
+                    if grown < 0 or (grown == 0 and (wal + wbl, wbr + war) < old):
+                        out[key] = (wal + wbl, wbr + war)
+        return PairSet(backend, out, True)
+    mul = backend._mul
     for (al, ar), (wal, war) in xs.items():
         la = len(wal) + len(war)
         for bl, br, wbl, wbr, lb in y_items:

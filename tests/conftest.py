@@ -75,6 +75,24 @@ def symmetric_group(k: int) -> FiniteCayley:
     )
 
 
+def relabelled(group: FiniteCayley, index) -> FiniteCayley:
+    """``group`` with each element a renamed ``index[a]``: the same group, its indices shuffled.
+
+    Over such a copy a kernel that confuses an element's index with the
+    element, or takes index 0 for the identity, gives other labels.
+    """
+    table = [[0] * group.size for _ in range(group.size)]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[index[a]][index[b]] = index[ab]
+    return FiniteCayley(
+        size=group.size,
+        identity_index=index[group.identity_index],
+        table=tuple(map(tuple, table)),
+        generator_images=tuple(index[g] for g in group.generator_images),
+    )
+
+
 def symmetric_group_3() -> FiniteCayley:
     """Six-element permutation group: a transposition and a 3-cycle generate it."""
     return symmetric_group(3)

@@ -261,15 +261,15 @@ MUTANTS = (
     Mutant(
         "scan-filters-on-pivot-only",
         "linear.py",
-        "if not cycles or k is not None and not (mat.cell(i, k) and mat.cell(k, i)):",
+        "if not cycles or k is not None and not (get((i, k)) and get((k, i))):",
         "if not cycles or k is not None and i != k:",
         LINEAR,
     ),
     Mutant(
         "scan-filters-on-left-only",
         "linear.py",
-        "if not cycles or k is not None and not (mat.cell(i, k) and mat.cell(k, i)):",
-        "if not cycles or k is not None and not mat.cell(i, k):",
+        "if not cycles or k is not None and not (get((i, k)) and get((k, i))):",
+        "if not cycles or k is not None and not get((i, k)):",
         LINEAR,
     ),
     # The scan is what stops a failing closure: a completed one proves the inclusion.
@@ -287,6 +287,21 @@ MUTANTS = (
         "linear.py",
         "tails[i] = (backend.canonicalize(tail), tail)",
         "tails[i] = (backend.canonicalize(tail_right + tail_left), tail)",
+        LINEAR,
+    ),
+    # The cycle test wraps each pair (u, w) around the tail's value v as u v w, and names the least failing pair.
+    Mutant(
+        "wrapped-failure-parts-swapped",
+        "linear.py",
+        "mul(mul(u, v), w)",
+        "mul(mul(w, v), u)",
+        LINEAR,
+    ),
+    Mutant(
+        "wrapped-failure-greatest",
+        "linear.py",
+        "return min(bad, key=PairSet.witness_key, default=None)",
+        "return max(bad, key=PairSet.witness_key, default=None)",
         LINEAR,
     ),
     # The tracer times ``diamond`` through ``grouplang.linear.diamond``; a
@@ -353,10 +368,25 @@ MUTANTS = (
         KERNELS,
     ),
     Mutant(
+        "diamond-table-keeps-first-on-ties",
+        "semiring.py",
+        "\n                    if grown < 0 or (grown == 0 and (wal + wbl, wbr + war) < old):\n",
+        "\n                    if grown < 0:\n",
+        KERNELS,
+    ),
+    Mutant(
         "diamond-keeps-first-on-ties",
         "semiring.py",
-        "if grown < 0 or (grown == 0 and (wal + wbl, wbr + war) < old):",
-        "if grown < 0:",
+        "\n                if grown < 0 or (grown == 0 and (wal + wbl, wbr + war) < old):\n",
+        "\n                if grown < 0:\n",
+        KERNELS,
+    ),
+    # Over a Cayley table, the right part of (a, b) . (c, d) is d b, read as table[d][b].
+    Mutant(
+        "diamond-table-right-operands-swapped",
+        "semiring.py",
+        "table[br][ar]",
+        "table[ar][br]",
         KERNELS,
     ),
     Mutant(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouplang.linear
-from conftest import symmetric_group
+from conftest import relabelled, symmetric_group
 from grouplang import (
     BackendMismatch,
     CapExceeded,
@@ -76,6 +76,17 @@ def test_terminal_production_cannot_carry_beta():
 def test_a_production_side_of_another_type_is_an_input_error():
     with pytest.raises(InputError, match="bad production"):
         LinearGrammar(1, 1, (Production("1", ()),))
+
+
+# True compares as nonterminal 1, so only an inline test tells it from one.
+def test_a_bool_production_lhs_is_an_input_error():
+    with pytest.raises(InputError, match="production lhs True"):
+        LinearGrammar(1, 1, (Production(True, (1,)),))
+
+
+def test_a_bool_production_rhs_is_an_input_error():
+    with pytest.raises(InputError, match="production rhs True"):
+        LinearGrammar(1, 1, (Production(1, (1,), True, ()), Production(1, ())))
 
 
 def test_a_production_of_another_type_is_an_input_error():
@@ -434,7 +445,13 @@ def test_the_cycle_scan_tests_the_cycle_cells_the_pivot_changed(monkeypatch):
     assert SCAN_PIN.generates(witness)
 
 
-WRAP_BACKENDS = (FreeGroup(2), FreeAbelian(2), symmetric_group(3), Cyclic(3))
+WRAP_BACKENDS = (
+    FreeGroup(2),
+    FreeAbelian(2),
+    symmetric_group(3),
+    Cyclic(3),
+    relabelled(symmetric_group(3), (5, 4, 3, 2, 1, 0)),  # S3 again, its identity index 5
+)
 
 
 def _conjugation_failure(backend, cycles: PairSet, v):

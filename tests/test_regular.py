@@ -73,6 +73,22 @@ def test_a_final_state_of_another_type_is_an_input_error():
         Nfa(2, 1, frozenset(), 1, frozenset({"2"}))
 
 
+# True compares as state 1, so only an inline test tells it from one.
+def test_a_bool_transition_source_is_an_input_error():
+    with pytest.raises(InputError, match="leaves"):
+        Nfa(2, 1, frozenset({(True, 1, 2)}), 1, frozenset({2}))
+
+
+def test_a_bool_transition_target_is_an_input_error():
+    with pytest.raises(InputError, match="leaves"):
+        Nfa(2, 1, frozenset({(2, 1, True)}), 2, frozenset({1}))
+
+
+def test_a_bool_final_state_is_an_input_error():
+    with pytest.raises(InputError, match="final state True"):
+        Nfa(2, 1, frozenset({(2, 1, 1)}), 2, frozenset({True}))
+
+
 def test_a_two_item_transition_is_an_input_error():
     with pytest.raises(InputError, match="bad transition"):
         Nfa(2, 1, frozenset({(1, 2)}))

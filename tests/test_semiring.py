@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symmetric_group_3
+from conftest import relabelled, symmetric_group_3
 from grouplang import (
     BackendMismatch,
     CapExceeded,
@@ -355,7 +355,10 @@ def test_product_cap_exceeded_reports_cardinality():
 
 # kernels against a naive all-combinations reference
 
-_KERNEL_BACKENDS = [Cyclic(3), symmetric_group_3(), FreeGroup(2)]
+# S3 once more with its indices reversed, so its identity is index 5.
+S3_RELABELLED = relabelled(symmetric_group_3(), (5, 4, 3, 2, 1, 0))
+_KERNEL_BACKENDS = [Cyclic(3), symmetric_group_3(), FreeGroup(2), S3_RELABELLED]
+_KERNEL_IDS = ["Cyclic", "FiniteCayley", "FreeGroup", "FiniteCayley-relabelled"]
 
 
 def _words(backend, max_size):
@@ -513,10 +516,15 @@ def test_union_returns_left_operand_when_nothing_is_added():
 
 # Foreign values per backend: out of range, or of the wrong type.  None of
 # them equals an element, so each is a key of its own in a set's dict.
-_FOREIGN = {Cyclic(3): [3, -1], symmetric_group_3(): [6, "0"], FreeGroup(2): [1, "x1"]}
+_FOREIGN = {
+    Cyclic(3): [3, -1],
+    symmetric_group_3(): [6, "0"],
+    FreeGroup(2): [1, "x1"],
+    S3_RELABELLED: [6, "5"],
+}
 
 
-@pytest.mark.parametrize("backend", _KERNEL_BACKENDS, ids=lambda b: type(b).__name__)
+@pytest.mark.parametrize("backend", _KERNEL_BACKENDS, ids=_KERNEL_IDS)
 def test_kernels_reject_a_foreign_element_inside_a_set(backend):
     ident = backend.identity
     gen = backend.canonicalize((1,))

@@ -22,8 +22,13 @@ exit on the arcs or in a reference path moves a digest, whatever
 Hypothesis draws.  Tier-1 sweeps Z/2; the wider groups, and the wide
 sweeps, run as a script, which prints its time::
 
-    PYTHONPATH=src python tests/test_witness_digests.py C3 F1
+    PYTHONPATH=src python tests/test_witness_digests.py C3 C3T F1
     PYTHONPATH=src python tests/test_witness_digests.py --wide
+
+``C3T`` is Z/3 given as a Cayley table with its elements relabelled
+(identity index 2, the generator's image the residue 1).  No verdict
+names an element, so its sweeps are compared with C3's digests: they
+run the Cayley-table path of ``diamond`` through the whole family.
 
 The wide sweeps, each over its own two groups, hash the default checks'
 verdicts:
@@ -50,9 +55,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import paper_check, symmetric_group_3
+from conftest import paper_check, relabelled, symmetric_group_3
 from grouplang import (
     Cyclic,
+    FiniteCayley,
     FreeGroup,
     LinearGrammar,
     Nfa,
@@ -64,7 +70,17 @@ from grouplang import (
 )
 
 DIGESTS = Path(__file__).resolve().parent / "witness_digests.json"
-GROUPS = {"C2": Cyclic(2), "C3": Cyclic(3), "F1": FreeGroup(1), "F2": FreeGroup(2), "S3": symmetric_group_3()}
+Z3_TABLE = FiniteCayley(3, 0, tuple(tuple((a + b) % 3 for b in range(3)) for a in range(3)), (1,))
+GROUPS = {
+    "C2": Cyclic(2),
+    "C3": Cyclic(3),
+    "C3T": relabelled(Z3_TABLE, (2, 0, 1)),  # residue r is index (r + 2) % 3
+    "F1": FreeGroup(1),
+    "F2": FreeGroup(2),
+    "S3": symmetric_group_3(),
+}
+# A relabelled copy of a group, compared with the group's digests and never written.
+SAME_DIGESTS = {"C3T": "C3"}
 
 
 def letters(rank: int) -> tuple[int, ...]:
@@ -164,20 +180,20 @@ def main(args: list[str]) -> int:
     if args == ["--wide"]:
         runs = [(name, languages, check, False, group) for name, (languages, check, groups) in WIDE.items()
                 for group in groups]
-    elif args and not set(args) - {"C2", "C3", "F1"}:
+    elif args and not set(args) - {"C2", "C3", "C3T", "F1"} and not (write and set(args) & set(SAME_DIGESTS)):
         runs = [(name, *SWEEPS[name], group) for group in args for name in SWEEPS]
     else:
-        sys.exit(f"usage: {sys.argv[0]} [--write] (GROUP ... | --wide)  (groups: C2 C3 F1)")
+        sys.exit(f"usage: {sys.argv[0]} [--write] (GROUP ... | --wide)  (groups: C2 C3 C3T F1; C3T is not written)")
     digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     moved = 0
     for name, languages, check, counted, group in runs:
         started = time.perf_counter()
         digest, count = sweep_digest(languages, check, GROUPS[group], counted)
-        key = f"{name} {group}"
+        key = f"{name} {SAME_DIGESTS.get(group, group)}"
         same = digests.get(key) == digest
         moved += not same
-        fate = "written" if write else "same" if same else f"MOVED from {digests.get(key)}"
-        print(f"{key}: {count} checks in {time.perf_counter() - started:.1f} s, {digest} {fate}", flush=True)
+        fate = "written" if write else f"same as {key}" if same else f"MOVED from {key}'s {digests.get(key)}"
+        print(f"{name} {group}: {count} checks in {time.perf_counter() - started:.1f} s, {digest} {fate}", flush=True)
         digests[key] = digest
     if write:
         DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
