@@ -8,16 +8,16 @@ partial products and nothing from the closure or the potential.
 Enumeration is exact up to a length bound and streams words in
 length-then-lexicographic order, so the first failing word it reports
 is globally minimal.  Automaton levels come out in lex order without
-sorting; grammar words are sorted per length.  Both enumerators drop a
-partial word that cannot be completed within the bound
-(shortest-completion pruning): for automata by each state's distance to
-a final state, for grammars by each vertex's fewest letters to the sink.
-A clean sweep is evidence at the bound, not a proof of inclusion.
+sorting; grammar words are made length by length in per-vertex sets.
+Both skip work that cannot end within the bound: for automata by each
+state's distance to a final state, for grammars by each vertex's fewest
+letters from the start.  A clean sweep is evidence at the bound, not a
+proof of inclusion.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Iterator
 
 from .errors import BoundExceeded
@@ -122,84 +122,85 @@ def enumerate_nfa_words(a: Nfa, bound: EnumerationBound) -> Iterator[Word]:
 def enumerate_grammar_words(g: LinearGrammar, bound: EnumerationBound) -> Iterator[Word]:
     """All generated words up to the length bound, each once, in length-lex order.
 
-    Walks of the grammar's diagram are explored in buckets of emitted
-    word length (arcs only ever append letters, so the length never
-    shrinks along a walk).  A walk that reaches the sink adds its word
-    to the set of its length, which is sorted and yielded once every
-    walk of that length has been processed.  Walk states (vertex, left
-    part, right part) are deduplicated, which both terminates
-    letter-free cycles and collapses duplicate derivations.  A state
-    whose fewest letters to the sink would overrun the bound is never
-    made (shortest-completion pruning): each arc carries its letter
-    count and the longest walk from which it can still finish.
+    A dynamic program over word length: W(v, n), the words of length n
+    that vertex v derives.  The sink derives the empty word, an arc
+    v -> u with parts (alpha, beta) of k letters adds alpha w beta to
+    W(v, n) for each w in W(u, n - k), and the stream is sorted(W(start,
+    n)) for n = 0, 1, ...  A letter-free arc only joins sets, so each
+    vertex takes over the lettered arcs of the vertices it reaches
+    without letters, and the empty word if the sink is one of them.
+    W(v, n) is made only if the fewest letters from the start to v, plus
+    n, is within the bound: each of its words extends to a distinct word
+    of the stream.  Arcs indexed by (letter count, target) let a length
+    read only the non-empty sets it needs; the last K lengths are kept.
     """
-    sink = g.sink
-    # Diagram arcs (src, dst, left, right, letter count).
-    diagram = [
-        (p.lhs, sink if p.rhs is None else p.rhs, p.alpha, p.beta, len(p.alpha) + len(p.beta))
-        for p in g.productions
-    ]
-    # Fewest letters from each vertex to the sink (Dijkstra on reversed arcs).
-    into: dict[int, list[tuple[int, int]]] = {}
-    for src, dst, _alpha, _beta, k in diagram:
-        into.setdefault(dst, []).append((src, k))
-    need: dict[int, int] = {}
-    heap = [(0, sink)]
+    sink, limit = g.sink, bound.max_word_length
+    arcs: dict[int, list[tuple[int, Word, Word, int]]] = {}
+    free_into: dict[int, list[int]] = {}  # the letter-free arcs, reversed
+    for p in g.productions:
+        u, k = sink if p.rhs is None else p.rhs, len(p.alpha) + len(p.beta)
+        arcs.setdefault(p.lhs, []).append((u, p.alpha, p.beta, k))
+        if not k:
+            free_into.setdefault(u, []).append(p.lhs)
+    # Fewest letters from the start to each vertex, within the bound (Dijkstra).
+    near: dict[int, int] = {}
+    heap = [(0, g.start)]
     while heap:
-        d, v = heapq.heappop(heap)
-        if v in need:
-            continue
-        need[v] = d
-        for src, k in into.get(v, ()):
-            if src not in need:
-                heapq.heappush(heap, (d + k, src))
-
-    limit = bound.max_word_length
-    if need.get(g.start, limit + 1) > limit:
+        d, v = heappop(heap)
+        if v not in near:
+            near[v] = d
+            for u, _alpha, _beta, k in arcs.get(v, ()):
+                if d + k <= limit and u not in near:
+                    heappush(heap, (d + k, u))
+    if sink not in near:
         return
-    # Each arc carries its letter count k and its slack: the longest walk
-    # from which it can still finish within the bound.
-    arcs: dict[int, list[tuple[int, Word, Word, int, int]]] = {}
-    for src, dst, alpha, beta, k in diagram:
-        slack = limit - k - need.get(dst, limit + 1)
-        if slack >= 0:
-            arcs.setdefault(src, []).append((dst, alpha, beta, k, slack))
-
-    start_state = (g.start, (), ())
-    # A bucket holds the walk states of one length: a list in visiting
-    # order, walked while letter-free arcs append to it, and a set for
-    # deduplication.  States of different lengths never coincide.
-    buckets: dict[int, tuple[list, set]] = {0: ([start_state], {start_state})}
-    found: dict[int, set[Word]] = {}
-    emitted = 0
-    for total in range(limit + 1):
-        queue, seen = buckets.pop(total, ((), None))
-        for vertex, left, right in queue:
-            for dst, alpha, beta, k, slack in arcs.get(vertex, ()):
-                if total > slack:
-                    continue
-                if dst == sink:
-                    found.setdefault(total + k, set()).add(left + alpha + right)
-                    continue
-                state = (dst, left + alpha, beta + right)
-                if k:
-                    bucket = buckets.get(total + k)
-                    if bucket is None:
-                        bucket = buckets[total + k] = ([], set())
-                    later, later_seen = bucket
-                else:
-                    later, later_seen = queue, seen
-                size = len(later_seen)
-                later_seen.add(state)  # one hash: the size tells whether it was new
-                if len(later_seen) != size:
-                    later.append(state)
-        for word in sorted(found.pop(total, ())):
-            emitted += 1
+    # Fold: each vertex takes the lettered arcs of the vertices it reaches
+    # without letters; the sink's letter-free mark stands for the empty word.
+    folded = {v: {arc for arc in arcs.get(v, ()) if arc[3]} for v in near}
+    folded[sink] = {(sink, (), (), 0)}
+    todo = list(free_into)
+    while todo:
+        u = todo.pop()
+        for v in free_into.get(u, ()):
+            if v in folded and not folded[u] <= folded[v]:
+                folded[v] |= folded[u]
+                todo.append(v)
+    # (k, u) -> (v, alpha, beta, slack) per folded arc into u of k letters, read while n <= slack.
+    index: dict[tuple[int, int], list[tuple[int, Word, Word, int]]] = {}
+    level: dict[int, set[Word]] = {}
+    for v, out in folded.items():
+        slack = limit - near[v]
+        for u, alpha, beta, k in out:
+            if not k:
+                level[v] = {()}
+            elif k <= slack and u in near:
+                index.setdefault((k, u), []).append((v, alpha, beta, slack))
+    counts = {k for k, _u in index}
+    span = max(counts, default=1)
+    window = [{}] * (span - 1) + [level]  # the levels of the last span lengths, the latest last
+    start, emitted = g.start, 0
+    for n in range(limit + 1):
+        if n:
+            level = {}
+            for k in counts:
+                for u, tails in window[-k].items():
+                    for v, alpha, beta, slack in index.get((k, u), ()):
+                        if n <= slack:
+                            words = level.get(v)
+                            if words is None:
+                                words = level[v] = set()
+                            words.update([alpha + w + beta for w in tails])
+            window.append(level)
+            del window[0]
+            if not any(window):
+                return
+        if start in level:
+            words = sorted(level[start])
+            emitted += len(words)
             if emitted > bound.max_words:
+                yield from words[: bound.max_words - emitted]
                 raise BoundExceeded("max_words", bound.max_words)
-            yield word
-        if not buckets and not found:
-            break
+            yield from words
 
 
 def brute_force_inclusion(words, backend: Backend) -> OracleResult:

@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 ARC_EXIT = ("test_arc_exit.py",)
+ORACLE = ("test_oracle.py",)
 LINEAR = ("test_linear.py",)
 DIGESTS = ("test_witness_digests.py",)
 KERNELS = ("test_semiring.py",) + DIGESTS
@@ -433,6 +434,22 @@ MUTANTS = (
         "        if arc[0] in reached:\n",
         "        if True:\n",
         POTENTIAL,
+    ),
+    # The grammar enumerator: letter-free arcs fold into the lettered ones, and
+    # W(v, n) is made while the fewest letters to v plus n is within the bound.
+    Mutant(
+        "enumerator-drops-letter-free-fold",
+        "oracle.py",
+        "    todo = list(free_into)\n",
+        "    todo = []\n",
+        ORACLE,
+    ),
+    Mutant(
+        "enumerator-prune-off-by-one",
+        "oracle.py",
+        "                        if n <= slack:\n",
+        "                        if n < slack:\n",
+        ORACLE,
     ),
 )
 

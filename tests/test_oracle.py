@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouplang
 from grouplang import (
     BoundExceeded,
     CayleyTableError,
@@ -282,6 +287,44 @@ def test_grammar_prunes_walks_that_cannot_finish_in_time():
         (1, 1, 1),
         (-1, -1, -1, -1),
     ]
+
+
+def test_a_finite_grammar_ends_long_before_a_huge_bound():
+    # S -> x1 A x1^-1, A -> B | eps, B -> x2 | A: two words, behind a letter-free cycle.
+    # In a child process under a time limit, so that an enumerator that
+    # runs on to the bound fails this test instead of hanging the suite.
+    code = (
+        "from grouplang import EnumerationBound, LinearGrammar, Production, enumerate_grammar_words\n"
+        "P = Production\n"
+        "g = LinearGrammar(3, 2, (P(1, (1,), 2, (-1,)), P(2, (), 3), P(2, ()), P(3, (2,)), P(3, (), 2)))\n"
+        "print(list(enumerate_grammar_words(g, EnumerationBound(10**9))))\n"
+    )
+    src = str(Path(grouplang.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[(1, -1), (1, 2, -1)]\n"
+
+
+def test_an_ambiguous_grammar_with_letter_free_arcs_streams_its_filter():
+    # Many derivations per word, letter-free arcs into and out of the start, and a letter-free self-loop.
+    prods = [
+        (3, (), 1, (-2,)),
+        (1, (-1,), 3, (1,)),
+        (3, (2,), 1, (-2,)),
+        (1, (-1,), None, ()),
+        (3, (), 3, ()),
+        (2, (), 2, (-1,)),
+        (3, (), None, ()),
+        (3, (-2,), None, ()),
+        (1, (1,), 1, (-1,)),
+        (1, (), 3, ()),
+        (1, (-1,), 2, (1,)),
+    ]
+    g = grammar(3, prods, rank=2)
+    expected = _sorted_filter(g.generates, 2, 7)
+    assert len(expected) == 322
+    assert list(enumerate_grammar_words(g, EnumerationBound(7))) == expected
 
 
 def test_walk_images_match_derivation_images():

@@ -167,6 +167,17 @@ def test_diamond_squares_balanced_pair():
     assert frozenset(diamond(p, p).elements) == {((1, 1), (-1, -1))}
 
 
+def test_diamond_keeps_the_least_word_of_an_equal_length_tie():
+    # Two combinations give (x1, e), each with 3 letters.  The first met,
+    # x's x1 with y's identity, spells (2, -2, 1); the later one, x's
+    # identity with y's x1, spells the lexicographically smaller (1, 2, -2).
+    x = pset(FG2, ([2, -2, 1], []), ([], []))
+    y = pset(FG2, ([], []), ([1, 2, -2], []))
+    x1, e = FG2.canonicalize((1,)), FG2.identity
+    assert list(x.elements) == [(x1, e), (e, e)] and list(y.elements) == [(e, e), (x1, e)]
+    assert diamond(x, y).elements[x1, e] == ((1, 2, -2), ())
+
+
 # projections
 
 

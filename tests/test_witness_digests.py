@@ -16,6 +16,11 @@ SHA-256.  The two reference sweeps also hash each check's ``OpCounters``.
   (``literal_linear_inclusion``), the unpaired cycle test after the
   closure.
 
+Tier-1 also judges the two default-check sweeps over Z/2: each verdict
+is compared with the brute-force oracle at the counterexample bound, and
+each ``Fails`` witness must be a word of the language outside the
+identity language.
+
 ``witness_digests.json`` holds the digest of each sweep per group.  A
 witness-changing fault in a kernel's tie-break, in the potential, in the
 exit on the arcs or in a reference path moves a digest, whatever
@@ -58,14 +63,23 @@ import pytest
 from conftest import paper_check, relabelled, symmetric_group_3
 from grouplang import (
     Cyclic,
+    EnumerationBound,
+    Fails,
     FiniteCayley,
     FreeGroup,
+    Holds,
     LinearGrammar,
     Nfa,
     OpCounters,
+    OracleHolds,
     Production,
+    brute_force_inclusion,
     check_linear_inclusion,
     check_regular_inclusion,
+    counterexample_bound_linear,
+    counterexample_bound_regular,
+    enumerate_grammar_words,
+    enumerate_nfa_words,
     literal_linear_inclusion,
 )
 
@@ -158,6 +172,37 @@ def sweep_digest(languages, check, backend, counted: bool = False) -> tuple[str,
     return digest.hexdigest(), count
 
 
+def sweep_judged(languages, check, backend) -> tuple[int, int, object]:
+    """The number of checks, the number whose verdict the oracle refutes, and the first such language with its verdict.
+
+    A ``Holds`` stands when the oracle finds no failing word up to the
+    counterexample bound; a ``Fails`` when the oracle finds one and the
+    verdict's witness is a word of the language outside the identity
+    language.  Any other verdict is refuted.
+    """
+    count = refuted = 0
+    first = None
+    for language in languages():
+        verdict = check(language, backend)
+        if isinstance(language, Nfa):
+            bound, member = counterexample_bound_regular(language), language.accepts
+            words = enumerate_nfa_words(language, EnumerationBound(bound))
+        else:
+            bound, member = counterexample_bound_linear(language), language.generates
+            words = enumerate_grammar_words(language, EnumerationBound(bound))
+        if isinstance(brute_force_inclusion(words, backend), OracleHolds):
+            stands = verdict == Holds()
+        else:
+            stands = isinstance(verdict, Fails) and member(verdict.witness) and (
+                backend.canonicalize(verdict.witness) != backend.identity
+            )
+        count += 1
+        if not stands:
+            refuted += 1
+            first = first or (language, verdict)
+    return count, refuted, first
+
+
 def test_the_menus_have_their_sizes():
     assert len(menu(2, 1)) == len(set(menu(2, 1))) == 42
     assert len(menu(2, 2)) == 110 and len(menu(3, 1)) == 90
@@ -172,6 +217,12 @@ def test_every_small_language_keeps_its_witness_over_c2(sweep, size):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[f"{sweep} C2"]
     languages, check, counted = SWEEPS[sweep]
     assert sweep_digest(languages, check, GROUPS["C2"], counted) == (expected, size)
+
+
+@pytest.mark.parametrize("sweep, size", [("grammars", 124_313), ("automata", 28_329)])
+def test_every_small_language_has_the_oracles_verdict_over_c2(sweep, size):
+    languages, check, _counted = SWEEPS[sweep]
+    assert sweep_judged(languages, check, GROUPS["C2"]) == (size, 0, None)
 
 
 def main(args: list[str]) -> int:
