@@ -20,7 +20,7 @@ then tests the start row alone (see :func:`closure`).  The paper's full
 closure and conjugate test are the reference that the tests run.
 
 This module also holds the core that the linear check shares:
-reachability, the shortest-walk search, the level-0 matrix builder, the
+reachability, the shortest-walk searches, the level-0 matrix builder, the
 potential test and the pivot loop.  Both checks run on a language's
 diagram, its arcs (src, dst, left, right): an automaton arc has an
 empty right part, a grammar arc wraps its left and right words around
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -208,8 +209,10 @@ def shortest_walk(out, source: int, targets) -> tuple[Word, Word] | None:
 
     ``out`` maps each vertex to its :func:`successors`.  Ties go to the
     smaller left part, then the smaller right part, so the answer does
-    not depend on arc order; on automaton arcs the left part is the
-    length-then-lexicographic least word.  None if no walk exists.
+    not depend on arc order.  A push copies the walk's words: O(L^2) for
+    L letters.  Grammar arcs carry several letters or none, so
+    breadth-first order is not shortlex on them; automata use the linear
+    :func:`least_word`.  None if no walk exists.
     """
     heap: list[tuple[int, Word, Word, int]] = [(0, (), (), source)]
     done: set[int] = set()
@@ -225,6 +228,53 @@ def shortest_walk(out, source: int, targets) -> tuple[Word, Word] | None:
                 heapq.heappush(
                     heap, (letters + len(alpha) + len(beta), left + alpha, beta + right, dst)
                 )
+    return None
+
+
+def least_word(out, source: int, targets) -> Word | None:
+    """The shortlex-least word of a walk from ``source`` into ``targets`` over one-letter arcs.
+
+    ``out`` maps each vertex to its :func:`successors`, listed in letter
+    order per source, as ``Nfa._successors`` lists them.  A breadth-first
+    search with a FIFO queue of groups, each the vertices first found
+    with one word: a group reads its arcs in letter order, and the new
+    vertices of each letter make the next group.  Shortlex is compatible
+    with appending a letter, so the groups leave the queue in strictly
+    increasing shortlex order of their words, each vertex's word is its
+    least, and the first target found has the left part that
+    :func:`shortest_walk` returns.  A group of several vertices (a state
+    with two arcs of one letter starts one) merges their arcs, or a later
+    vertex's smaller letter would come too late.  Each vertex keeps its
+    parent and letter, and the word is built once at the end: linear in
+    the arcs, up to sorting a merged group's arcs.  ``()`` when
+    ``source`` is a target; None if no walk exists.
+    """
+    if source in targets:
+        return ()
+    parent: dict[int, tuple] = {source: ()}
+    queue = [source]  # each group's first vertex
+    ties: dict[int, list[int]] = {}  # a group of several, by its first vertex
+    for vertex in queue:  # the loop also reads what it appends
+        if ties and vertex in ties:
+            arcs = sorted((arc for v in ties[vertex] for arc in out.get(v, ())), key=itemgetter(2))
+        else:
+            arcs = out.get(vertex, ())
+        last = None
+        for _src, dst, letter, _right in arcs:
+            if dst not in parent:
+                parent[dst] = vertex, letter
+                if dst in targets:
+                    word: list[int] = []
+                    while dst != source:
+                        dst, letter = parent[dst]
+                        word += letter
+                    return tuple(reversed(word))
+                if letter == last:  # the word of the group just started
+                    first = queue[-1]
+                    ties.setdefault(first, [first]).append(dst)
+                else:
+                    last = letter
+                    queue.append(dst)
     return None
 
 
@@ -627,9 +677,10 @@ def _arc_exit(
     changes, since a walk through K[k][k] is strictly longer.  So the
     first step (k, i, j) that reads a broken cell
     (:func:`_first_step_on_arcs`), and its three cells, are read off
-    reachability and least walks over the pivots before k.  When that
-    step leaves K[i][j] with two labels, this raises the closure's exit
-    and counts the one product and union it makes.
+    reachability and least walks over the pivots before k, each one
+    breadth-first :func:`least_word` search, since arcs carry one letter.
+    When that step leaves K[i][j] with two labels, this raises the
+    closure's exit and counts the one product and union it makes.
 
     When no step reads a broken cell, the closure ends with every broken
     cell at its level-0 label and every other cell at its least known
@@ -638,7 +689,7 @@ def _arc_exit(
     broken cell's one label, or else, when a known walk leads from the
     start to t (a non-empty cycle when t is the start), the value
     tau(start) tau(t)^-1 = tau(start) of every such walk.  One sweep finds
-    the vertices those walks reach, and one least-walk search names the
+    the vertices those walks reach, and one :func:`least_word` search names the
     witness at the first final that misses e.  On the potential's tables
     some final always does: the arcs that gave tau(start) its value lead
     to a final through known cells.
@@ -646,11 +697,13 @@ def _arc_exit(
     order = sorted(tau)
     at = {v: n for n, v in enumerate(order)}
     known: list[list[int]] = [[] for _ in order]  # per row position, the columns of its known cells
-    bad: list[list[int]] = [[] for _ in order]  # and of its broken cells
-    arcs: dict[int, list] = {}  # the known cells as arcs, for ``shortest_walk``
+    into: list[list[int]] = [[] for _ in order]  # per column position, the rows of its known cells
+    bad: list[list[int]] = [[] for _ in order]  # and per row position, the columns of its broken cells
+    arcs: dict[int, list] = {}  # the known cells' least arcs, for ``least_word``
     seen: set = set()  # the known cells met so far: the first arc is the least witness
     bad_cells: dict = {}  # broken cell -> its labels' least witnesses, in the builder's cell order
-    for src, dst, wit, _right in a._arcs:  # one-letter words, in letter order per cell
+    for arc in a._arcs:  # one-letter words, in letter order per cell
+        src, dst, wit, _right = arc
         p, q = at.get(src), at.get(dst)
         if p is None or q is None:
             continue
@@ -664,11 +717,12 @@ def _arc_exit(
         elif cell not in seen:
             seen.add(cell)
             known[p].append(q)
-            arcs.setdefault(src, []).append((src, dst, wit, ()))
+            into[q].append(p)
+            arcs.setdefault(src, []).append(arc)
     for (i, j), elements in bad_cells.items():
         if len(elements) >= 2:
             _singleton_exit(i, j, GroupSet(backend, elements, True))
-    step = _first_step_on_arcs(known, bad)
+    step = _first_step_on_arcs(known, bad, into)
     if step is None:
         start = a.start
         reach = _ends_before(known, at[start], len(order))  # the ends of non-empty known walks
@@ -678,7 +732,7 @@ def _arc_exit(
                 if label != backend.identity:
                     return wit
             elif at[t] in reach and tau[start] != backend.identity:
-                return shortest_walk(arcs, start, {t})[0]
+                return least_word(arcs, start, {t})
         return None
     pk, pi, pj = step
     k, i, j = order[pk], order[pi], order[pj]
@@ -690,10 +744,9 @@ def _arc_exit(
         if (s, t) in bad_cells:
             return GroupSet(backend, bad_cells[s, t], True)
         interior[0] = arcs.get(s, ())  # vertex 0, no state, starts the walk: so a cycle cell works too
-        walk = shortest_walk(interior, 0, {t})
-        if walk is None:
+        wit = least_word(interior, 0, {t})
+        if wit is None:
             return GroupSet(backend)
-        wit = walk[0]
         return GroupSet(backend, {GroupSet.evaluate(backend, wit): wit}, True)
 
     left, right, target = before_k(i, k), before_k(k, j), before_k(i, j)
@@ -717,17 +770,20 @@ def _arc_exit(
     return None
 
 
-def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[int, int, int] | None:
+def _first_step_on_arcs(
+    known: list[list[int]], bad: list[list[int]], into: list[list[int]]
+) -> tuple[int, int, int] | None:
     """Positions (k, i, j) of the closure's first step that reads a broken cell, or None.
 
     A step reads a broken cell when K[i][k], K[k][j] or its target K[i][j]
     is one, the only steps whose outcome tau does not fix (see
     :func:`_arc_exit`).  ``known[p]`` and ``bad[p]`` list the columns of
-    row p's level-0 cells outside and inside the broken set, all by
-    position.  Until that step, K[i][k] before pivot k is non-empty
-    exactly when a level-0 cell (i, k) is broken or a walk of known cells
-    leads from i to k through pivots before k; K[k][j] likewise.  So the
-    step's pivot k is the least of three minima:
+    row p's level-0 cells outside and inside the broken set, and
+    ``into[q]`` the rows of column q's known cells, all by position.
+    Until that step, K[i][k] before pivot k is non-empty exactly when a
+    level-0 cell (i, k) is broken or a walk of known cells leads from i
+    to k through pivots before k; K[k][j] likewise.  So the step's pivot
+    k is the least of three minima:
 
     (a) the least p whose row has a broken cell and that a known cell enters;
     (b) the least q that a broken cell enters and whose row has any cell;
@@ -749,10 +805,6 @@ def _first_step_on_arcs(known: list[list[int]], bad: list[list[int]]) -> tuple[i
             k = _least_pivot(known, i, set(cols), k)  # (c), below the best k so far
     if k == n:
         return None
-    into: list[list[int]] = [[] for _ in known]
-    for i, cols in enumerate(known):
-        for q in cols:
-            into[q].append(i)
     rows = _ends_before(into, k, k)  # rows i with a known K[i][k]
     row_k = _ends_before(known, k, k).union(bad[k])
     for i in sorted(rows.union(i for i, cols in enumerate(bad) if k in cols)):
@@ -802,9 +854,8 @@ def _ends_before(edges: list[list[int]], k: int, bound: int) -> set[int]:
 
 
 def shortest_word_path(a: Nfa, source: int, targets: frozenset[int] | set[int]) -> Word | None:
-    """Minimal (length, then lexicographic) word labeling a path into ``targets``."""
-    walk = shortest_walk(a._successors, source, targets)
-    return None if walk is None else walk[0]
+    """Minimal (length, then lexicographic) word labeling a path into ``targets``: :func:`least_word`."""
+    return least_word(a._successors, source, targets)
 
 
 def first_failing_word(backend: Backend, candidates: list[Word]) -> Word:

@@ -12,11 +12,13 @@ temporary directory, applies the replacement and runs the mutant's test
 files on that copy with ``--hypothesis-seed=0`` and a fresh Hypothesis
 database, so a mutant's fate does not depend on earlier draws, and with
 the ``mutants`` Hypothesis profile of ``tests/conftest.py``, which skips
-shrinking: a failing example kills a mutant, whatever its size.  A mutant
-must make those files fail; an expected survivor, an equivalent mutant,
-must leave them passing.  The old text must occur exactly once: when a
-refactor moves it, the script stops and the list must be updated.  The
-exit status is 0 when every mutant was killed and every survivor lived.
+shrinking: a failing example kills a mutant, whatever its size.  Each run
+stops at its first failing test (``-x``), so a killed mutant's report
+names that one test.  A mutant must make those files fail; an expected
+survivor, an equivalent mutant, must leave them passing.  The old text
+must occur exactly once: when a refactor moves it, the script stops and
+the list must be updated.  The exit status is 0 when every mutant was
+killed and every survivor lived.
 
 A change to a fast path adds its mutants to ``MUTANTS``.  The file has no
 ``test_`` prefix, so pytest does not collect it.
@@ -185,6 +187,28 @@ MUTANTS = (
         "elif at[t] in reach and tau[start] != backend.identity:",
         "elif at[t] in reach:",
         ARC_EXIT,
+    ),
+    # The automata's least words: groups of one word leave the queue in shortlex order.
+    Mutant(
+        "least-word-letters-reversed",
+        "regular.py",
+        "            arcs = out.get(vertex, ())\n",
+        "            arcs = out.get(vertex, ())[::-1]\n",
+        ("test_regular.py",),
+    ),
+    Mutant(
+        "least-word-source-not-a-target",
+        "regular.py",
+        "    if source in targets:\n        return ()\n",
+        "",
+        ("test_regular.py",),
+    ),
+    Mutant(
+        "least-word-group-per-vertex",
+        "regular.py",
+        "                if letter == last:  # the word of the group just started\n",
+        "                if False:\n",
+        ("test_regular.py",),
     ),
     # The skip rule of ``read_row``: the steps into cells no later step reads.
     Mutant(
@@ -494,7 +518,7 @@ def run_tests(src: Path, cwd: Path, tests) -> tuple[bool, list[str]]:
     if not Path(probe.stdout.strip()).is_relative_to(src):
         sys.exit(f"the tests would import {probe.stdout.strip()}, not the copy under {src}")
     command = [
-        sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+        sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
         "--hypothesis-seed=0", "--hypothesis-profile=mutants", f"--rootdir={ROOT}",
         *(str(ROOT / "tests" / name) for name in tests),
     ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -169,7 +170,7 @@ def two_way_paths(draw):
 @example(layout=(5, {(3, 2): False, (2, 0): False, (0, 4): False, (3, 4): True}, random.Random(0)))
 def test_the_arc_sweep_finds_the_replays_first_step(layout):
     n, cells, rng = layout
-    known, bad = [[] for _ in range(n)], [[] for _ in range(n)]
+    known, bad, into = [[] for _ in range(n)], [[] for _ in range(n)], [[] for _ in range(n)]
     known_bits, bad_bits = [0] * n, [0] * n
     listed = list(cells.items())
     rng.shuffle(listed)  # the arc pass lists a row's columns in arc order, not by position
@@ -178,8 +179,9 @@ def test_the_arc_sweep_finds_the_replays_first_step(layout):
         if is_broken:
             bad_bits[p] |= 1 << q
         else:
+            into[q].append(p)
             known_bits[p] |= 1 << q
-    assert _first_step_on_arcs(known, bad) == replay_first_semiring_step(known_bits, bad_bits)
+    assert _first_step_on_arcs(known, bad, into) == replay_first_semiring_step(known_bits, bad_bits)
 
 
 def run_closure(a: Nfa, backend, cap, early_fail: bool = True, on_arcs: bool = False):
@@ -308,6 +310,29 @@ def test_a_2000_state_failing_path_exits_on_its_arcs(monkeypatch):
         witness=to_loop + (loop,) + inverse_word(to_loop[back_to - 1 :]), reason="distinct-labels", state=1800
     )
     assert counters.products == counters.unions == 1
+
+
+def test_a_100000_state_failing_path_finds_its_least_words_in_seconds(monkeypatch):
+    # The witness has 90,021 letters.  The heap search that grammars use
+    # copies each word it pushes, 9.5 s on a 2-core Xeon; the
+    # automaton's breadth-first search reads each arc once, about 1 s.
+    monkeypatch.setattr(grouplang.regular, "pivot_closure", refuse("the pivot loop"))
+    monkeypatch.setattr(grouplang.regular, "build_initial_matrix", refuse("the matrix builder"))
+    monkeypatch.setattr(grouplang.regular, "shortest_walk", refuse("the heap search"))
+    backend = symmetric_group(4)
+    a = path_nfa(random.Random(1), backend, 100_000, 90_000)
+    forward = {src: letter for src, letter, dst in a.transitions if dst == src + 1}
+    [loop] = [letter for src, letter, dst in a.transitions if src == dst]
+    back_to = max(q for q in a.finals if q < 90_000)
+    assert 90_000 - back_to < min(q for q in a.finals if q > 90_000) - 90_000
+    to_loop = tuple(forward[q] for q in range(1, 90_000))
+    started = time.perf_counter()
+    verdict = check_regular_inclusion(a, backend)
+    seconds = time.perf_counter() - started
+    assert verdict == Fails(
+        witness=to_loop + (loop,) + inverse_word(to_loop[back_to - 1 :]), reason="distinct-labels", state=90_000
+    )
+    assert seconds < 5.0, f"the check took {seconds:.1f} s"
 
 
 def test_the_direct_exit_reads_cells_that_earlier_pivots_filled(monkeypatch):

@@ -35,7 +35,7 @@ from grouplang import (
     useful_states,
 )
 from grouplang.corpus import random_nfa
-from grouplang.regular import first_failing_word, shortest_word_path
+from grouplang.regular import first_failing_word, least_word, shortest_walk, shortest_word_path
 
 FG1 = FreeGroup(1)
 
@@ -332,6 +332,38 @@ def test_shortest_word_path_prefers_short_then_lex():
     assert shortest_word_path(a, 1, {3}) == (2,)
     assert shortest_word_path(a, 1, {1}) == ()
     assert shortest_word_path(a, 3, {1}) is None
+    # x1 leads to 2 and to 3: the least word to 4 is x1 x1 through 3, not
+    # x1 x2 through 2, which is found first.
+    a = nfa(4, [(1, 1, 2), (1, 1, 3), (2, 2, 4), (3, 1, 4)], [4], rank=2)
+    assert shortest_word_path(a, 1, {4}) == (1, 1)
+    # Of the ties of one length, the least word wins, whatever the state numbers.
+    a = nfa(4, [(1, 1, 2), (1, -1, 3), (2, -2, 4), (3, 2, 4)], [4], rank=2)
+    assert shortest_word_path(a, 1, {4}) == (-1, 2)
+    # Parallel arcs: the least letter; of several targets, the one of the least word.
+    a = nfa(4, [(1, 2, 2), (1, -1, 2), (2, 1, 3), (2, -1, 4)], [3, 4], rank=2)
+    assert shortest_word_path(a, 1, {3, 4}) == (-1, -1)
+    # Two states share the word x1 x1; the second one's smaller letter wins.
+    a = nfa(5, [(1, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 5), (4, -1, 5)], [5])
+    assert shortest_word_path(a, 1, {5}) == (1, 1, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 2),
+    density=st.sampled_from((0.1, 0.2, 0.3, 0.6)),
+    data=st.data(),
+)
+def test_least_word_is_the_heap_walks_left_part(seed, rank, density, data):
+    # Dense random automata have parallel arcs and states with two arcs of
+    # one letter, so some vertices share their least word.
+    rng = random.Random(seed)
+    a = random_nfa(rng, max_states=12, rank=rank, density=density, inverse_paired=rng.random() < 0.5)
+    # State states + 1 does not exist, so no walk reaches it.
+    targets = data.draw(st.sets(st.integers(1, a.states + 1), max_size=4))
+    for source in range(1, a.states + 1):  # some inside the targets
+        walk = shortest_walk(a._successors, source, targets)
+        assert least_word(a._successors, source, targets) == (None if walk is None else walk[0])
 
 
 # invariants
