@@ -6,11 +6,11 @@ A_i -> alpha A_j beta, and an arc i -> sink labeled (alpha, empty) for
 each A_i -> alpha.  A walk from the start to the sink spells a derived
 word: the left labels in order, then the right labels in reverse.  The
 check first reads the potential on the arcs (``regular.potential``),
-before any matrix exists: it finds the useful nonterminals and decides
-every inclusion that holds.  Only on a violation does it build the
-level-0 pair matrix on the useful nonterminals and the sink, the
-matrix's last vertex, and close it with the same pivot recurrence as the
-regular case, multiplied with the diamond operation.
+before any matrix exists: it decides every inclusion that holds and,
+on a violation, finds the useful nonterminals.  Only then does it
+build the level-0 pair matrix on the useful nonterminals and the sink,
+the matrix's last vertex, and close it with the same pivot recurrence
+as the regular case, multiplied with the diamond operation.
 It tests the start-to-sink labels whenever that cell changes and, after
 every pivot, each vertex's cycle pairs wrapped around its fewest-letter
 tail; a closure that passes both proves the inclusion (``_cycle_scan``).
@@ -442,6 +442,7 @@ def check_linear_inclusion(
     tau, broken, labels = potential(g, (g.sink,), backend, PairSet)
     if g.start not in tau or not broken and tau[g.start] == backend.identity:
         return Holds()  # the language is empty, or the potential holds
+    # A violation: tau now holds the useful nonterminals and the sink alone.
     mat = build_grammar_matrix(g, backend, useful=frozenset(tau), labels=labels)
     return _closure_verdict(g, backend, mat, config, counters, _cycle_scan(g, backend))
 

@@ -2,22 +2,23 @@
 
 The check labels each automaton arc with the group image of its letter
 and first reads the potential (:func:`potential`) on the arcs, before
-any label matrix exists; it finds the useful states and decides every
-inclusion that holds.  The paper's check builds the level-0 label matrix
-on the useful states and closes it with the all-pairs pivot recurrence
-``K[i][j] = K[i][j] | K[i][k] * K[k][j]``, and then tests two things:
-no start-to-final cell may contain a non-identity element, and for
-every state the conjugates of its cycle labels by its access labels
-must collapse to the identity.  Witness words ride along with every
-element, so a failed check always names a concrete accepted word that
-does not multiply out to the identity.  When the potential finds a
-violation, the check first reads what that closure would do off the
-arcs (:func:`_arc_exit`): its exit, at a level-0 cell or at the first
-step that reads a broken cell, or, when no step reads one, the start
-row that the check tests.  A failing automaton builds its matrix and
-runs the closure, with its early exit, only when neither decides, and
-then tests the start row alone (see :func:`closure`).  The paper's full
-closure and conjugate test are the reference that the tests run.
+any label matrix exists; it decides every inclusion that holds and, on a
+violation, finds the useful states.  The paper's check builds the
+level-0 label matrix on the useful states and closes it with the
+all-pairs pivot recurrence ``K[i][j] = K[i][j] | K[i][k] * K[k][j]``,
+and then tests two things: no start-to-final cell may contain a
+non-identity element, and for every state the conjugates of its cycle
+labels by its access labels must collapse to the identity.  Witness
+words ride along with every element, so a failed check always names a
+concrete accepted word that does not multiply out to the identity.  When
+the potential finds a violation, the check first reads what that closure
+would do off the arcs (:func:`_arc_exit`): its exit, at a level-0 cell
+or at the first step that reads a broken cell, or, when no step reads
+one, the start row that the check tests.  A failing automaton builds its
+matrix and runs the closure, with its early exit, only when neither
+decides, and then tests the start row alone (see :func:`closure`).  The
+paper's full closure and conjugate test are the reference that the tests
+run.
 
 This module also holds the core that the linear check shares:
 reachability, the shortest-walk searches, the level-0 matrix builder, the
@@ -339,18 +340,26 @@ def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, d
     the inclusion holds exactly when ``broken`` is empty and tau(start)
     is e, and the start has no value exactly when the language is empty.
 
-    The test runs on the arcs, before any label matrix exists.  One sweep
-    forward from the start finds the vertices it reaches; tau is then
-    read off backwards from the ends it reached, over the arcs whose
-    source it reached, in arc order, each vertex taking the first value
-    seen.  So tau has a value for exactly the useful vertices (the ends
-    reached included), the vertices :func:`useful_vertices` finds.  A
-    break does not stop the walk: ``broken`` holds every cell (i, j) with
-    an arc whose label disagrees.  Each distinct arc word of the useful
-    arcs is evaluated once, with ``cell_type.evaluate``; ``labels`` maps
-    it to its label, and :func:`build_matrix` reuses that map when a
-    violation needs the matrix.  Then O(arcs) multiplications with the
-    unchecked ``_mul``, since the labels are canonical.
+    The test runs on the arcs, before any label matrix exists.  tau is
+    read off backwards from every end over every arc, in arc order, each
+    vertex taking the first value seen; a break does not stop the walk,
+    and ``broken`` holds every cell (i, j) with an arc whose label
+    disagrees.  ``labels`` maps the word of every arc whose target
+    reaches an end to its label, evaluated once (``cell_type.evaluate``)
+    and reused by :func:`build_matrix`.  Then O(arcs) multiplications
+    with the unchecked ``_mul``, bound once, since labels are canonical.
+
+    When nothing breaks and tau(start) is e, the inclusion holds and tau
+    returns at once, with a value for every vertex that reaches an end.
+    Otherwise tau and ``broken`` are restricted to the vertices that one
+    sweep forward from the start reaches, leaving exactly the useful
+    vertices (:func:`useful_vertices`); an empty language has none and
+    skips the sweep.  This is exact: if every arc into a vertex that
+    reaches an end agrees with tau, so does every arc between useful
+    vertices; and no arc leads from a reached vertex to an unreached
+    one, so an unreached vertex never sets or pushes a reached one, and
+    the reached vertices take the values of a sweep over their arcs
+    alone.  The cost is the arcs out of vertices the start does not reach.
 
     >>> from grouplang import Cyclic
     >>> arcs = frozenset({(1, 1, 2), (2, 1, 2)})  # 1 -x-> 2, and a loop x at the final 2
@@ -358,6 +367,33 @@ def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, d
     >>> potential(a, a.finals, Cyclic(2), GroupSet)
     ({2: 0, 1: 1}, {(2, 2)}, {(1,): 1})
     """
+    into: dict[int, list] = {}
+    for arc in language._arcs:
+        into.setdefault(arc[1], []).append(arc)
+    mul, evaluate, paired = backend._mul, cell_type.evaluate, cell_type is PairSet
+    tau = {end: backend.identity for end in sorted(ends)}
+    todo = list(tau)
+    broken = set()
+    labels: dict = {}
+    while todo:
+        j = todo.pop()
+        rest = tau[j]
+        for i, _j, left, right in into.get(j, ()):
+            wit = (left, right) if paired else left  # an automaton arc's right part is empty
+            label = labels.get(wit)
+            if label is None:
+                label = labels[wit] = evaluate(backend, wit)
+            value = mul(mul(label[0], rest), label[1]) if paired else mul(label, rest)
+            seen = tau.get(i)
+            if seen is None:
+                tau[i] = value
+                todo.append(i)
+            elif value != seen:
+                broken.add((i, j))
+    if language.start not in tau:
+        return {}, set(), labels  # the language is empty
+    if not broken and tau[language.start] == backend.identity:
+        return tau, broken, labels
     out = language._successors
     reached = {language.start}
     todo = [language.start]
@@ -366,31 +402,10 @@ def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, d
             if dst not in reached:
                 reached.add(dst)
                 todo.append(dst)
-    into: dict[int, list] = {}
-    for arc in language._arcs:
-        if arc[0] in reached:
-            into.setdefault(arc[1], []).append(arc)
-    wrap, evaluate, arc_witness = cell_type.wrap, cell_type.evaluate, cell_type.arc_witness
-    tau = {end: backend.identity for end in sorted(ends) if end in reached}
-    todo = list(tau)
-    broken = set()
-    labels: dict = {}
-    while todo:
-        j = todo.pop()
-        rest = tau[j]
-        for i, _j, left, right in into.get(j, ()):
-            wit = arc_witness(left, right)
-            label = labels.get(wit)
-            if label is None:
-                label = labels[wit] = evaluate(backend, wit)
-            value = wrap(backend, label, rest)
-            seen = tau.get(i)
-            if seen is None:
-                tau[i] = value
-                todo.append(i)
-            elif value != seen:
-                broken.add((i, j))
-    return tau, broken, labels
+    if reached.issuperset(tau):
+        return tau, broken, labels
+    tau = {v: value for v, value in tau.items() if v in reached}
+    return tau, {cell for cell in broken if cell[0] in reached}, labels
 
 
 def pivot_closure(
@@ -890,8 +905,8 @@ def check_regular_inclusion(
     tau, broken, labels = potential(a, a.finals, backend, GroupSet)
     if a.start not in tau or not broken and tau[a.start] == backend.identity:
         return Holds()  # the language is empty, or the potential holds
-    # A violation: the exit on the arcs, or else the closure on the useful states, finds it again
-    # and names its witness.
+    # A violation: tau now holds the useful states alone.  The exit on the arcs, or else the
+    # closure on them, finds it again and names its witness.
     useful = frozenset(tau)
     finals_useful = sorted(a.finals & useful)
     try:

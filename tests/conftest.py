@@ -103,16 +103,71 @@ def s3():
     return symmetric_group_3()
 
 
+def reach_first_potential(language, ends, backend, cell_type):
+    """The potential as it was read before the backward sweep over every arc: the reference.
+
+    One sweep forward from the start finds the vertices it reaches; tau
+    is then read off backwards from the ends it reached, over the arcs
+    whose source it reached, in arc order, each vertex taking the first
+    value seen, through ``cell_type.arc_witness`` and ``cell_type.wrap``.
+    So tau, ``broken`` and ``labels`` cover exactly the useful vertices
+    and the arcs between them, whether or not the potential holds.
+    """
+    out = language._successors
+    reached = {language.start}
+    todo = [language.start]
+    while todo:
+        for _src, dst, _left, _right in out.get(todo.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                todo.append(dst)
+    into: dict[int, list] = {}
+    for arc in language._arcs:
+        if arc[0] in reached:
+            into.setdefault(arc[1], []).append(arc)
+    wrap, evaluate, arc_witness = cell_type.wrap, cell_type.evaluate, cell_type.arc_witness
+    tau = {end: backend.identity for end in sorted(ends) if end in reached}
+    todo = list(tau)
+    broken = set()
+    labels: dict = {}
+    while todo:
+        j = todo.pop()
+        rest = tau[j]
+        for i, _j, left, right in into.get(j, ()):
+            wit = arc_witness(left, right)
+            label = labels.get(wit)
+            if label is None:
+                label = labels[wit] = evaluate(backend, wit)
+            value = wrap(backend, label, rest)
+            seen = tau.get(i)
+            if seen is None:
+                tau[i] = value
+                todo.append(i)
+            elif value != seen:
+                broken.add((i, j))
+    return tau, broken, labels
+
+
 @contextmanager
+def potential_replaced(replacement):
+    """Both checks with ``replacement`` in place of the potential."""
+    saved = [(module, module.potential) for module in (grouplang.regular, grouplang.linear)]
+    grouplang.regular.potential = grouplang.linear.potential = replacement
+    try:
+        yield
+    finally:
+        for module, original in saved:
+            module.potential = original
+
+
 def closure_only():
     """Both checks without the potential: the unguided pivot closure decides every language.
 
-    ``potential`` keys tau by the useful vertices, as the real one does,
-    but gives none of them a value and calls every useful cell broken, so
-    it never holds and the regular closure knows no cell.  Its arc labels
-    are the real potential's.
+    ``potential`` keys tau by the useful vertices, as the real one does
+    on a violation, but gives none of them a value and calls every useful
+    cell broken, so it never holds and the regular closure knows no cell.
+    Its arc labels are the real potential's.
     """
-    saved = [(module, module.potential) for module in (grouplang.regular, grouplang.linear)]
     real = grouplang.regular.potential
 
     def broken_everywhere(language, ends, backend, cell_type):
@@ -120,12 +175,7 @@ def closure_only():
         broken = {(i, j) for i, j, _left, _right in language._arcs if i in useful and j in useful}
         return dict.fromkeys(useful), broken, real(language, ends, backend, cell_type)[2]
 
-    grouplang.regular.potential = grouplang.linear.potential = broken_everywhere
-    try:
-        yield
-    finally:
-        for module, original in saved:
-            module.potential = original
+    return potential_replaced(broken_everywhere)
 
 
 def paper_check(a, backend, config=None, counters=None):

@@ -435,7 +435,7 @@ MUTANTS = (
         "return min(kept, key=lambda kv: len(kv[1]), default=None)",
         KERNELS,
     ),
-    # The potential: each vertex takes the first value read backwards, over the reached arcs.
+    # The potential: each vertex takes the first value read backwards, over every arc.
     # The order moves tau and the broken cells, but no verdict: the exit on the arcs
     # reproduces the closure, which tau does not steer.  So a test of ``potential`` kills them.
     Mutant(
@@ -452,11 +452,34 @@ MUTANTS = (
         "for i, _j, left, right in reversed(into.get(j, ())):",
         POTENTIAL,
     ),
+    # It returns at once when it holds on every arc, and otherwise restricts tau and
+    # ``broken`` to the vertices the start reaches: none with a value when the start has none.
     Mutant(
-        "potential-unreached-arcs",
+        "potential-empty-unrestricted",
         "regular.py",
-        "        if arc[0] in reached:\n",
-        "        if True:\n",
+        "        return {}, set(), labels  # the language is empty\n",
+        "        return tau, broken, labels  # the language is empty\n",
+        POTENTIAL,
+    ),
+    Mutant(
+        "potential-violation-unrestricted",
+        "regular.py",
+        "    if reached.issuperset(tau):\n",
+        "    if True:\n",
+        POTENTIAL,
+    ),
+    Mutant(
+        "potential-early-return-ignores-broken",
+        "regular.py",
+        "    if not broken and tau[language.start] == backend.identity:\n",
+        "    if tau[language.start] == backend.identity:\n",
+        POTENTIAL,
+    ),
+    Mutant(
+        "potential-early-return-skips-start-test",
+        "regular.py",
+        "    if not broken and tau[language.start] == backend.identity:\n",
+        "    if not broken:\n",
         POTENTIAL,
     ),
     # The grammar enumerator: letter-free arcs fold into the lettered ones, and

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 import grouplang.linear
 import grouplang.regular
-from conftest import closure_only, symmetric_group_3
+from conftest import closure_only, potential_replaced, reach_first_potential, symmetric_group_3
 from grouplang import (
     Cyclic,
     EnumerationBound,
@@ -93,15 +94,50 @@ def grammar(n, prods, start=1):
     )
 
 
+def reaching(language, ends) -> set:
+    """The vertices with a walk to an end, the ends included, by a sweep backwards over the arcs."""
+    sources: dict[int, list[int]] = {}
+    for i, j, _left, _right in language._arcs:
+        sources.setdefault(j, []).append(i)
+    found, todo = set(ends), list(ends)
+    while todo:
+        for i in sources.get(todo.pop(), ()):
+            if i not in found:
+                found.add(i)
+                todo.append(i)
+    return found
+
+
+def from_everywhere(language, ends):
+    """``language``'s arcs under a new start, one extra vertex with a bare arc to every vertex and end.
+
+    The start reaches every vertex, so ``reach_first_potential`` reads
+    tau backwards from every end over every arc.
+    """
+    vertices = {arc[0] for arc in language._arcs} | {arc[1] for arc in language._arcs} | set(ends)
+    start = object()
+    return SimpleNamespace(
+        start=start, _arcs=language._arcs, _successors={start: [(start, v, (), ()) for v in vertices]}
+    )
+
+
 def checked_potential(language, backend):
     """Whether the potential holds, after checking ``potential``'s contract against references.
 
-    tau has a value for exactly the useful vertices (``useful_states``,
-    or ``useful_nonterminals`` and the sink), and every end among them
-    has the value e.  A cell is broken exactly when one of its labels
-    disagrees with tau in the level-0 matrix built without the label map.
-    The label map holds exactly the arc words of the arcs between useful
-    vertices, each with ``evaluate`` of it.
+    The references are ``conftest.reach_first_potential``, which reads
+    only the useful vertices (``useful_states``, or ``useful_nonterminals``
+    and the sink), and the same sweep from everywhere
+    (``from_everywhere``), which reads every vertex that reaches an end
+    (``reaching``).  Both potentials hold on the same languages.  When the
+    sweep from everywhere finds no break and the value e at the start,
+    tau and ``broken`` are its own; otherwise they are the reach-first
+    reference's.  On the useful vertices they are always the reach-first
+    reference's.  Every end with a value has the value e, and a cell is
+    broken exactly when one of its labels disagrees with tau in the
+    level-0 matrix built without the label map.  The label map is the
+    sweep from everywhere's: exactly the arc words of the arcs whose
+    target reaches an end, each with ``evaluate`` of it, and on the arcs
+    between useful vertices the reach-first reference's map.
     """
     if isinstance(language, Nfa):
         ends, cell_type = language.finals, GroupSet
@@ -113,19 +149,34 @@ def checked_potential(language, backend):
         mat = build_grammar_matrix(language, backend, useful=nonterminals)
         useful = nonterminals | {language.sink} if nonterminals else nonterminals
     tau, broken, labels = potential(language, ends, backend, cell_type)
-    assert set(tau) == useful
-    assert all(tau[end] == backend.identity for end in ends if end in tau)
+    reference_tau, reference_broken, reference_labels = reach_first_potential(language, ends, backend, cell_type)
+    every_tau, every_broken, every_labels = reach_first_potential(
+        from_everywhere(language, ends), ends, backend, cell_type
+    )
+    ends_reached = reaching(language, ends)
+    assert set(reference_tau) == useful and set(every_tau) == ends_reached
+    e, start = backend.identity, language.start
+    early = not every_broken and every_tau.get(start) == e
+    holds = start in tau and not broken and tau[start] == e
+    assert holds == (start in reference_tau and not reference_broken and reference_tau[start] == e)
+    assert holds or not early
+    assert (tau, broken) == ((every_tau, every_broken) if early else (reference_tau, reference_broken))
+    assert {v: tau[v] for v in useful} == reference_tau and broken == reference_broken
+    assert all(tau[end] == e for end in ends if end in tau)
     wrap = cell_type.wrap
     assert broken == {
         (i, j)
         for (i, j), cell in mat.cells.items()
         if any(wrap(backend, c, tau[j]) != tau[i] for c in cell.elements)
     }
-    words = {cell_type.arc_witness(left, right) for i, j, left, right in language._arcs if {i, j} <= useful}
-    assert set(labels) == words
+    arc_witness = cell_type.arc_witness
+    words = {arc_witness(left, right) for i, j, left, right in language._arcs if j in ends_reached}
+    useful_words = {arc_witness(left, right) for i, j, left, right in language._arcs if {i, j} <= useful}
+    assert labels == every_labels and set(labels) == words
+    assert set(reference_labels) == useful_words
+    assert {wit: labels[wit] for wit in useful_words} == reference_labels
     assert all(label == cell_type.evaluate(backend, wit) for wit, label in labels.items())
-    start = language.start
-    return start in tau and not broken and tau[start] == backend.identity
+    return holds
 
 
 def both_paths(check, language, backend, config=None):
@@ -178,7 +229,7 @@ REGULAR_CASES = {
     "start-not-identity": (nfa(2, [(1, X, 2)], [2]), FG1, False, Fails),
     # A final state's value is e, so a loop on it must read the identity.
     "final-with-loop": (nfa(2, [(1, X, 2), (2, XI, 1), (1, X, 1)], [1]), FG1, False, Fails),
-    # Arcs into the dead end 4 and out of the unreachable 5 are dropped.
+    # The dead end 4 has no value; the unreachable 5 has one, which its arcs agree with.
     "non-useful-arcs-ignored": (
         nfa(5, [(1, X, 2), (2, XI, 3), (2, X, 4), (5, X, 1), (5, X, 3)], [3]), FG1, True, Holds,
     ),
@@ -229,7 +280,7 @@ LINEAR_CASES = {
     "final-with-loop": (
         grammar(2, [(1, [X], 2, [XI]), (2, []), (2, [X], 2, [])]), FG1, False, Fails,
     ),
-    # B never terminates and C is unreachable; their productions are dropped.
+    # B never terminates and has no value; the unreachable C has one, which its production gives.
     "non-useful-productions-ignored": (
         grammar(4, [(1, [X], 2, [XI]), (2, []), (1, [X], 3, []), (3, [X], 3, []), (4, [X])]),
         FG1,
@@ -252,6 +303,68 @@ def test_linear_empty_language_leaves_the_start_without_a_value():
     for g in (grammar(1, [(1, [X], 1, [])]), grammar(1, [])):
         assert g.start not in potential(g, (g.sink,), FG1, PairSet)[0]
         assert assert_same_as_closure(check_linear_inclusion, g, FG1) == Holds()
+
+
+# Vertices the start does not reach: the backward sweep reads the arcs out of
+# them too, and a violation restricts tau and ``broken`` to what the start reaches.
+# (language, potential, verdict, the cells broken off the reached part)
+OFF_REACH_CASES = {
+    # 1 -x-> 2 -X-> 3 holds; the unreached 4 reads x or X into the final 3, the one break.
+    "automaton-holds-with-a-break-off-reach": (
+        nfa(4, [(1, X, 2), (2, XI, 3), (4, X, 3), (4, XI, 3)], [3]), True, Holds, {(4, 3)},
+    ),
+    # S -> x A X, A -> eps holds; the unreached B -> x A | X A breaks (B, A).
+    "grammar-holds-with-a-break-off-reach": (
+        grammar(3, [(1, [X], 2, [XI]), (2, []), (3, [X], 2, []), (3, [XI], 2, [])]), True, Holds, {(3, 2)},
+    ),
+    # The start reaches only the dead end 2; the final 3 is read back from the unreached 4 and 5.
+    "automaton-empty-with-ends-read-off-reach": (
+        nfa(5, [(1, X, 2), (4, X, 3), (5, XI, 4)], [3]), False, Holds, set(),
+    ),
+    # S -> x S never ends; the unreached A -> x and B -> X A lead to the sink.
+    "grammar-empty-with-ends-read-off-reach": (
+        grammar(3, [(1, [X], 1, []), (2, [X]), (3, [XI], 2, [])]), False, Holds, set(),
+    ),
+    # The start 2 reads x or X into 3, a break; the unreached 1 reads x or X into the
+    # final 4, a break in the first cell that the matrix builder creates.
+    "automaton-fails-with-breaks-on-and-off-reach": (
+        nfa(4, [(1, X, 4), (1, XI, 4), (2, X, 3), (2, XI, 3), (3, X, 4)], [4], start=2),
+        False,
+        Fails,
+        {(1, 4)},
+    ),
+    # S -> x C | X C, C -> x: a break; the unreached B -> x B | x C | X C breaks (B, C)
+    # and, on its failing cycle, (B, B).
+    "grammar-fails-with-breaks-on-and-off-reach": (
+        grammar(
+            3, [(1, [X], 1, []), (1, [X], 3, []), (1, [XI], 3, []), (2, [X], 3, []), (2, [XI], 3, []), (3, [X])],
+            start=2,
+        ),
+        False,
+        Fails,
+        {(1, 1), (1, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_REACH_CASES))
+def test_potential_cases_with_vertices_the_start_does_not_reach(case):
+    language, expected, verdict_type, broken_off_reach = OFF_REACH_CASES[case]
+    if isinstance(language, Nfa):
+        ends, cell_type, check = language.finals, GroupSet, check_regular_inclusion
+    else:
+        ends, cell_type, check = (language.sink,), PairSet, check_linear_inclusion
+    reference_broken = reach_first_potential(language, ends, FG1, cell_type)[1]
+    every_broken = reach_first_potential(from_everywhere(language, ends), ends, FG1, cell_type)[1]
+    assert every_broken - reference_broken == broken_off_reach
+    assert checked_potential(language, FG1) is expected
+    counters, reference_counters = OpCounters(), OpCounters()
+    verdict = check(language, FG1, None, counters)
+    with potential_replaced(reach_first_potential):
+        reference = check(language, FG1, None, reference_counters)
+    assert (repr(verdict), counters) == (repr(reference), reference_counters)
+    assert isinstance(verdict, verdict_type)
+    assert assert_same_as_closure(check, language, FG1) == verdict
 
 
 def test_the_paired_closure_holds_where_the_literal_test_fires():
@@ -344,7 +457,7 @@ def test_potential_contract_on_every_backend(seed, pick, linear, paired):
 
 
 def test_closure_only_calls_every_useful_cell_broken():
-    # The dead end 4 and the unreachable 5 stay out, as in the real sweep.
+    # The dead end 4 and the unreachable 5 stay out, as in the real sweep on a violation.
     a = REGULAR_CASES["non-useful-arcs-ignored"][0]
     with closure_only():
         tau, broken, labels = grouplang.regular.potential(a, a.finals, FG1, GroupSet)
