@@ -383,7 +383,7 @@ def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, d
             label = labels.get(wit)
             if label is None:
                 label = labels[wit] = evaluate(backend, wit)
-            value = mul(mul(label[0], rest), label[1]) if paired else mul(label, rest)
+            value = mul(mul(label[0], rest), label[1]) if paired else mul(label, rest)  # cell_type.wrap
             seen = tau.get(i)
             if seen is None:
                 tau[i] = value
@@ -402,8 +402,6 @@ def potential(language, ends, backend: Backend, cell_type) -> tuple[dict, set, d
             if dst not in reached:
                 reached.add(dst)
                 todo.append(dst)
-    if reached.issuperset(tau):
-        return tau, broken, labels
     tau = {v: value for v, value in tau.items() if v in reached}
     return tau, {cell for cell in broken if cell[0] in reached}, labels
 

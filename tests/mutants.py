@@ -464,8 +464,9 @@ MUTANTS = (
     Mutant(
         "potential-violation-unrestricted",
         "regular.py",
-        "    if reached.issuperset(tau):\n",
-        "    if True:\n",
+        "    tau = {v: value for v, value in tau.items() if v in reached}\n"
+        "    return tau, {cell for cell in broken if cell[0] in reached}, labels\n",
+        "    return tau, broken, labels\n",
         POTENTIAL,
     ),
     Mutant(

@@ -25,14 +25,11 @@ identity language.
 witness-changing fault in a kernel's tie-break, in the potential, in the
 exit on the arcs or in a reference path moves a digest, whatever
 Hypothesis draws.  Tier-1 sweeps Z/2; the wider groups, and the wide
-sweeps, run as a script, which prints its time::
+sweeps, run as a script, which prints its time and, unless it writes,
+judges each default-check sweep with ``sweep_judged``::
 
     PYTHONPATH=src python tests/test_witness_digests.py C3 C3T F1
     PYTHONPATH=src python tests/test_witness_digests.py --wide
-
-With ``--judged`` first, the script also runs ``sweep_judged`` on each
-default-check sweep it digests, as tier-1 does over Z/2, and fails on
-any verdict the oracle refutes.
 
 ``C3T`` is Z/3 given as a Cayley table with its elements relabelled
 (identity index 2, the generator's image the residue 1).  No verdict
@@ -230,18 +227,15 @@ def test_every_small_language_has_the_oracles_verdict_over_c2(sweep, size):
 
 
 def main(args: list[str]) -> int:
-    write, judged = args[:1] == ["--write"], args[:1] == ["--judged"]
-    args = args[1:] if write or judged else args
+    write = args[:1] == ["--write"]
+    args = args[1:] if write else args
     if args == ["--wide"]:
         runs = [(name, languages, check, False, group) for name, (languages, check, groups) in WIDE.items()
                 for group in groups]
     elif args and not set(args) - {"C2", "C3", "C3T", "F1"} and not (write and set(args) & set(SAME_DIGESTS)):
         runs = [(name, *SWEEPS[name], group) for group in args for name in SWEEPS]
     else:
-        sys.exit(
-            f"usage: {sys.argv[0]} [--write | --judged] (GROUP ... | --wide)"
-            "  (groups: C2 C3 C3T F1; C3T is not written)"
-        )
+        sys.exit(f"usage: {sys.argv[0]} [--write] (GROUP ... | --wide)  (groups: C2 C3 C3T F1; C3T is not written)")
     digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     moved = refuted = 0
     for name, languages, check, counted, group in runs:
@@ -253,7 +247,7 @@ def main(args: list[str]) -> int:
         fate = "written" if write else f"same as {key}" if same else f"MOVED from {key}'s {digests.get(key)}"
         print(f"{name} {group}: {count} checks in {time.perf_counter() - started:.1f} s, {digest} {fate}", flush=True)
         digests[key] = digest
-        if judged and check in (check_regular_inclusion, check_linear_inclusion):
+        if not write and check in (check_regular_inclusion, check_linear_inclusion):
             started = time.perf_counter()
             count, wrong, first = sweep_judged(languages, check, GROUPS[group])
             refuted += wrong
