@@ -13,6 +13,7 @@ import grouplang.regular
 from grouplang import (
     CONJUGATE,
     SIMPLE_PATH,
+    BackendMismatch,
     CapExceeded,
     Fails,
     FiniteCayley,
@@ -24,6 +25,7 @@ from grouplang import (
     extract_witness,
     useful_states,
 )
+from grouplang.groups import GroupBackend, validate_word
 from grouplang.regular import _best_exit_witness, _failing_conjugate_witnesses, star, useful_vertices
 
 _CRITERIA_REPORT: list[tuple[int, str]] = []
@@ -91,6 +93,82 @@ def relabelled(group: FiniteCayley, index) -> FiniteCayley:
         table=tuple(map(tuple, table)),
         generator_images=tuple(index[g] for g in group.generator_images),
     )
+
+
+class _FoldedBackend(GroupBackend):
+    """A group given by one element per signed letter and an exact product: words fold from the identity.
+
+    Letters are checked by :func:`validate_word`, as the package's
+    backends check them, and int subclasses are folded as plain ints.
+    """
+
+    _letters: dict
+
+    def canonicalize(self, word):
+        validate_word(word, self.rank)
+        acc = self.identity
+        for x in word:
+            acc = self._mul(acc, self._letters[int(x)])
+        return acc
+
+    def multiply(self, a, b):
+        self._check(a)
+        self._check(b)
+        return self._mul(a, b)
+
+
+class SanovFree2(_FoldedBackend):
+    """F2 as Sanov's (1947) free subgroup of SL2(Z): x1 is [[1, 2], [0, 1]] and x2 is [[1, 0], [2, 1]].
+
+    An element is its exact matrix, row by row, as a tuple (a, b, c, d)
+    of Python ints; each has determinant 1, so its inverse is
+    (d, -b, -c, a).  No verdict names an element, so sweeps over it give
+    F2's digests, while every label is a matrix, not a reduced word.
+    """
+
+    rank = 2
+    identity = (1, 0, 0, 1)
+    _letters = {1: (1, 2, 0, 1), -1: (1, -2, 0, 1), 2: (1, 0, 2, 1), -2: (1, 0, -2, 1)}
+
+    def _mul(self, a, b):
+        return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+    def invert(self, a):
+        self._check(a)
+        return (a[3], -a[1], -a[2], a[0])
+
+    def _check(self, a) -> None:
+        if not (isinstance(a, tuple) and len(a) == 4 and all(type(p) is int for p in a)
+                and a[0] * a[3] - a[1] * a[2] == 1):
+            raise BackendMismatch(f"{a!r} is not a 2x2 integer matrix of determinant 1")
+
+
+class PermutationS3(_FoldedBackend):
+    """S3 as permutations of 0, 1, 2, each its tuple of images: x1 is the swap (0 1), x2 the 3-cycle.
+
+    The product ``ab`` applies ``b``, then ``a``, as the table of
+    :func:`symmetric_group` composes, so sweeps over it give S3's digests
+    through the generic kernels rather than the Cayley-table ones.
+    """
+
+    rank = 2
+    identity = (0, 1, 2)
+    _letters = {1: (1, 0, 2), -1: (1, 0, 2), 2: (1, 2, 0), -2: (2, 0, 1)}
+
+    def _mul(self, a, b):
+        return (a[b[0]], a[b[1]], a[b[2]])
+
+    def invert(self, a):
+        self._check(a)
+        inverse = [0, 0, 0]
+        for x, image in enumerate(a):
+            inverse[image] = x
+        return tuple(inverse)
+
+    def _check(self, a) -> None:
+        if not (isinstance(a, tuple) and all(type(p) is int for p in a) and sorted(a) == [0, 1, 2]):
+            raise BackendMismatch(f"{a!r} is not a permutation of 0, 1, 2 as a tuple of images")
 
 
 def symmetric_group_3() -> FiniteCayley:

@@ -28,21 +28,30 @@ Hypothesis draws.  Tier-1 sweeps Z/2; the wider groups, and the wide
 sweeps, run as a script, which prints its time and, unless it writes,
 judges each default-check sweep with ``sweep_judged``::
 
-    PYTHONPATH=src python tests/test_witness_digests.py C3 C3T F1
+    PYTHONPATH=src python tests/test_witness_digests.py C3 C3T F1 Z1
     PYTHONPATH=src python tests/test_witness_digests.py --wide
 
-``C3T`` is Z/3 given as a Cayley table with its elements relabelled
-(identity index 2, the generator's image the residue 1).  No verdict
-names an element, so its sweeps are compared with C3's digests: they
-run the Cayley-table path of ``diamond`` through the whole family.
+Some groups are a second form of another, and no verdict names an
+element, so their sweeps are compared with the other group's digests and
+are never written:
 
-The wide sweeps, each over its own two groups, hash the default checks'
+- ``C3T`` is Z/3 given as a Cayley table with its elements relabelled
+  (identity index 2, the generator's image the residue 1), compared with
+  C3: it runs the Cayley-table path of ``diamond`` through the family;
+- ``Z1`` is the free abelian group of rank 1, compared with F1 (Z is
+  free on one generator): it runs ``FreeAbelian``'s product;
+- ``F2M`` is F2 as Sanov's integer matrices and ``S3P`` is S3 as
+  permutations (``conftest.SanovFree2`` and ``conftest.PermutationS3``),
+  compared with F2 and S3 in the rank-2 wide sweeps.
+
+The wide sweeps, each over its own groups, hash the default checks'
 verdicts:
 
 - ``rank-2 automata``: every 3-state rank-2 automaton with 1-3 arcs and
-  a non-empty set of finals (54,642 automata), over F2 and S3;
+  a non-empty set of finals (54,642 automata), over F2, S3 and Z^2, and
+  over F2M and S3P;
 - ``rank-2 grammars``: every grammar of 1-3 productions from a menu of
-  110: 2 nonterminals, rank 2 (221,925 grammars), over F2 and S3;
+  110: 2 nonterminals, rank 2 (221,925 grammars), over the same groups;
 - ``3-nonterminal grammars``: every grammar of 1-3 productions from a
   menu of 90: 3 nonterminals, rank 1 (121,575 grammars), over C2 and F1.
 
@@ -61,12 +70,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import paper_check, relabelled, symmetric_group_3
+from conftest import PermutationS3, SanovFree2, paper_check, relabelled, symmetric_group_3
 from grouplang import (
     Cyclic,
     EnumerationBound,
     Fails,
     FiniteCayley,
+    FreeAbelian,
     FreeGroup,
     Holds,
     LinearGrammar,
@@ -92,10 +102,14 @@ GROUPS = {
     "C3T": relabelled(Z3_TABLE, (2, 0, 1)),  # residue r is index (r + 2) % 3
     "F1": FreeGroup(1),
     "F2": FreeGroup(2),
+    "F2M": SanovFree2(),
     "S3": symmetric_group_3(),
+    "S3P": PermutationS3(),
+    "Z1": FreeAbelian(1),
+    "Z2": FreeAbelian(2),
 }
-# A relabelled copy of a group, compared with the group's digests and never written.
-SAME_DIGESTS = {"C3T": "C3"}
+# A second form of a group, compared with the group's digests and never written.
+SAME_DIGESTS = {"C3T": "C3", "F2M": "F2", "S3P": "S3", "Z1": "F1"}
 
 
 def letters(rank: int) -> tuple[int, ...]:
@@ -152,8 +166,8 @@ SWEEPS = {
 }
 # name -> (languages, check, groups); run by the script's --wide only.
 WIDE = {
-    "rank-2 automata": (automata(2, 3), check_regular_inclusion, ("F2", "S3")),
-    "rank-2 grammars": (grammars(2, 2, 3), check_linear_inclusion, ("F2", "S3")),
+    "rank-2 automata": (automata(2, 3), check_regular_inclusion, ("F2", "S3", "Z2", "F2M", "S3P")),
+    "rank-2 grammars": (grammars(2, 2, 3), check_linear_inclusion, ("F2", "S3", "Z2", "F2M", "S3P")),
     "3-nonterminal grammars": (grammars(3, 1, 3), check_linear_inclusion, ("C2", "F1")),
 }
 
@@ -231,11 +245,11 @@ def main(args: list[str]) -> int:
     args = args[1:] if write else args
     if args == ["--wide"]:
         runs = [(name, languages, check, False, group) for name, (languages, check, groups) in WIDE.items()
-                for group in groups]
-    elif args and not set(args) - {"C2", "C3", "C3T", "F1"} and not (write and set(args) & set(SAME_DIGESTS)):
+                for group in groups if not (write and group in SAME_DIGESTS)]
+    elif args and not set(args) - {"C2", "C3", "C3T", "F1", "Z1"} and not (write and set(args) & set(SAME_DIGESTS)):
         runs = [(name, *SWEEPS[name], group) for group in args for name in SWEEPS]
     else:
-        sys.exit(f"usage: {sys.argv[0]} [--write] (GROUP ... | --wide)  (groups: C2 C3 C3T F1; C3T is not written)")
+        sys.exit(f"usage: {sys.argv[0]} [--write] (GROUP ... | --wide)  (groups: C2 C3 C3T F1 Z1; C3T and Z1 are not written)")
     digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     moved = refuted = 0
     for name, languages, check, counted, group in runs:
