@@ -161,10 +161,7 @@ class PermutationS3(_FoldedBackend):
 
     def invert(self, a):
         self._check(a)
-        inverse = [0, 0, 0]
-        for x, image in enumerate(a):
-            inverse[image] = x
-        return tuple(inverse)
+        return (a.index(0), a.index(1), a.index(2))
 
     def _check(self, a) -> None:
         if not (isinstance(a, tuple) and all(type(p) is int for p in a) and sorted(a) == [0, 1, 2]):

@@ -26,7 +26,7 @@ from grouplang import (
 )
 from grouplang.groups import ASSOC_CHECK_LIMIT, MAX_FREE_ABELIAN_RANK, validate_word
 from grouplang.semiring import GroupSet, PairSet, diamond, product, union
-from conftest import symmetric_group, symmetric_group_3
+from conftest import PermutationS3, SanovFree2, symmetric_group, symmetric_group_3
 
 
 def test_canonicalize_free_group_reduces():
@@ -120,7 +120,8 @@ def test_free_backends_reject_non_canonical_elements():
     assert FreeAbelian(2).multiply((-3, 1), (1, 1)) == (-2, 2)
 
 
-_BACKENDS = [FreeGroup(2), FreeAbelian(2), Cyclic(5), symmetric_group_3()]
+# The tests-only backends of the digest sweeps are held to the same laws.
+_BACKENDS = [FreeGroup(2), FreeAbelian(2), Cyclic(5), symmetric_group_3(), SanovFree2(), PermutationS3()]
 
 words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(tuple)
 
@@ -174,12 +175,19 @@ def test_free_group_mul_cancels_only_at_the_seam(u, v):
     assert fg._mul(a, b) == fg.canonicalize(a + b)
 
 
-@settings(max_examples=100, deadline=None)
-@given(u=words, v=words)
-def test_free_abelian_mul_adds_exponents(u, v):
-    ab = FreeAbelian(2)
-    a, b = ab.canonicalize(u), ab.canonicalize(v)
-    assert ab._mul(a, b) == tuple(p + q for p, q in zip(a, b))
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])  # the written-out sums, then the ``map`` form
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_free_abelian_mul_adds_exponents(rank, data):
+    ab = FreeAbelian(rank)
+    a, b = (data.draw(st.tuples(*[st.integers(-9, 9)] * rank)) for _ in "ab")
+    assert ab._mul(a, b) == ab.multiply(a, b) == tuple(p + q for p, q in zip(a, b))
+    assert ab.identity == (0,) * rank
+    for foreign in (a + (0,), a[1:], (True,) + a[1:]):
+        with pytest.raises(BackendMismatch):
+            ab.multiply(a, foreign)
+        with pytest.raises(BackendMismatch):
+            ab.multiply(foreign, b)
 
 
 @pytest.mark.parametrize("k", [3, 4])

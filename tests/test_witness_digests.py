@@ -48,8 +48,10 @@ The wide sweeps, each over its own groups, hash the default checks'
 verdicts:
 
 - ``rank-2 automata``: every 3-state rank-2 automaton with 1-3 arcs and
-  a non-empty set of finals (54,642 automata), over F2, S3 and Z^2, and
-  over F2M and S3P;
+  a non-empty set of finals (54,642 automata), over F2, S3 and Z^2
+  (``Z2``), and over F2M and S3P.  Z^2's digest is F2's: a word that is
+  e in Z^2 but not in F2 has all four letters, so no automaton with
+  three arcs accepts one;
 - ``rank-2 grammars``: every grammar of 1-3 productions from a menu of
   110: 2 nonterminals, rank 2 (221,925 grammars), over the same groups;
 - ``3-nonterminal grammars``: every grammar of 1-3 productions from a
