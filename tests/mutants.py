@@ -484,26 +484,12 @@ MUTANTS = (
         "    if not broken:\n",
         POTENTIAL,
     ),
-    # The free abelian product: ranks 1-3 bind a sum written out per component.
-    Mutant(
-        "free-abelian-rank-1-drops-b",
-        "groups.py",
-        "    return (a[0] + b[0],)\n",
-        "    return (a[0],)\n",
-        GROUPS,
-    ),
+    # The free abelian product: rank 2 binds a sum written out per component.
     Mutant(
         "free-abelian-rank-2-swaps-components",
         "groups.py",
         "    return (a[0] + b[0], a[1] + b[1])\n",
         "    return (a[1] + b[1], a[0] + b[0])\n",
-        GROUPS,
-    ),
-    Mutant(
-        "free-abelian-rank-3-drops-b",
-        "groups.py",
-        "    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])\n",
-        "    return (a[0] + b[0], a[1] + b[1], a[2])\n",
         GROUPS,
     ),
     # The grammar enumerator: letter-free arcs fold into the lettered ones, and

@@ -136,7 +136,7 @@ backend_and_words = st.sampled_from(_BACKENDS).flatmap(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(case=backend_and_words)
 def test_canonicalize_is_a_homomorphism(case):
     backend, u, v = case
@@ -153,14 +153,14 @@ def test_free_group_canonicalize_idempotent(w):
     assert fg.canonicalize(reduced) == reduced
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(case=backend_and_words)
 def test_word_times_inverse_is_identity(case):
     backend, w, _ = case
     assert backend.word_in_group_language(w + inverse_word(w))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(case=backend_and_words)
 def test_invert_matches_inverse_word(case):
     backend, w, _ = case
@@ -175,7 +175,7 @@ def test_free_group_mul_cancels_only_at_the_seam(u, v):
     assert fg._mul(a, b) == fg.canonicalize(a + b)
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])  # the written-out sums, then the ``map`` form
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])  # the written-out sum at rank 2, the ``map`` form elsewhere
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_free_abelian_mul_adds_exponents(rank, data):
